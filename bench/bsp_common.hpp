@@ -127,8 +127,8 @@ inline std::vector<BspJob> sweep_jobs(
   return jobs;
 }
 
-/// Run every sweep cell through the shared --threads-controlled worker-pool
-/// helper (bench::parallel_for_index, backed by sim::WorkerPool).  Each cell
+/// Run every sweep cell through the shared --threads-controlled helper
+/// (bench::parallel_for_index, plain host threads).  Each cell
 /// is an independent simulation with its own seed-derived System, and
 /// results land in job order, so output is identical to a serial sweep.
 inline std::vector<BspPoint> run_rt_sweep(const hrt::bsp::BspConfig& base,

@@ -6,12 +6,10 @@
 // paper-scale sweeps; the default is a quick mode suitable for CI.
 //
 // Parallel sweeps: parameter points in a figure sweep are independent
-// simulations, so `parallel_for_index` shards them across host cores via
-// the shared sim::WorkerPool (the same pool class that drives the
-// ShardedEngine's stage/commit phases) with dynamic index claiming.  Each
-// point runs with the same seed it would get serially and results land in
-// an order-preserving array, so output is bit-identical to a `--threads=1`
-// run.
+// simulations, so `parallel_for_index` spreads them across plain host
+// threads with dynamic index claiming.  Each point runs with the same seed
+// it would get serially and results land in an order-preserving array, so
+// output is bit-identical to a `--threads=1` run.
 //
 // Machine-readable output: pass --json=PATH to binaries that support it to
 // get a JSON record of the run (see docs/PERFORMANCE.md for the schema and
@@ -20,16 +18,18 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "rt/system.hpp"
-#include "sim/worker_pool.hpp"
 
 namespace bench {
 
@@ -89,20 +89,36 @@ class Stopwatch {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// Run fn(0) .. fn(n-1) across `threads` workers (the shared
-/// sim::WorkerPool, dynamic index claiming).  Blocks until every index
-/// completed.  The first exception thrown by any worker is rethrown on the
-/// caller's thread.
+/// Run fn(0) .. fn(n-1) on up to `threads` host threads (the caller is one
+/// of them), each claiming the next unclaimed index.  Blocks until every
+/// helper has joined.  A worker whose fn throws stops claiming; the first
+/// exception is rethrown on the caller's thread after the join.
 template <typename Fn>
 void parallel_for_index(std::size_t n, unsigned threads, Fn&& fn) {
-  if (n == 0) return;
-  if (threads <= 1 || n == 1) {
+  if (threads <= 1 || n <= 1) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  hrt::sim::WorkerPool pool(
-      static_cast<unsigned>(std::min<std::size_t>(threads, n)));
-  pool.parallel_for(n, [&fn](std::size_t i) { fn(i); });
+  std::atomic<std::size_t> next{0};
+  std::mutex error_mu;
+  std::exception_ptr error;
+  auto work = [&] {
+    try {
+      for (std::size_t i = next++; i < n; i = next++) fn(i);
+    } catch (...) {
+      const std::lock_guard<std::mutex> lock(error_mu);
+      if (!error) error = std::current_exception();
+    }
+  };
+  {
+    // jthreads join on destruction, also if starting a later one throws.
+    std::vector<std::jthread> helpers;
+    for (std::size_t t = 1; t < std::min<std::size_t>(threads, n); ++t) {
+      helpers.emplace_back(work);
+    }
+    work();
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 /// Provenance object stamped into every BENCH_*.json by

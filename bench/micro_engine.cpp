@@ -1,34 +1,23 @@
-// Engine microbenchmark: timer-wheel Engine vs the seed priority-queue
-// LegacyEngine on a mixed schedule/cancel/run workload.
+// Engine microbenchmark: the timer-wheel sim::Engine on a mixed
+// schedule/cancel/run workload.
 //
 // The workload models the simulator's hot path under a preemption-heavy RT
 // load: completion events are scheduled a few microseconds to a few
 // milliseconds out, and roughly half are cancelled before they fire (a
-// preemption invalidates the in-flight completion).  Both engines execute a
-// bit-identical operation sequence (same Rng seed), so the events/sec ratio
-// is a pure implementation comparison.
+// preemption invalidates the in-flight completion).  The operation sequence
+// is a pure function of --seed.
 //
-// Output: human-readable table plus a machine-readable JSON record
+// Output: one human-readable line plus a machine-readable JSON record
 // (--json=PATH, default BENCH_engine.json) with events/sec and sampled
-// p50/p99 schedule_at/cancel latencies for both engines.  See
-// docs/PERFORMANCE.md for the schema.
-//
-// Second cell: sharded-engine scaling.  A 4096-CPU machine config (4096
-// per-CPU domains + the global domain, lookahead = the phi spec's IPI
-// latency) runs per-domain self-rescheduling timer chains under the
-// parallel-commit sim::ShardedEngine at host threads {1,2,4,8}; events/sec
-// per thread count goes to BENCH_engine_scaling.json, and run_perf.sh gates
-// on >= 2x at 8 threads over 1 on hosts with >= 8 cores.
+// p50/p99 schedule_at/cancel latencies.  See docs/PERFORMANCE.md for the
+// schema.
 #include <chrono>
 #include <cstdio>
-#include <functional>
 #include <vector>
 
 #include "common.hpp"
 #include "sim/engine.hpp"
-#include "sim/legacy_engine.hpp"
 #include "sim/rng.hpp"
-#include "sim/sharded_engine.hpp"
 #include "sim/stats.hpp"
 
 namespace {
@@ -65,9 +54,8 @@ inline Nanos pick_delay(hrt::sim::Rng& rng) {
   return rng.uniform(hrt::sim::millis(4), hrt::sim::millis(40));
 }
 
-template <typename Engine>
 EngineResult run_mixed(std::uint64_t target_events, std::uint64_t seed) {
-  Engine eng;
+  hrt::sim::Engine eng;
   hrt::sim::Rng rng(seed);
   std::vector<EventId> inflight;
   inflight.reserve(4096);
@@ -136,91 +124,6 @@ void print_result(const char* name, const EngineResult& r) {
               r.sched_p99_ns, r.cancel_p50_ns, r.cancel_p99_ns);
 }
 
-// ---- Sharded-engine scaling cell ----------------------------------------
-
-struct ScaleCell {
-  unsigned threads = 0;
-  double wall_s = 0;
-  std::uint64_t executed = 0;
-  std::uint64_t windows = 0;
-  double events_per_sec = 0;
-  std::uint64_t checksum = 0;  // must match across thread counts
-};
-
-/// Shard-confined workload on a 4096-CPU machine shape: every domain runs a
-/// self-rescheduling APIC-tick chain with a small deterministic compute
-/// kernel, and occasionally kicks its neighbor with an IPI-latency-delayed
-/// cross-domain post.  The checksum folds every domain's event history, so
-/// equal checksums mean the run was bit-identical.
-ScaleCell run_scaling_cell(unsigned threads, std::uint32_t domains,
-                           Nanos lookahead, Nanos horizon) {
-  using hrt::sim::ShardedEngine;
-  ShardedEngine::Config cfg;
-  cfg.shards = threads;
-  cfg.domains = domains;
-  cfg.lookahead = lookahead;
-  cfg.commit = ShardedEngine::CommitMode::kParallel;
-  ShardedEngine eng(cfg);
-
-  struct alignas(64) DomainState {
-    std::uint64_t x = 0;    // xorshift state
-    std::uint64_t sum = 0;  // event-history accumulator
-  };
-  std::vector<DomainState> state(domains);
-  for (std::uint32_t d = 0; d < domains; ++d) {
-    state[d].x = 0x9e3779b97f4a7c15ull * (d + 1) | 1ull;
-  }
-
-  std::function<void(std::uint32_t, Nanos)> arm = [&](std::uint32_t d,
-                                                      Nanos when) {
-    eng.schedule_at(d, when, [&, d] {
-      DomainState& st = state[d];
-      std::uint64_t x = st.x;
-      for (int i = 0; i < 32; ++i) {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-      }
-      st.x = x;
-      st.sum += x;
-      const Nanos now = eng.engine_for(d).now();
-      arm(d, now + 1000 + 37 * static_cast<Nanos>(d % 64));
-      if ((x & 15u) == 0) {
-        const std::uint32_t dst = (d + 1) % domains;
-        eng.post(d, dst, now + lookahead,
-                 [&state, dst] { state[dst].sum += 0x2545f4914f6cdd1dull; });
-      }
-    });
-  };
-  for (std::uint32_t d = 0; d < domains; ++d) {
-    arm(d, 100 + 13 * static_cast<Nanos>(d % 997));
-  }
-
-  ScaleCell c;
-  c.threads = threads;
-  bench::Stopwatch wall;
-  eng.run_until(horizon);
-  c.wall_s = wall.seconds();
-  c.executed = eng.events_executed();
-  c.windows = eng.windows_run();
-  c.events_per_sec = static_cast<double>(c.executed) / c.wall_s;
-  for (const DomainState& st : state) {
-    c.checksum = c.checksum * 1099511628211ull + st.sum;
-  }
-  return c;
-}
-
-std::string cell_json(const ScaleCell& c) {
-  bench::JsonObject j;
-  j.field("threads", static_cast<std::uint64_t>(c.threads));
-  j.field("wall_s", c.wall_s);
-  j.field("executed", c.executed);
-  j.field("windows", c.windows);
-  j.field("events_per_sec", c.events_per_sec);
-  j.field("checksum", std::to_string(c.checksum));
-  return j.str();
-}
-
 std::string result_json(const EngineResult& r) {
   bench::JsonObject j;
   j.field("wall_s", r.wall_s);
@@ -243,26 +146,16 @@ int main(int argc, char** argv) {
   if (args.json.empty()) args.json = "BENCH_engine.json";
   const std::uint64_t target = args.full ? 4'000'000 : 800'000;
 
-  bench::header("micro_engine: timer-wheel Engine vs priority-queue "
-                "LegacyEngine",
-                "mixed schedule/cancel workload; wheel should be >= 3x "
-                "events/sec");
-  std::printf("target events per engine: %llu (seed %llu)\n\n",
+  bench::header("micro_engine: timer-wheel Engine",
+                "mixed schedule/cancel workload; events/sec and "
+                "schedule/cancel p50/p99");
+  std::printf("target events: %llu (seed %llu)\n\n",
               (unsigned long long)target, (unsigned long long)args.seed);
 
   // Warm-up pass (allocators, caches), then the measured pass.
-  (void)run_mixed<hrt::sim::Engine>(target / 8, args.seed);
-  (void)run_mixed<hrt::sim::LegacyEngine>(target / 8, args.seed);
-
-  const EngineResult wheel = run_mixed<hrt::sim::Engine>(target, args.seed);
-  const EngineResult legacy =
-      run_mixed<hrt::sim::LegacyEngine>(target, args.seed);
+  (void)run_mixed(target / 8, args.seed);
+  const EngineResult wheel = run_mixed(target, args.seed);
   print_result("wheel", wheel);
-  print_result("legacy", legacy);
-
-  const double speedup = wheel.events_per_sec / legacy.events_per_sec;
-  std::printf("\nspeedup (events/sec, wheel / legacy): %.2fx\n", speedup);
-  bench::shape_check("wheel engine >= 3x legacy events/sec", speedup >= 3.0);
 
   bench::JsonObject j;
   j.field("benchmark", std::string("micro_engine"));
@@ -270,76 +163,10 @@ int main(int argc, char** argv) {
   j.field("seed", static_cast<std::uint64_t>(args.seed));
   j.field("target_events", static_cast<std::uint64_t>(target));
   j.raw("wheel", result_json(wheel));
-  j.raw("legacy", result_json(legacy));
-  j.field("speedup_events_per_sec", speedup);
   if (!j.write_file(args.json)) {
     std::fprintf(stderr, "warning: cannot write %s\n", args.json.c_str());
     return 1;
   }
   std::printf("wrote %s\n", args.json.c_str());
-
-  // ---- Sharded-engine scaling cell (BENCH_engine_scaling.json) ----------
-  const hrt::hw::MachineSpec spec = hrt::hw::MachineSpec::phi();
-  const std::uint32_t domains = 4096 + 1;  // 4096 CPUs + global domain
-  const Nanos lookahead = spec.timer.ipi_latency_ns;
-  const Nanos horizon = args.full ? hrt::sim::millis(2) : hrt::sim::micros(400);
-
-  std::printf("\nsharded-engine scaling: %u domains, lookahead %lld ns, "
-              "horizon %lld ns (host has %u cores)\n",
-              domains, (long long)lookahead, (long long)horizon,
-              std::thread::hardware_concurrency());
-
-  // Warm-up (pool threads, allocators), then the measured sweep.
-  (void)run_scaling_cell(2, domains, lookahead, horizon / 8);
-
-  std::vector<ScaleCell> cells;
-  std::printf("%8s %10s %12s %10s %10s\n", "threads", "wall (s)", "events/s",
-              "windows", "vs 1thr");
-  for (const unsigned t : {1u, 2u, 4u, 8u}) {
-    cells.push_back(run_scaling_cell(t, domains, lookahead, horizon));
-    const ScaleCell& c = cells.back();
-    std::printf("%8u %10.3f %12.0f %10llu %9.2fx\n", c.threads, c.wall_s,
-                c.events_per_sec, (unsigned long long)c.windows,
-                c.events_per_sec / cells.front().events_per_sec);
-    std::fflush(stdout);
-  }
-
-  bool deterministic = true;
-  for (const ScaleCell& c : cells) {
-    deterministic = deterministic && c.checksum == cells.front().checksum &&
-                    c.executed == cells.front().executed;
-  }
-  const double scale8 =
-      cells.back().events_per_sec / cells.front().events_per_sec;
-  bench::shape_check("scaling runs bit-identical across thread counts",
-                     deterministic);
-  if (std::thread::hardware_concurrency() >= 8) {
-    bench::shape_check("sharded engine >= 2x events/sec at 8 threads",
-                       scale8 >= 2.0);
-  } else {
-    std::printf("[shape SKIP] host has < 8 cores; 8-thread speedup %.2fx "
-                "not gated\n", scale8);
-  }
-
-  bench::JsonObject js;
-  js.field("benchmark", std::string("micro_engine_scaling"));
-  js.field("mode", std::string(args.full ? "full" : "quick"));
-  js.field("domains", static_cast<std::uint64_t>(domains));
-  js.field("lookahead_ns", static_cast<std::uint64_t>(lookahead));
-  js.field("horizon_ns", static_cast<std::uint64_t>(horizon));
-  std::string arr = "[";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (i > 0) arr += ", ";
-    arr += cell_json(cells[i]);
-  }
-  arr += "]";
-  js.raw("cells", arr);
-  js.field("deterministic", static_cast<std::uint64_t>(deterministic ? 1 : 0));
-  js.field("speedup_8_vs_1", scale8);
-  if (!js.write_file("BENCH_engine_scaling.json")) {
-    std::fprintf(stderr, "warning: cannot write BENCH_engine_scaling.json\n");
-    return 1;
-  }
-  std::printf("wrote BENCH_engine_scaling.json\n");
-  return deterministic ? 0 : 1;
+  return 0;
 }

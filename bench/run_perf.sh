@@ -4,14 +4,9 @@
 #   bench/run_perf.sh [--full] [build-dir]
 #
 # Produces in the current directory:
-#   BENCH_engine.json    — micro_engine: timer-wheel vs legacy engine
-#                          (events/sec, p50/p99 schedule/cancel latency)
-#   BENCH_engine_scaling.json — micro_engine: sharded parallel-commit engine,
-#                          events/sec vs host threads {1,2,4,8} on a 4096-CPU
-#                          config; this script fails if the run is not
-#                          bit-identical across thread counts, or (on hosts
-#                          with >= 8 cores) if 8 threads deliver < 2x the
-#                          1-thread events/sec
+#   BENCH_engine.json    — micro_engine: timer-wheel engine on a mixed
+#                          schedule/cancel workload (events/sec, p50/p99
+#                          schedule/cancel latency)
 #   BENCH_placement.json — ablate_placement: pure partitioning policies vs
 #                          semi-partitioned overflow (admitted utilization,
 #                          zero-miss executions, replay-oracle verdict)
@@ -30,7 +25,8 @@
 #                          baseline; this script fails on any post-failover
 #                          deadline miss or if failover availability is not
 #                          strictly above the baseline
-#   BENCH_figures.json   — wall time + shape-check results per figure binary
+#   BENCH_figures.json   — wall time + shape-check results per figure binary,
+#                          with the same env stamp as BENCH_engine.json
 #
 # The committed PR-over-PR snapshots live in bench/snapshots/; refresh them
 # with:  bench/run_perf.sh && cp BENCH_*.json bench/snapshots/
@@ -59,29 +55,15 @@ now_ns() { date +%s%N; }
 # build flags, git SHA).  The binaries read the SHA from this variable.
 HRT_GIT_SHA=$(git -C "$(dirname "$0")" rev-parse HEAD 2>/dev/null || echo unknown)
 export HRT_GIT_SHA
-HOST_CORES=$(nproc 2>/dev/null || echo 1)
 
-echo "== micro_engine -> BENCH_engine.json + BENCH_engine_scaling.json"
+echo "== micro_engine -> BENCH_engine.json"
 "$BIN/micro_engine" $MODE_FLAG --json=BENCH_engine.json
-# Hard gates on the scaling cell: bit-identical runs always; >= 2x events/sec
-# at 8 threads over 1 thread when the host actually has 8 cores.
-awk -v cores="$HOST_CORES" '
-  match($0, /"deterministic": [0-9]+/) {
-    det = substr($0, RSTART + 17, RLENGTH - 17) + 0
-    if (det != 1) {
-      print "error: sharded scaling run not bit-identical across thread counts"
-      exit 1
-    }
-  }
-  match($0, /"speedup_8_vs_1": [0-9.eE+-]+/) {
-    s = substr($0, RSTART + 18, RLENGTH - 18) + 0
-    if (cores + 0 >= 8 && s < 2.0) {
-      printf "error: sharded engine speedup %.2fx at 8 threads < 2x\n", s
-      exit 1
-    }
-    printf "sharded engine scaling: %.2fx events/sec at 8 threads (host cores %d)\n", s, cores
-  }
-' BENCH_engine_scaling.json
+# The figure sweep below is stamped with this same env object.
+ENV_JSON=$(sed -n 's/.*"env": \({[^}]*}\)}$/\1/p' BENCH_engine.json)
+if [ -z "$ENV_JSON" ]; then
+  echo "error: no env object in BENCH_engine.json" >&2
+  exit 1
+fi
 
 echo "== ablate_placement -> BENCH_placement.json"
 "$BIN/ablate_placement" $MODE_FLAG --json=BENCH_placement.json
@@ -180,8 +162,7 @@ echo "== figure sweep -> BENCH_figures.json ($MODE mode)"
       "$fig" "$wall_s" "$exit_code" "$pass" "$fail"
     echo "   $fig: ${wall_s}s (exit $exit_code, shapes $pass pass / $fail fail)" >&2
   done
-  printf '], "env": {"host_cores": %s, "git_sha": "%s"}}\n' \
-    "$HOST_CORES" "$HRT_GIT_SHA"
+  printf '], "env": %s}\n' "$ENV_JSON"
 } > BENCH_figures.json
 
-echo "wrote BENCH_engine.json BENCH_engine_scaling.json BENCH_placement.json BENCH_smi_resilience.json BENCH_telemetry.json BENCH_spawn.json BENCH_cluster.json BENCH_figures.json"
+echo "wrote BENCH_engine.json BENCH_placement.json BENCH_smi_resilience.json BENCH_telemetry.json BENCH_spawn.json BENCH_cluster.json BENCH_figures.json"

@@ -12,7 +12,7 @@
 // rt::fp::AdmissionWord (cache-line padded), updated by CAS with
 // release-publication and read with acquire loads, so PlacementEngine
 // observes a coherent snapshot without locking even when admissions run on
-// other host threads (sharded engine, batch spawn).  The deltas are fed as
+// other host threads (batch spawn).  The deltas are fed as
 // *raw* fixed-point quanta computed once at the scheduler's mutation point
 // (LocalScheduler::ledger_admit / ledger_release), so this ledger's word and
 // the scheduler's own fast-path word hold bit-identical values — the audit

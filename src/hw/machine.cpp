@@ -4,8 +4,7 @@
 
 namespace hrt::hw {
 
-Machine::Machine(const MachineSpec& spec, std::uint64_t seed,
-                 const Sharding& sharding)
+Machine::Machine(const MachineSpec& spec, std::uint64_t seed)
     : spec_(spec),
       rng_(seed),
       gpio_(trace_),
@@ -15,19 +14,6 @@ Machine::Machine(const MachineSpec& spec, std::uint64_t seed,
   if (const char* err = spec_.smi.validate()) {
     throw std::invalid_argument(err);
   }
-  if (sharding.host_threads > 1) {
-    // Serial-commit sharding: parallel wheel maintenance, exact serial
-    // callback order.  The lookahead is the minimum latency of any
-    // cross-CPU interaction — IPIs are the fastest cross-CPU path in the
-    // simulated hardware, so ipi_latency_ns bounds it.
-    sim::ShardedEngine::Config cfg;
-    cfg.shards = sharding.host_threads;
-    cfg.domains = spec_.num_cpus + 1;  // domain 0 = machine-wide hardware
-    cfg.lookahead = sharding.lookahead_ns > 0 ? sharding.lookahead_ns
-                                              : spec_.timer.ipi_latency_ns;
-    cfg.commit = sim::ShardedEngine::CommitMode::kSerial;
-    sharded_ = std::make_unique<sim::ShardedEngine>(cfg);
-  }
   cpus_.reserve(spec_.num_cpus);
   for (std::uint32_t i = 0; i < spec_.num_cpus; ++i) {
     // CPU 0 defines wall-clock time (section 3.4); the rest carry a raw
@@ -36,21 +22,17 @@ Machine::Machine(const MachineSpec& spec, std::uint64_t seed,
     if (i != 0) {
       offset = rng_.uniform(0, spec_.skew.boot_skew_max_ns);
     }
-    cpus_.push_back(std::make_unique<Cpu>(i, spec_, engine_for_cpu(i), offset,
-                                          rng_.fork(i)));
+    cpus_.push_back(
+        std::make_unique<Cpu>(i, spec_, engine_, offset, rng_.fork(i)));
   }
   smi_ = std::make_unique<SmiSource>(
-      engine(), spec_.smi, rng_.fork(0x5111),
+      engine_, spec_.smi, rng_.fork(0x5111),
       [this](sim::Nanos d) { freeze_all(d); });
 }
 
 void Machine::send_ipi(std::uint32_t /*from*/, std::uint32_t to,
                        Vector vector) {
-  // Scheduled on the destination CPU's shard: the delivery callback only
-  // touches that CPU's interrupt state.  With the shared clock and FIFO
-  // counter this is key-for-key identical to the serial machine's
-  // schedule_after on the single engine.
-  engine_for_cpu(to).schedule_after(
+  engine_.schedule_after(
       spec_.timer.ipi_latency_ns,
       [this, to, vector] { cpus_[to]->raise(vector); },
       sim::EventBand::kHardware);
@@ -59,7 +41,7 @@ void Machine::send_ipi(std::uint32_t /*from*/, std::uint32_t to,
 Device& Machine::add_device(Vector vector, Device::Arrival arrival,
                             sim::Nanos mean_interval) {
   devices_.push_back(std::make_unique<Device>(
-      engine(), ioapic_, vector, arrival, mean_interval,
+      engine_, ioapic_, vector, arrival, mean_interval,
       rng_.fork(0xde70 + devices_.size())));
   ioapic_.route(vector, 0);
   return *devices_.back();

@@ -19,7 +19,6 @@
 #include "hw/smi.hpp"
 #include "sim/engine.hpp"
 #include "sim/rng.hpp"
-#include "sim/sharded_engine.hpp"
 #include "sim/trace.hpp"
 
 namespace hrt::hw {
@@ -33,46 +32,15 @@ class Machine {
     std::function<void(std::uint32_t cpu, sim::Nanos duration)> on_unfreeze;
   };
 
-  /// Host-parallel simulation config.  host_threads <= 1 keeps the classic
-  /// single serial engine (byte-for-byte the pre-sharding machine).  With
-  /// more threads, per-CPU hardware is partitioned across timer-wheel
-  /// shards driven by a serial-commit sim::ShardedEngine: staging runs on
-  /// all host threads, callbacks commit in exact serial order, so traces
-  /// are bit-identical to the serial machine.
-  struct Sharding {
-    unsigned host_threads = 1;
-    /// Conservative lookahead; 0 means "derive from the spec"
-    /// (timer.ipi_latency_ns, the minimum cross-CPU event latency).
-    sim::Nanos lookahead_ns = 0;
-  };
-
-  explicit Machine(const MachineSpec& spec, std::uint64_t seed = 42)
-      : Machine(spec, seed, Sharding{}) {}
-  Machine(const MachineSpec& spec, std::uint64_t seed,
-          const Sharding& sharding);
+  explicit Machine(const MachineSpec& spec, std::uint64_t seed = 42);
 
   Machine(const Machine&) = delete;
   Machine& operator=(const Machine&) = delete;
 
   [[nodiscard]] const MachineSpec& spec() const { return spec_; }
 
-  /// The global-domain engine (shard 0 when sharded).  Scheduling here
-  /// places machine-wide events; run_until/now() behave identically either
-  /// way, so callers never need to know whether the machine is sharded.
-  [[nodiscard]] sim::Engine& engine() {
-    return sharded_ ? sharded_->shard(0) : engine_;
-  }
-
-  /// The engine shard owning CPU `i`'s hardware (APIC timer, TSC, executor
-  /// completions).  Equals engine() on an unsharded machine.
-  [[nodiscard]] sim::Engine& engine_for_cpu(std::uint32_t i) {
-    return sharded_ ? sharded_->engine_for(i + 1) : engine_;
-  }
-
-  [[nodiscard]] sim::ShardedEngine* sharded() { return sharded_.get(); }
-  [[nodiscard]] std::uint32_t num_shards() const {
-    return sharded_ ? sharded_->num_shards() : 1;
-  }
+  /// The one engine every CPU, device and the SMI source schedule on.
+  [[nodiscard]] sim::Engine& engine() { return engine_; }
   [[nodiscard]] sim::Trace& trace() { return trace_; }
   [[nodiscard]] Gpio& gpio() { return gpio_; }
   [[nodiscard]] IoApic& ioapic() { return ioapic_; }
@@ -104,9 +72,8 @@ class Machine {
  private:
   MachineSpec spec_;
   // Declared before everything engine-dependent so it is destroyed last
-  // (CPUs, SMI source, and devices hold references into its shards).
-  std::unique_ptr<sim::ShardedEngine> sharded_;
-  sim::Engine engine_;  // serial engine (unused when sharded_ is set)
+  // (CPUs, SMI source, and devices hold references into it).
+  sim::Engine engine_;
   sim::Rng rng_;
   sim::Trace trace_;
   Gpio gpio_;

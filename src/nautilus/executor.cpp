@@ -20,7 +20,7 @@ CpuExecutor::CpuExecutor(Kernel& kernel, std::uint32_t cpu_id,
                          SchedulerBase* sched)
     : kernel_(kernel),
       machine_(kernel.machine()),
-      engine_(machine_.engine_for_cpu(cpu_id)),
+      engine_(machine_.engine()),
       cpu_(machine_.cpu(cpu_id)),
       cpu_id_(cpu_id),
       sched_(sched) {}

@@ -93,10 +93,6 @@ class CpuExecutor {
 
   Kernel& kernel_;
   hw::Machine& machine_;
-  // This CPU's engine shard: every executor schedule/cancel is CPU-local
-  // (completion events, handler ends), so it must stay on the shard owning
-  // the CPU — EventIds are shard-local.  Same object as machine_.engine()
-  // on an unsharded machine.
   sim::Engine& engine_;
   hw::Cpu& cpu_;
   std::uint32_t cpu_id_;

@@ -49,10 +49,7 @@ System::System() : System(Options{}) {}
 System::System(Options options) : options_(std::move(options)) {
   hw::MachineSpec spec = options_.spec;
   if (!options_.smi_enabled) spec.smi.enabled = false;
-  machine_ = std::make_unique<hw::Machine>(
-      spec, options_.seed,
-      hw::Machine::Sharding{options_.sim_host_threads,
-                            options_.sim_lookahead_ns});
+  machine_ = std::make_unique<hw::Machine>(spec, options_.seed);
   auditor_ = std::make_unique<audit::Auditor>(options_.audit);
   telemetry_ = std::make_unique<telemetry::Telemetry>(machine_->num_cpus(),
                                                       options_.telemetry);

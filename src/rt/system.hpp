@@ -55,15 +55,6 @@ class System {
     /// carries a null pointer and scheduling is bit-identical to a build
     /// without the subsystem.
     telemetry::Config telemetry{};
-    /// Host worker threads driving the simulation (sim::ShardedEngine,
-    /// docs/DESIGN.md "Sharded execution").  1 = classic serial engine;
-    /// > 1 partitions per-CPU hardware across that many timer-wheel shards
-    /// with serial-commit semantics — traces stay bit-identical to the
-    /// serial engine at any thread count.
-    unsigned sim_host_threads = 1;
-    /// Conservative-lookahead override in ns; 0 derives it from
-    /// spec.timer.ipi_latency_ns (the minimum cross-CPU event latency).
-    sim::Nanos sim_lookahead_ns = 0;
   };
 
   System();  // Xeon Phi spec, default scheduler config

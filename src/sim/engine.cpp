@@ -6,8 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "sim/sharded_engine.hpp"
-
 namespace hrt::sim {
 
 Engine::Engine() {
@@ -121,7 +119,7 @@ void Engine::unlink_wheel(std::uint32_t idx) {
   --wheel_count_;
 }
 
-void Engine::drain_slot(std::uint32_t slot, Nanos /*slot_start*/) {
+void Engine::drain_slot(std::uint32_t slot) {
   std::uint32_t idx = slot_head_[slot];
   slot_head_[slot] = kNil;
   occupied_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
@@ -151,31 +149,17 @@ std::uint32_t Engine::find_occupied_from(std::uint32_t slot) const {
 }
 
 EventId Engine::schedule_at(Nanos when, Callback cb, EventBand band) {
-  return schedule_impl(when, (*seq_ptr_)++, std::move(cb), band);
-}
-
-EventId Engine::schedule_impl(Nanos when, std::uint64_t seq, Callback cb,
-                              EventBand band) {
-  if (when < *now_ptr_) {
+  if (when < now_) {
     throw std::logic_error("Engine::schedule_at: time in the past");
   }
   const std::uint32_t idx = alloc_node();
   Node& n = pool_[idx];
   n.when = when;
-  n.seq = seq;
+  n.seq = next_seq_++;
   n.band = static_cast<std::uint8_t>(band);
   n.cancelled = false;
   n.cb = std::move(cb);
   ++live_count_;
-  if (owner_ != nullptr && when < commit_horizon_) {
-    // Scheduled from a callback inside the owner's in-flight commit window.
-    // The containers for [T, horizon) were already drained during staging,
-    // so placing the node there would silently skip it; instead it is born
-    // kStaged and handed straight to the owner's late-event merge.
-    n.loc = Loc::kStaged;
-    owner_->note_late(shard_index_, idx, n.gen, when, n.band, seq);
-    return EventId{encode(idx, n.gen)};
-  }
   if (when < wheel_base_) {
     // Inside the already-drained region (e.g. scheduled from a callback for
     // "now"); goes straight to the ready heap.
@@ -187,7 +171,6 @@ EventId Engine::schedule_impl(Nanos when, std::uint64_t seq, Callback cb,
     n.loc = Loc::kFar;
     far_push(idx);
   }
-  if (owner_ != nullptr) owner_->note_schedule(shard_index_, when);
   return EventId{encode(idx, n.gen)};
 }
 
@@ -204,8 +187,8 @@ void Engine::cancel(EventId id) {
     unlink_wheel(idx);
     free_node(idx);
   } else {
-    // Heap-resident (far or ready) or staged for an owner's commit window:
-    // tombstone, reclaimed lazily when the pop/merge reaches it.
+    // Heap-resident (far or ready): tombstone, reclaimed lazily when the
+    // pop reaches it.
     n.cancelled = true;
     n.cb.reset();  // release captured resources eagerly
   }
@@ -220,8 +203,6 @@ bool Engine::refill_ready() {
       while (!far_.empty() && pool_[far_.front()].cancelled) {
         free_node(far_pop());
       }
-      // Reachable despite live_count_ > 0 when the only live nodes are
-      // kStaged (extracted by an owner mid-commit): nothing left to drain.
       if (far_.empty()) return false;
       wheel_base_ = pool_[far_.front()].when & ~(kSlotNs - 1);
     }
@@ -244,7 +225,7 @@ bool Engine::refill_ready() {
     const Nanos slot_start =
         wheel_base_ +
         static_cast<Nanos>((s - base_slot) & kSlotMask) * kSlotNs;
-    drain_slot(s, slot_start);
+    drain_slot(s);
     wheel_base_ = slot_start + kSlotNs;
     // Wheel nodes are never tombstoned, so ready now holds a live event.
     return true;
@@ -257,38 +238,7 @@ void Engine::purge_cancelled_ready_top() {
   }
 }
 
-Nanos Engine::stage_until(Nanos horizon, std::vector<std::uint32_t>& out) {
-  for (;;) {
-    purge_cancelled_ready_top();
-    if (ready_.empty() && !refill_ready()) return kNoEvent;
-    purge_cancelled_ready_top();
-    if (ready_.empty()) continue;  // defensive; refill yields a live event
-    const std::uint32_t top = ready_.front();
-    if (pool_[top].when >= horizon) return pool_[top].when;
-    const std::uint32_t idx = ready_pop();
-    pool_[idx].loc = Loc::kStaged;
-    out.push_back(idx);
-  }
-}
-
-Callback Engine::take_staged(std::uint32_t idx) {
-  Node& n = pool_[idx];
-  assert(n.loc == Loc::kStaged && !n.cancelled);
-  Callback cb = std::move(n.cb);
-  --live_count_;
-  ++executed_;
-  free_node(idx);
-  return cb;
-}
-
-void Engine::free_staged_cancelled(std::uint32_t idx) {
-  assert(pool_[idx].loc == Loc::kStaged && pool_[idx].cancelled);
-  // live_count_ was already decremented by cancel().
-  free_node(idx);
-}
-
 bool Engine::step() {
-  if (owner_ != nullptr) return owner_->step();
   purge_cancelled_ready_top();
   if (ready_.empty() && !refill_ready()) return false;
   purge_cancelled_ready_top();
@@ -305,7 +255,6 @@ bool Engine::step() {
 }
 
 std::uint64_t Engine::run_until(Nanos t_end) {
-  if (owner_ != nullptr) return owner_->run_until(t_end);
   std::uint64_t n = 0;
   for (;;) {
     purge_cancelled_ready_top();
@@ -320,25 +269,9 @@ std::uint64_t Engine::run_until(Nanos t_end) {
 }
 
 std::uint64_t Engine::run_all() {
-  if (owner_ != nullptr) return owner_->run_all();
   std::uint64_t n = 0;
   while (step()) ++n;
   return n;
-}
-
-bool Engine::empty() const {
-  if (owner_ != nullptr) return owner_->empty();
-  return live_count_ == 0;
-}
-
-std::uint64_t Engine::events_executed() const {
-  if (owner_ != nullptr) return owner_->events_executed();
-  return executed_;
-}
-
-std::uint64_t Engine::pending_count() const {
-  if (owner_ != nullptr) return owner_->pending_count();
-  return live_count_;
 }
 
 }  // namespace hrt::sim

@@ -25,21 +25,19 @@
 // reclaimed lazily at pop.  Callbacks use a small-buffer-optimized Callback
 // (sim/callback.hpp): no per-event heap allocation on the common path.
 //
-// The seed `std::priority_queue` implementation is preserved as
-// sim/legacy_engine.hpp for benchmarking and cross-checking.
+// One engine drives the whole simulated machine on one host thread.  The
+// execution order is a pure function of the schedule/cancel sequence, so a
+// run is bit-identical for a given seed.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "sim/callback.hpp"
 #include "sim/time.hpp"
 
 namespace hrt::sim {
-
-class ShardedEngine;
 
 /// Ordering bands for simultaneous events.  Lower runs first.
 enum class EventBand : std::uint8_t {
@@ -66,11 +64,8 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Current simulated time.  For a free-standing engine this is its own
-  /// clock; for a shard owned by a ShardedEngine it reads the owner's
-  /// committed clock (serial-commit) or the shard-local clock
-  /// (parallel-commit) through `now_ptr_`.
-  [[nodiscard]] Nanos now() const { return *now_ptr_; }
+  /// Current simulated time.
+  [[nodiscard]] Nanos now() const { return now_; }
 
   /// Schedule `cb` at absolute time `when` (>= now).  Returns a handle that
   /// may be passed to cancel() until the event has run.
@@ -89,34 +84,24 @@ class Engine {
 
   /// Run events until the queue is empty or `t_end` is passed.  Events at
   /// exactly t_end still run.  Returns the number of events executed.
-  /// On a shard owned by a ShardedEngine this delegates to the owner so
-  /// existing call sites (rt::System, runtime host loops) work unchanged.
   std::uint64_t run_until(Nanos t_end);
 
   /// Run until the queue drains entirely.
   std::uint64_t run_all();
 
   /// Execute exactly one event if present.  Returns false if queue empty.
-  /// (On an owned shard: runs the earliest pending window via the owner.)
   bool step();
 
   /// Exact: counts scheduled events that have neither run nor been
   /// cancelled.  Stale cancels cannot skew it (generation tags reject them).
-  /// On an owned shard these aggregate across the whole sharded machine.
-  [[nodiscard]] bool empty() const;
-  [[nodiscard]] std::uint64_t events_executed() const;
-  [[nodiscard]] std::uint64_t pending_count() const;
+  [[nodiscard]] bool empty() const { return live_count_ == 0; }
+  [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
+  [[nodiscard]] std::uint64_t pending_count() const { return live_count_; }
 
   /// If an event callback throws, the exception propagates out of run_*;
   /// the engine remains usable.
 
  private:
-  friend class ShardedEngine;
-
-  /// Sentinel returned by stage_until when the shard has no pending events.
-  static constexpr Nanos kNoEvent = std::numeric_limits<Nanos>::max();
-  /// commit_horizon_ value meaning "not inside a commit window".
-  static constexpr Nanos kNotCommitting = std::numeric_limits<Nanos>::min();
   // 2^12 slots of 2^10 ns: ~1 us buckets spanning ~4.2 ms.  Timer and
   // completion events land in the wheel; multi-ms device/SMI events take
   // the far heap and migrate as the window advances.
@@ -132,7 +117,6 @@ class Engine {
     kWheel,   // linked into a wheel slot
     kFar,     // in the far (overflow) heap
     kReady,   // in the ready heap
-    kStaged,  // extracted for an owner's commit window (no container)
   };
 
   struct Node {
@@ -153,38 +137,11 @@ class Engine {
            (static_cast<std::uint64_t>(idx) + 1);
   }
 
-  // --- ShardedEngine staging interface (private; accessed via friendship) --
-
-  /// Shared implementation behind schedule_at / schedule_keyed: `seq` is the
-  /// FIFO tie-break to stamp on the node.
-  EventId schedule_impl(Nanos when, std::uint64_t seq, Callback cb,
-                        EventBand band);
-
-  /// Inject an event with a pre-assigned sequence number (cross-shard
-  /// mailbox delivery must reproduce the serial engine's global FIFO order).
-  EventId schedule_keyed(Nanos when, std::uint64_t seq, Callback cb,
-                         EventBand band) {
-    return schedule_impl(when, seq, std::move(cb), band);
-  }
-
-  /// Pop every pending event with when < horizon, in (when, band, seq)
-  /// order, marking each kStaged and appending its pool index to `out`.
-  /// Returns the exact `when` of the next remaining event (>= horizon), or
-  /// kNoEvent if the shard drained.  Safe to run concurrently with other
-  /// shards' stage_until — touches only this shard's containers.
-  Nanos stage_until(Nanos horizon, std::vector<std::uint32_t>& out);
-
-  /// Detach and return the callback of a live staged node, freeing the slot.
-  Callback take_staged(std::uint32_t idx);
-
-  /// Reclaim a staged node that was cancelled between staging and commit.
-  void free_staged_cancelled(std::uint32_t idx);
-
   std::uint32_t alloc_node();
   void free_node(std::uint32_t idx);
   void link_wheel(std::uint32_t idx);
   void unlink_wheel(std::uint32_t idx);
-  void drain_slot(std::uint32_t slot, Nanos slot_start);
+  void drain_slot(std::uint32_t slot);
   [[nodiscard]] std::uint32_t find_occupied_from(std::uint32_t slot) const;
   void purge_cancelled_ready_top();
   /// Advance wheel state until the ready heap holds a live event.
@@ -204,18 +161,6 @@ class Engine {
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
 
-  // Sharding hooks.  A free-standing engine points these at its own fields;
-  // a ShardedEngine repoints them so every shard shares one committed clock
-  // and (in serial-commit mode) one global FIFO counter — which is what
-  // makes sharded execution bit-identical to the serial engine.
-  const Nanos* now_ptr_ = &now_;
-  std::uint64_t* seq_ptr_ = &next_seq_;
-  ShardedEngine* owner_ = nullptr;
-  std::uint32_t shard_index_ = 0;
-  // While the owner commits a window [T, horizon), events scheduled below
-  // the horizon bypass the containers: they are born kStaged and handed to
-  // the owner's late-event heap so the in-flight merge still sees them.
-  Nanos commit_horizon_ = kNotCommitting;
   std::uint64_t live_count_ = 0;   // scheduled, not run, not cancelled
   std::uint64_t wheel_count_ = 0;  // live nodes currently wheel-resident
 

@@ -1,28 +1,44 @@
 // Engine stress tests: randomized schedule/cancel/run interleavings checked
-// against a naive reference implementation, for both the timer-wheel Engine
-// and the seed priority-queue LegacyEngine.  Also pins the stale-cancel
-// regressions: empty() must stay exact and a recycled pool slot must not be
-// cancellable through an old handle.
+// against a naive reference implementation.  Callbacks schedule and cancel
+// while they run, as the kernel's do; a batched fuzz also cancels handles
+// that already ran, including a running event's own.  Also pins the
+// stale-cancel regressions: empty() must stay exact and a recycled pool slot
+// must not be cancellable through an old handle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/engine.hpp"
-#include "sim/legacy_engine.hpp"
 #include "sim/rng.hpp"
 
 namespace hrt::sim {
 namespace {
 
+/// What an event does when it runs.  Children of a firing event never act
+/// themselves and carry its tag with one marker bit set, so tags stay unique.
+enum class OnFire : int {
+  kNothing,
+  kReschedule,    // schedule at now() + 1: below wheel_base_, the ready heap
+  kKick,          // schedule at now() + kKickNs in kHardware, like an IPI
+  kCancelNewest,  // cancel the newest live handle
+  // Cancel the newest handle ever scheduled, which may have run, been
+  // cancelled, or be the running event itself: then a no-op.
+  kCancelLastScheduled,
+};
+constexpr Nanos kKickNs = 400;
+constexpr std::uint64_t kRescheduleBit = std::uint64_t{1} << 62;
+constexpr std::uint64_t kKickBit = std::uint64_t{1} << 61;
+
 // Naive reference model: a flat vector, linear min-scan on every pop.
 class ReferenceModel {
  public:
-  void schedule(Nanos when, std::uint8_t band, std::uint64_t tag) {
-    pending_.push_back(Entry{when, band, next_seq_++, tag});
+  void schedule(Nanos when, std::uint8_t band, std::uint64_t tag,
+                OnFire on_fire = OnFire::kNothing) {
+    pending_.push_back(Entry{when, band, next_seq_++, tag, on_fire});
+    last_tag_ = tag;
   }
 
   bool cancel(std::uint64_t tag) {
@@ -36,7 +52,7 @@ class ReferenceModel {
   }
 
   /// Pop every entry with when <= t_end in (when, band, seq) order,
-  /// appending tags to `order`.
+  /// appending tags to `order` and applying each entry's OnFire.
   void run_until(Nanos t_end, std::vector<std::uint64_t>& order) {
     for (;;) {
       std::size_t best = pending_.size();
@@ -47,16 +63,22 @@ class ReferenceModel {
         }
       }
       if (best == pending_.size()) return;
-      order.push_back(pending_[best].tag);
-      now_ = pending_[best].when;
-      pending_.erase(pending_.begin() +
-                     static_cast<std::ptrdiff_t>(best));
+      const Entry e = pending_[best];
+      pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(best));
+      order.push_back(e.tag);
+      fired_at_.push_back(e.when);
+      now_ = e.when;
+      fire(e);
     }
   }
 
   [[nodiscard]] bool empty() const { return pending_.empty(); }
   [[nodiscard]] std::size_t size() const { return pending_.size(); }
   [[nodiscard]] Nanos now() const { return now_; }
+  /// Time of every pop so far, parallel to the run_until `order`.
+  [[nodiscard]] const std::vector<Nanos>& fired_at() const {
+    return fired_at_;
+  }
 
  private:
   struct Entry {
@@ -64,6 +86,7 @@ class ReferenceModel {
     std::uint8_t band;
     std::uint64_t seq;
     std::uint64_t tag;
+    OnFire on_fire;
   };
   static bool before(const Entry& a, const Entry& b) {
     if (a.when != b.when) return a.when < b.when;
@@ -71,40 +94,128 @@ class ReferenceModel {
     return a.seq < b.seq;
   }
 
+  void fire(const Entry& e) {
+    switch (e.on_fire) {
+      case OnFire::kNothing:
+        break;
+      case OnFire::kReschedule:
+        schedule(now_ + 1, static_cast<std::uint8_t>(EventBand::kDefault),
+                 e.tag | kRescheduleBit);
+        break;
+      case OnFire::kKick:
+        schedule(now_ + kKickNs,
+                 static_cast<std::uint8_t>(EventBand::kHardware),
+                 e.tag | kKickBit);
+        break;
+      case OnFire::kCancelNewest:
+        // pending_ stays in schedule order, so the newest is at the back.
+        if (!pending_.empty()) pending_.pop_back();
+        break;
+      case OnFire::kCancelLastScheduled:
+        cancel(last_tag_);
+        break;
+    }
+  }
+
   std::vector<Entry> pending_;
+  std::vector<Nanos> fired_at_;
   std::uint64_t next_seq_ = 0;
+  std::uint64_t last_tag_ = 0;
   Nanos now_ = 0;
+};
+
+// The engine side of the comparison: the engine plus the handle bookkeeping
+// its callbacks need to mirror ReferenceModel::fire.
+template <typename EngineT>
+struct EngineUnderTest {
+  struct Live {
+    EventId id;
+    std::uint64_t tag;
+  };
+
+  void schedule(Nanos when, EventBand band, std::uint64_t tag,
+                OnFire on_fire) {
+    const EventId id = eng.schedule_at(
+        when, [this, tag, on_fire] { fire(tag, on_fire); }, band);
+    live.push_back(Live{id, tag});
+    scheduled.push_back(Live{id, tag});
+  }
+
+  void cancel(std::size_t i) {
+    eng.cancel(live[i].id);
+    stale.push_back(live[i].id);
+    live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+  }
+
+  /// Cancel scheduled[i], whether it is still live or not.
+  void cancel_scheduled(std::size_t i) {
+    const std::uint64_t tag = scheduled[i].tag;
+    const auto it = std::find_if(
+        live.begin(), live.end(), [tag](const Live& l) { return l.tag == tag; });
+    if (it != live.end()) {
+      cancel(static_cast<std::size_t>(it - live.begin()));
+    } else {
+      eng.cancel(scheduled[i].id);  // stale
+    }
+  }
+
+  EngineT eng;
+  std::vector<Live> live;      // neither run nor cancelled, oldest first
+  std::vector<Live> scheduled;  // every handle, in schedule order
+  std::vector<EventId> stale;  // ran or cancelled: cancel must be a no-op
+  std::vector<std::uint64_t> got;  // execution order (tags)
+  std::vector<Nanos> got_at;       // now() at each execution
+
+ private:
+  void fire(std::uint64_t tag, OnFire on_fire) {
+    got.push_back(tag);
+    got_at.push_back(eng.now());
+    const auto self = std::find_if(
+        live.begin(), live.end(), [tag](const Live& l) { return l.tag == tag; });
+    stale.push_back(self->id);
+    live.erase(self);
+    switch (on_fire) {
+      case OnFire::kNothing:
+        break;
+      case OnFire::kReschedule:
+        schedule(eng.now() + 1, EventBand::kDefault, tag | kRescheduleBit,
+                 OnFire::kNothing);
+        break;
+      case OnFire::kKick:
+        schedule(eng.now() + kKickNs, EventBand::kHardware, tag | kKickBit,
+                 OnFire::kNothing);
+        break;
+      case OnFire::kCancelNewest:
+        if (!live.empty()) cancel(live.size() - 1);
+        break;
+      case OnFire::kCancelLastScheduled:
+        cancel_scheduled(scheduled.size() - 1);
+        break;
+    }
+  }
 };
 
 template <typename EngineT>
 class EngineStress : public ::testing::Test {};
 
-using EngineTypes = ::testing::Types<Engine, LegacyEngine>;
+using EngineTypes = ::testing::Types<Engine>;
 TYPED_TEST_SUITE(EngineStress, EngineTypes);
 
 TYPED_TEST(EngineStress, RandomInterleavingsMatchReference) {
   for (std::uint64_t seed : {1u, 7u, 42u, 999u}) {
-    TypeParam eng;
+    EngineUnderTest<TypeParam> e;
     ReferenceModel ref;
     Rng rng(seed);
-
-    std::vector<std::uint64_t> got;       // engine execution order (tags)
     std::vector<std::uint64_t> expected;  // reference execution order
-    struct Live {
-      EventId id;
-      std::uint64_t tag;
-    };
-    std::vector<Live> live;
-    std::vector<EventId> stale;  // handles of events that already ran
-    std::unordered_set<std::uint64_t> ran_tags;
-    std::size_t got_consumed = 0;
     std::uint64_t next_tag = 1;
 
     for (int step = 0; step < 4000; ++step) {
       const double p = rng.next_double();
       if (p < 0.55) {
         // Schedule: bias to short delays (timer scale), with a far tail
-        // that crosses the wheel-window boundary; delay 0 is legal.
+        // that crosses the wheel-window boundary; delay 0 is legal.  Some
+        // times round down to 64 ns so same-time events tie-break on
+        // (band, seq).
         Nanos delay;
         const double q = rng.next_double();
         if (q < 0.6) {
@@ -114,57 +225,94 @@ TYPED_TEST(EngineStress, RandomInterleavingsMatchReference) {
         } else {
           delay = rng.uniform(millis(6), millis(60));
         }
+        Nanos when = e.eng.now() + delay;
+        if (rng.next_double() < 0.3) {
+          when = std::max(e.eng.now(), when & ~Nanos{63});
+        }
         const auto band = static_cast<EventBand>(rng.uniform(0, 3));
+        const auto on_fire = static_cast<OnFire>(rng.uniform(0, 3));
         const std::uint64_t tag = next_tag++;
-        const EventId id = eng.schedule_after(
-            delay, [tag, &got] { got.push_back(tag); }, band);
-        ref.schedule(eng.now() + delay, static_cast<std::uint8_t>(band),
-                     tag);
-        live.push_back(Live{id, tag});
-      } else if (p < 0.75 && !live.empty()) {
+        e.schedule(when, band, tag, on_fire);
+        ref.schedule(when, static_cast<std::uint8_t>(band), tag, on_fire);
+      } else if (p < 0.75 && !e.live.empty()) {
         // Cancel a pending event.
         const auto i = static_cast<std::size_t>(
-            rng.uniform(0, static_cast<std::int64_t>(live.size()) - 1));
-        eng.cancel(live[i].id);
-        ASSERT_TRUE(ref.cancel(live[i].tag));
-        live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
-      } else if (p < 0.8 && !stale.empty()) {
-        // Stale cancel: the event already ran; must be an exact no-op.
+            rng.uniform(0, static_cast<std::int64_t>(e.live.size()) - 1));
+        ASSERT_TRUE(ref.cancel(e.live[i].tag)) << "seed " << seed;
+        e.cancel(i);
+      } else if (p < 0.8 && !e.stale.empty()) {
+        // Stale cancel: the event already ran or was cancelled; must be an
+        // exact no-op.
         const auto i = static_cast<std::size_t>(
-            rng.uniform(0, static_cast<std::int64_t>(stale.size()) - 1));
-        eng.cancel(stale[i]);
+            rng.uniform(0, static_cast<std::int64_t>(e.stale.size()) - 1));
+        e.eng.cancel(e.stale[i]);
       } else if (p < 0.95) {
-        const Nanos horizon = eng.now() + rng.uniform(0, micros(500));
-        eng.run_until(horizon);
+        const Nanos horizon = e.eng.now() + rng.uniform(0, micros(500));
+        e.eng.run_until(horizon);
         ref.run_until(horizon, expected);
       } else {
-        eng.run_all();
+        e.eng.run_all();
         ref.run_until(std::numeric_limits<Nanos>::max() / 2, expected);
       }
-
-      // Retire executed events from the live set into the stale pool.
-      ASSERT_EQ(got.size(), expected.size()) << "seed " << seed;
-      if (got_consumed < got.size()) {
-        for (; got_consumed < got.size(); ++got_consumed) {
-          ran_tags.insert(got[got_consumed]);
-        }
-        for (auto it = live.begin(); it != live.end();) {
-          if (ran_tags.count(it->tag) != 0) {
-            stale.push_back(it->id);
-            it = live.erase(it);
-          } else {
-            ++it;
-          }
-        }
-      }
-      ASSERT_EQ(eng.empty(), ref.empty()) << "seed " << seed;
+      ASSERT_EQ(e.got.size(), expected.size()) << "seed " << seed;
+      ASSERT_EQ(e.eng.empty(), ref.empty()) << "seed " << seed;
     }
 
-    eng.run_all();
+    e.eng.run_all();
     ref.run_until(std::numeric_limits<Nanos>::max() / 2, expected);
-    ASSERT_EQ(got, expected) << "seed " << seed;
-    EXPECT_TRUE(eng.empty());
-    EXPECT_EQ(eng.events_executed(), got.size());
+    ASSERT_EQ(e.got, expected) << "seed " << seed;
+    EXPECT_EQ(e.got_at, ref.fired_at()) << "seed " << seed;
+    EXPECT_TRUE(e.eng.empty());
+    EXPECT_EQ(e.eng.events_executed(), e.got.size());
+  }
+}
+
+// Batched op stream, as a kernel tick produces: up to 64 schedules and
+// cancels land together, many on round timestamps so (band, seq) carry the
+// order, then time advances past part of them.  Cancels pick any handle
+// ever scheduled, so many are stale; callbacks may cancel their own
+// handle while running.
+TEST(EngineFuzz, PopOrderMatchesReference) {
+  for (const std::uint64_t seed : {1u, 7u, 42u, 1234u}) {
+    EngineUnderTest<Engine> e;
+    ReferenceModel ref;
+    Rng rng(seed);
+    std::vector<std::uint64_t> expected;
+    std::uint64_t next_tag = 1;
+    Nanos t = 0;
+
+    for (int batch = 0; batch < 40; ++batch) {
+      const auto ops = rng.uniform(1, 64);
+      for (std::int64_t op = 0; op < ops; ++op) {
+        if (rng.next_double() < 0.12 && !e.scheduled.empty()) {
+          const auto i = static_cast<std::size_t>(rng.uniform(
+              0, static_cast<std::int64_t>(e.scheduled.size()) - 1));
+          ref.cancel(e.scheduled[i].tag);
+          e.cancel_scheduled(i);
+          continue;
+        }
+        Nanos when = t + rng.uniform(0, 4999);
+        if (rng.next_double() < 0.3) when = std::max(t, when & ~Nanos{63});
+        const auto band = static_cast<EventBand>(rng.uniform(0, 3));
+        const auto on_fire = static_cast<OnFire>(rng.uniform(0, 4));
+        const std::uint64_t tag = next_tag++;
+        e.schedule(when, band, tag, on_fire);
+        ref.schedule(when, static_cast<std::uint8_t>(band), tag, on_fire);
+      }
+      t += rng.uniform(500, 3499);
+      e.eng.run_until(t);
+      ref.run_until(t, expected);
+      ASSERT_EQ(e.got, expected) << "seed " << seed << " batch " << batch;
+      ASSERT_EQ(e.eng.empty(), ref.empty()) << "seed " << seed;
+      ASSERT_EQ(e.eng.now(), t) << "seed " << seed;
+    }
+
+    e.eng.run_until(t + millis(1));  // drain stragglers
+    ref.run_until(t + millis(1), expected);
+    ASSERT_EQ(e.got, expected) << "seed " << seed;
+    EXPECT_EQ(e.got_at, ref.fired_at()) << "seed " << seed;
+    EXPECT_TRUE(e.eng.empty());
+    EXPECT_EQ(e.eng.events_executed(), e.got.size());
   }
 }
 
@@ -199,8 +347,7 @@ TYPED_TEST(EngineStress, DoubleCancelThenDrainReportsEmpty) {
 }
 
 // Generation tags: a recycled pool slot must reject handles from its
-// previous life.  (Only meaningful for the wheel engine; the legacy engine
-// never reuses ids.)
+// previous life.
 TEST(EngineGenerations, StaleHandleCannotCancelRecycledSlot) {
   Engine eng;
   int first = 0;

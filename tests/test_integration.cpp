@@ -1,11 +1,16 @@
 // Integration and property tests across the whole stack:
-//   * determinism: identical seeds give identical simulations,
+//   * determinism: identical seeds give identical simulations, and two
+//     full-kernel scenarios match golden fingerprints,
 //   * hard invariant: admitted (feasible) constraints never miss, across a
 //     parameter sweep and under SMI storms and device-interrupt load,
 //   * isolation: RT timing is independent of background load,
 //   * group lockstep survives missing time,
 //   * full-machine sanity at 256 CPUs.
 #include <gtest/gtest.h>
+
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "bsp/bsp.hpp"
 #include "group/group_admission.hpp"
@@ -44,6 +49,129 @@ TEST(Determinism, SameSeedSameTrajectory) {
   };
   EXPECT_EQ(run(12345), run(12345));
   EXPECT_NE(std::get<3>(run(1)), std::get<3>(run(2)));
+}
+
+// ---------- Golden determinism fingerprints ----------
+//
+// 64-bit FNV-1a over a full-kernel run's simulated outcomes: the sim::Trace
+// bytes, events executed, end time and per-thread arrivals / completions /
+// misses / CPU ns.  The constants pin the engine's exact (when, band, seq)
+// execution order; any change to them is a change in simulated behaviour.
+
+class Fnv1a {
+ public:
+  void add_bytes(const std::string& s) {
+    for (const unsigned char c : s) mix(c);
+  }
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) mix((v >> (8 * i)) & 0xffu);
+  }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  void mix(std::uint64_t byte) {
+    h_ ^= byte;
+    h_ *= 0x100000001b3ULL;
+  }
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+std::uint64_t kernel_fingerprint(System& sys,
+                                 const std::vector<nk::Thread*>& threads) {
+  std::ostringstream trace;
+  for (const auto& r : sys.machine().trace().records()) {
+    trace << r.time << '|' << r.cpu << '|' << static_cast<int>(r.kind) << '|'
+          << r.value << '\n';
+  }
+  Fnv1a h;
+  h.add_bytes(trace.str());
+  h.add(sys.engine().events_executed());
+  h.add(static_cast<std::uint64_t>(sys.engine().now()));
+  for (const nk::Thread* t : threads) {
+    h.add(t->rt.arrivals);
+    h.add(t->rt.completions);
+    h.add(t->rt.misses);
+    h.add(static_cast<std::uint64_t>(t->total_cpu_ns));
+  }
+  return h.value();
+}
+
+std::unique_ptr<nk::FnBehavior> rt_worker(rt::Constraints c) {
+  return std::make_unique<nk::FnBehavior>(
+      [c](nk::ThreadCtx&, std::uint64_t step) {
+        if (step == 0) return nk::Action::change_constraints(c);
+        return nk::Action::compute(sim::millis(2));
+      });
+}
+
+// fig06-style miss-rate cell: phi_small machine, periodic RT workers with
+// distinct periods/slices (one infeasible mix), SMIs enabled.
+std::uint64_t run_fig06_style() {
+  System::Options o;
+  o.spec = hw::MachineSpec::phi_small(4);
+  o.seed = 1234;
+  o.sched.admission_enabled = false;
+  System sys(std::move(o));
+  sys.machine().trace().enable();
+  sys.boot();
+  std::vector<nk::Thread*> threads;
+  threads.push_back(sys.spawn(
+      "a",
+      rt_worker(rt::Constraints::periodic(sim::millis(1), sim::micros(450),
+                                          sim::micros(100))),
+      1));
+  threads.push_back(sys.spawn(
+      "b",
+      rt_worker(rt::Constraints::periodic(sim::micros(500), sim::micros(250),
+                                          sim::micros(50))),
+      2));
+  threads.push_back(sys.spawn(
+      "c",
+      rt_worker(rt::Constraints::periodic(sim::millis(2), sim::millis(1),
+                                          sim::micros(200))),
+      3));
+  sys.run_for(sim::millis(50));
+  EXPECT_FALSE(sys.machine().trace().records().empty());
+  return kernel_fingerprint(sys, threads);
+}
+
+// fig12-style group sync: a hard real-time group spanning CPUs, admitted
+// through the full group protocol, generating cross-CPU kick IPIs.
+std::uint64_t run_fig12_style() {
+  constexpr std::uint32_t kMembers = 4;
+  System::Options o;
+  o.spec = hw::MachineSpec::phi_small(kMembers + 2);
+  o.seed = 99;
+  System sys(std::move(o));
+  sys.machine().trace().enable();
+  sys.boot();
+  grp::ThreadGroup* group = sys.groups().create("sync", kMembers);
+  const sim::Nanos phase = sim::millis(2) + kMembers * sim::micros(60);
+  std::vector<nk::Thread*> threads;
+  for (std::uint32_t r = 0; r < kMembers; ++r) {
+    auto inner = std::make_unique<nk::BusyLoopBehavior>(sim::micros(20));
+    auto b = std::make_unique<grp::GroupAdmitThenBehavior>(
+        *group,
+        rt::Constraints::periodic(phase, sim::micros(100), sim::micros(50)),
+        std::move(inner));
+    threads.push_back(sys.spawn(std::string("s") + std::to_string(r),
+                                std::move(b), 1 + r));
+  }
+  sys.run_for(sim::millis(30));
+  EXPECT_FALSE(sys.machine().trace().records().empty());
+  return kernel_fingerprint(sys, threads);
+}
+
+TEST(DeterminismFingerprint, Fig06StyleMatchesGolden) {
+  const std::uint64_t fp = run_fig06_style();
+  EXPECT_EQ(fp, 0x768c1c30aca0ea49ULL) << std::hex << "got 0x" << fp;
+  EXPECT_EQ(fp, run_fig06_style()) << "two runs differ";
+}
+
+TEST(DeterminismFingerprint, Fig12StyleMatchesGolden) {
+  const std::uint64_t fp = run_fig12_style();
+  EXPECT_EQ(fp, 0x02dfec70e0cf6bc4ULL) << std::hex << "got 0x" << fp;
+  EXPECT_EQ(fp, run_fig12_style()) << "two runs differ";
 }
 
 // ---------- The hard real-time invariant ----------

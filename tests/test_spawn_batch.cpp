@@ -310,8 +310,10 @@ nk::Thread* fail_handoff(System& sys) {
   }
   EXPECT_GT(est.ewma_fraction(), 0.49);
 
-  // Run past the job boundary: the deferred hand-off fires and is rejected.
-  sys.run_for(sim::millis(2));
+  // Run past the job boundary: the deferred hand-off fires and is rejected,
+  // which the auditor records as a kMigration violation.
+  run_counting(sys, audit::Invariant::kMigration,
+               [&] { sys.run_for(sim::millis(2)); });
   EXPECT_EQ(sys.sched(0).stats().migration_failures, 1u);
   return t;
 }
