@@ -48,17 +48,37 @@ void CpuExecutor::begin(Thread* idle) {
   sched_->arm_timer(wall_now());
 }
 
-void CpuExecutor::set_inflight(sim::Nanos end, std::function<void()> cont) {
+void CpuExecutor::set_inflight(sim::Nanos end) {
   const sim::Nanos now = engine_.now();
   stage_start_ = now;
   stage_end_ = end < now ? now : end;
-  stage_cont_ = std::move(cont);
   inflight_ = engine_.schedule_at(stage_end_, [this] {
     inflight_.reset();
-    auto c = std::move(stage_cont_);
-    stage_cont_ = nullptr;
-    c();
+    end_stage();
   });
+}
+
+void CpuExecutor::end_stage() {
+  switch (mode_) {
+    case Mode::kThread:
+      finish_current_action();
+      start_action();
+      maybe_enable_interrupts();
+      return;
+    case Mode::kPassHandler:
+      finish_handler(/*via_irq=*/true);
+      return;
+    case Mode::kDeviceHandler:
+      finish_device_handler();
+      return;
+    case Mode::kSchedCall:
+      finish_sched_call();
+      return;
+    case Mode::kHalted:
+      break;
+  }
+  throw std::logic_error("CpuExecutor: stage end while halted on cpu " +
+                         std::to_string(cpu_id_));
 }
 
 void CpuExecutor::clear_inflight() {
@@ -119,7 +139,6 @@ void CpuExecutor::suspend_current() {
       current_->spin_satisfied = true;
     }
     clear_inflight();
-    stage_cont_ = nullptr;
   }
 }
 
@@ -130,7 +149,8 @@ void CpuExecutor::begin_sched_handler(PassReason reason) {
 
   // The pass decision is computed here; its time is charged as part of the
   // handler span that follows.
-  PassResult pr = sched_->pass(reason, wall_now());
+  stage_pass_ = sched_->pass(reason, wall_now());
+  const PassResult& pr = stage_pass_;
   const sim::Nanos pass_ns = cost_ns(pr.pass_cycles);
   const sim::Nanos other_ns = cost_ns(cost.sched_other);
   const bool sw = pr.next != current_;
@@ -168,37 +188,41 @@ void CpuExecutor::begin_sched_handler(PassReason reason) {
         sim::EventBand::kObserver);
   }
 
-  mode_ = Mode::kHandler;
+  mode_ = Mode::kPassHandler;
   const sim::Nanos total = irq_ns + pass_ns + other_ns + sw_ns + pr.task_ns;
-  set_inflight(now + total,
-               [this, pr = std::move(pr)]() mutable {
-                 finish_handler(std::move(pr), /*via_irq=*/true);
-               });
+  set_inflight(now + total);
 }
 
 void CpuExecutor::begin_device_handler(hw::Vector v) {
   const sim::Nanos dur = cost_ns(kernel_.device_handler_cost(v));
-  mode_ = Mode::kHandler;
-  set_inflight(engine_.now() + dur, [this, v] {
-    const sim::Nanos now = engine_.now();
-    machine_.trace().record(now, cpu_id_, sim::TraceKind::kIrqExit, v);
-    const auto& scope = kernel_.scope();
-    if (scope.enabled && scope.cpu == cpu_id_) {
-      machine_.gpio().set_pin(now, cpu_id_, kPinIrq, false);
-    }
-    kernel_.run_device_callback(v);
-    // Return from interrupt without a scheduler pass; if the top half woke
-    // anything, it raised a kick that will be taken right after we re-enable
-    // interrupts below.
-    run_span_start_ = now;
-    run_span_open_ = true;
-    mode_ = Mode::kThread;
-    start_action();
-    maybe_enable_interrupts();
-  });
+  mode_ = Mode::kDeviceHandler;
+  stage_vector_ = v;
+  set_inflight(engine_.now() + dur);
 }
 
-void CpuExecutor::finish_handler(PassResult pr, bool via_irq) {
+void CpuExecutor::finish_device_handler() {
+  const sim::Nanos now = engine_.now();
+  const hw::Vector v = stage_vector_;
+  machine_.trace().record(now, cpu_id_, sim::TraceKind::kIrqExit, v);
+  const auto& scope = kernel_.scope();
+  if (scope.enabled && scope.cpu == cpu_id_) {
+    machine_.gpio().set_pin(now, cpu_id_, kPinIrq, false);
+  }
+  kernel_.run_device_callback(v);
+  // Return from interrupt without a scheduler pass; if the top half woke
+  // anything, it raised a kick that will be taken right after we re-enable
+  // interrupts below.
+  run_span_start_ = now;
+  run_span_open_ = true;
+  mode_ = Mode::kThread;
+  start_action();
+  maybe_enable_interrupts();
+}
+
+void CpuExecutor::finish_handler(bool via_irq) {
+  // Take the pass result out of its slot: start_action below may begin the
+  // next scheduler call, which refills it.
+  const PassResult pr = std::move(stage_pass_);
   const sim::Nanos now = engine_.now();
   if (via_irq) {
     machine_.trace().record(now, cpu_id_, sim::TraceKind::kIrqExit,
@@ -208,7 +232,7 @@ void CpuExecutor::finish_handler(PassResult pr, bool via_irq) {
       machine_.gpio().set_pin(now, cpu_id_, kPinIrq, false);
     }
   }
-  for (auto& cb : pr.task_callbacks) cb();
+  for (const auto& cb : pr.task_callbacks) cb();
   Thread* prev = current_;
   if (pr.next != current_) do_switch(pr.next);
   if (prev != nullptr && prev != current_ &&
@@ -275,7 +299,8 @@ void CpuExecutor::maybe_enable_interrupts() {
                         current_->action.kind == Action::Kind::kAtomic;
     if (!atomic) cpu_.set_interrupts_enabled(true);
   }
-  // kHandler / kSchedCall: interrupts stay masked until the stage ends.
+  // Handlers and scheduler calls: interrupts stay masked until the stage
+  // ends.
 }
 
 void CpuExecutor::start_action() {
@@ -294,11 +319,7 @@ void CpuExecutor::start_action() {
       case Action::Kind::kCompute: {
         if (t->action_remaining > 0) {
           mode_ = Mode::kThread;
-          set_inflight(now + t->action_remaining, [this] {
-            finish_current_action();
-            start_action();
-            maybe_enable_interrupts();
-          });
+          set_inflight(now + t->action_remaining);
           return;
         }
         finish_current_action();
@@ -307,12 +328,7 @@ void CpuExecutor::start_action() {
       case Action::Kind::kSpinUntil: {
         mode_ = Mode::kThread;
         if (a.flag->is_set() || t->spin_satisfied) {
-          set_inflight(
-              now + cost_ns(machine_.spec().cost.spin_notice), [this] {
-                finish_current_action();
-                start_action();
-                maybe_enable_interrupts();
-              });
+          set_inflight(now + cost_ns(machine_.spec().cost.spin_notice));
         } else {
           if (t->spinning_on != a.flag) {
             a.flag->add_spinner(t);
@@ -331,11 +347,7 @@ void CpuExecutor::start_action() {
         const sim::Nanos done = a.resource != nullptr
                                     ? a.resource->reserve(now, hold)
                                     : now + hold;
-        set_inflight(done, [this] {
-          finish_current_action();
-          start_action();
-          maybe_enable_interrupts();
-        });
+        set_inflight(done);
         return;
       }
       case Action::Kind::kSleep:
@@ -423,7 +435,8 @@ void CpuExecutor::begin_sched_call() {
       throw std::logic_error("begin_sched_call: not a scheduler action");
   }
 
-  PassResult pr = sched_->pass(reason, wall_now());
+  stage_pass_ = sched_->pass(reason, wall_now());
+  const PassResult& pr = stage_pass_;
   const sim::Nanos pass_ns = cost_ns(pr.pass_cycles);
   const sim::Nanos other_ns = cost_ns(cost.sched_other);
   const bool sw = pr.next != t;
@@ -441,16 +454,20 @@ void CpuExecutor::begin_sched_call() {
   }
 
   mode_ = Mode::kSchedCall;
+  stage_on_complete_ = std::move(a.on_complete);
   const sim::Nanos total = extra + pass_ns + other_ns + sw_ns + pr.task_ns;
-  set_inflight(now + total,
-               [this, pr = std::move(pr), fx = std::move(a.on_complete),
-                t]() mutable {
-                 if (fx && t->state != Thread::State::kExited) {
-                   ThreadCtx ctx{kernel_, *t, wall_now(), t->last_admit_ok};
-                   fx(ctx);
-                 }
-                 finish_handler(std::move(pr), /*via_irq=*/false);
-               });
+  set_inflight(now + total);
+}
+
+void CpuExecutor::finish_sched_call() {
+  // The caller is still current: irqs stayed masked for the whole call.
+  Thread* t = current_;
+  const auto fx = std::move(stage_on_complete_);
+  if (fx && t->state != Thread::State::kExited) {
+    ThreadCtx ctx{kernel_, *t, wall_now(), t->last_admit_ok};
+    fx(ctx);
+  }
+  finish_handler(/*via_irq=*/false);
 }
 
 void CpuExecutor::notify_flag(Thread* t, WaitFlag* f) {
@@ -459,13 +476,7 @@ void CpuExecutor::notify_flag(Thread* t, WaitFlag* f) {
       !inflight_.valid()) {
     // Actively spinning right now: the spinner observes the flag after the
     // cache line propagates.
-    set_inflight(engine_.now() +
-                     cost_ns(machine_.spec().cost.spin_notice),
-                 [this] {
-                   finish_current_action();
-                   start_action();
-                   maybe_enable_interrupts();
-                 });
+    set_inflight(engine_.now() + cost_ns(machine_.spec().cost.spin_notice));
   } else {
     t->spin_satisfied = true;
   }
@@ -498,9 +509,7 @@ void CpuExecutor::on_freeze() {
 void CpuExecutor::on_unfreeze(sim::Nanos /*duration*/) {
   if (!freeze_pending_resume_) return;
   freeze_pending_resume_ = false;
-  auto cont = std::move(stage_cont_);
-  set_inflight(engine_.now() + freeze_resume_delay_,
-               std::move(cont));
+  set_inflight(engine_.now() + freeze_resume_delay_);
 }
 
 }  // namespace hrt::nk

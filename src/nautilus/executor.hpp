@@ -3,16 +3,24 @@
 //
 // The executor is the moral equivalent of the low-level context switch +
 // interrupt entry code in Nautilus.  It owns exactly one in-flight timed
-// stage at any moment:
-//   * kThread:    the current thread's action is progressing (a completion
-//                 event is scheduled, except while spinning on an unset flag)
-//   * kHandler:   an interrupt handler occupies the CPU (irqs masked)
-//   * kSchedCall: the current thread invoked the scheduler (yield / sleep /
-//                 exit / change-constraints; irqs masked)
-//   * kHalted:    the idle thread executed hlt; only an interrupt resumes us
+// stage at any moment, and the mode names what runs when the stage ends:
+//   * kThread:        the current thread's action is progressing (a
+//                     completion event is scheduled, except while spinning
+//                     on an unset flag); the end finishes the action
+//   * kPassHandler:   a timer/kick handler occupies the CPU (irqs masked);
+//                     the end applies the pass result held in stage_pass_
+//   * kDeviceHandler: a device handler occupies the CPU (irqs masked); the
+//                     end runs stage_vector_'s top half
+//   * kSchedCall:     the current thread invoked the scheduler (yield /
+//                     sleep / exit / change-constraints; irqs masked); the
+//                     end runs stage_on_complete_, then applies stage_pass_
+//   * kHalted:        the idle thread executed hlt; only an interrupt
+//                     resumes us
 //
-// SMI freezes suspend the in-flight stage and resume it shifted by the
-// stolen time, which is exactly how missing time manifests to software.
+// The stage's operands live in executor-owned slots rather than in a
+// captured closure, so beginning a stage allocates nothing.  SMI freezes
+// suspend the in-flight stage and resume it shifted by the stolen time,
+// which is exactly how missing time manifests to software.
 #pragma once
 
 #include <cstdint>
@@ -74,21 +82,30 @@ class CpuExecutor {
   sim::Nanos cost_ns(sim::Cycles cycles);
 
  private:
-  enum class Mode : std::uint8_t { kHalted, kThread, kHandler, kSchedCall };
+  enum class Mode : std::uint8_t {
+    kHalted,
+    kThread,
+    kPassHandler,
+    kDeviceHandler,
+    kSchedCall,
+  };
 
   void deliver(hw::Vector v);
   void begin_sched_handler(PassReason reason);
   void begin_device_handler(hw::Vector v);
-  void finish_handler(PassResult pr, bool via_irq);
+  void finish_device_handler();
+  void finish_sched_call();
+  void finish_handler(bool via_irq);
   void do_switch(Thread* next);
   void start_action();
-  void complete_action();
   void begin_sched_call();
   void maybe_enable_interrupts();
   void finish_current_action();
   void suspend_current();
   void close_run_span();
-  void set_inflight(sim::Nanos end, std::function<void()> cont);
+  /// Schedule the end of the stage mode_ names; end_stage runs it.
+  void set_inflight(sim::Nanos end);
+  void end_stage();
   void clear_inflight();
 
   Kernel& kernel_;
@@ -101,11 +118,14 @@ class CpuExecutor {
   Mode mode_ = Mode::kHalted;
   Thread* current_ = nullptr;
 
-  // In-flight stage bookkeeping.
+  // In-flight stage bookkeeping.  The operands outlive an SMI freeze, which
+  // only reschedules the stage end.
   sim::EventId inflight_;
   sim::Nanos stage_start_ = 0;
   sim::Nanos stage_end_ = 0;
-  std::function<void()> stage_cont_;
+  PassResult stage_pass_;                              // kPassHandler/kSchedCall
+  hw::Vector stage_vector_ = 0;                        // kDeviceHandler
+  std::function<void(ThreadCtx&)> stage_on_complete_;  // kSchedCall
 
   // Freeze bookkeeping.
   bool freeze_pending_resume_ = false;

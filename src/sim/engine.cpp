@@ -16,12 +16,9 @@ Engine::Engine() {
   far_.reserve(64);
 }
 
-bool Engine::ready_after(std::uint32_t a, std::uint32_t b) const {
-  const Node& na = pool_[a];
-  const Node& nb = pool_[b];
-  if (na.when != nb.when) return na.when > nb.when;
-  if (na.band != nb.band) return na.band > nb.band;
-  return na.seq > nb.seq;
+bool Engine::ready_after(const ReadyEntry& a, const ReadyEntry& b) {
+  if (a.when != b.when) return a.when > b.when;
+  return a.order > b.order;
 }
 
 bool Engine::far_after(std::uint32_t a, std::uint32_t b) const {
@@ -31,19 +28,20 @@ bool Engine::far_after(std::uint32_t a, std::uint32_t b) const {
 }
 
 void Engine::ready_push(std::uint32_t idx) {
-  ready_.push_back(idx);
-  std::push_heap(ready_.begin(), ready_.end(),
-                 [this](std::uint32_t a, std::uint32_t b) {
-                   return ready_after(a, b);
-                 });
+  const Node& n = pool_[idx];
+  ready_.push_back(ReadyEntry{n.when, n.order, idx});
+  std::push_heap(ready_.begin(), ready_.end(), [](const ReadyEntry& a,
+                                                  const ReadyEntry& b) {
+    return ready_after(a, b);
+  });
 }
 
 std::uint32_t Engine::ready_pop() {
-  std::pop_heap(ready_.begin(), ready_.end(),
-                [this](std::uint32_t a, std::uint32_t b) {
-                  return ready_after(a, b);
-                });
-  const std::uint32_t idx = ready_.back();
+  std::pop_heap(ready_.begin(), ready_.end(), [](const ReadyEntry& a,
+                                                 const ReadyEntry& b) {
+    return ready_after(a, b);
+  });
+  const std::uint32_t idx = ready_.back().idx;
   ready_.pop_back();
   return idx;
 }
@@ -155,8 +153,7 @@ EventId Engine::schedule_at(Nanos when, Callback cb, EventBand band) {
   const std::uint32_t idx = alloc_node();
   Node& n = pool_[idx];
   n.when = when;
-  n.seq = next_seq_++;
-  n.band = static_cast<std::uint8_t>(band);
+  n.order = (static_cast<std::uint64_t>(band) << kBandShift) | next_seq_++;
   n.cancelled = false;
   n.cb = std::move(cb);
   ++live_count_;
@@ -233,7 +230,7 @@ bool Engine::refill_ready() {
 }
 
 void Engine::purge_cancelled_ready_top() {
-  while (!ready_.empty() && pool_[ready_.front()].cancelled) {
+  while (!ready_.empty() && pool_[ready_.front().idx].cancelled) {
     free_node(ready_pop());
   }
 }
@@ -260,7 +257,7 @@ std::uint64_t Engine::run_until(Nanos t_end) {
     purge_cancelled_ready_top();
     if (ready_.empty() && !refill_ready()) break;
     purge_cancelled_ready_top();
-    if (pool_[ready_.front()].when > t_end) break;
+    if (ready_.front().when > t_end) break;
     if (step()) ++n;
   }
   // Advance the clock to the horizon even if the queue ran dry earlier.

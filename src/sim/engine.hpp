@@ -10,7 +10,8 @@
 // places:
 //
 //   * ready heap — events earlier than the wheel window (already-drained
-//     slots); a small binary heap ordered by (when, band, seq).
+//     slots); a small binary heap ordered by (when, band, seq).  Entries
+//     carry their sort key inline, so sifts never touch the node pool.
 //   * wheel      — kNumSlots circular buckets of kSlotNs each (~4 ms span);
 //     each bucket is an intrusive doubly-linked list, with an occupancy
 //     bitmap for O(1) find-next-bucket.
@@ -119,16 +120,26 @@ class Engine {
     kReady,   // in the ready heap
   };
 
+  // Same-time order: band in the top byte, then the global FIFO sequence
+  // number (2^56 schedules outlast any run).
+  static constexpr int kBandShift = 56;
+
   struct Node {
     Nanos when = 0;
-    std::uint64_t seq = 0;  // global FIFO tie-break
+    std::uint64_t order = 0;  // band << kBandShift | seq
     Callback cb;
     std::uint32_t next = kNil;  // wheel slot list linkage
     std::uint32_t prev = kNil;
     std::uint32_t gen = 0;
-    std::uint8_t band = 0;
     Loc loc = Loc::kFree;
     bool cancelled = false;  // tombstone for heap-resident nodes
+  };
+
+  /// A ready-heap entry: the node's full sort key plus its pool index.
+  struct ReadyEntry {
+    Nanos when;
+    std::uint64_t order;
+    std::uint32_t idx;
   };
 
   [[nodiscard]] static std::uint64_t encode(std::uint32_t idx,
@@ -148,8 +159,10 @@ class Engine {
   /// Returns false when no live events exist anywhere.
   bool refill_ready();
 
-  // Ready/far heaps store pool indices; ordering lives in the pool nodes.
-  [[nodiscard]] bool ready_after(std::uint32_t a, std::uint32_t b) const;
+  // The ready heap orders its inline keys; the far heap stores bare pool
+  // indices, ordered by the nodes' times.
+  [[nodiscard]] static bool ready_after(const ReadyEntry& a,
+                                        const ReadyEntry& b);
   [[nodiscard]] bool far_after(std::uint32_t a, std::uint32_t b) const;
   void ready_push(std::uint32_t idx);
   std::uint32_t ready_pop();
@@ -168,7 +181,7 @@ class Engine {
   std::uint32_t free_head_ = kNil;
   std::array<std::uint32_t, kNumSlots> slot_head_;
   std::array<std::uint64_t, kNumSlots / 64> occupied_;
-  std::vector<std::uint32_t> ready_;
+  std::vector<ReadyEntry> ready_;
   std::vector<std::uint32_t> far_;
 };
 

@@ -29,25 +29,48 @@ constexpr Nanos seconds(std::int64_t s) { return s * kNanosPerSecond; }
 /// counts and nanoseconds.  Conversions round to nearest, except where a
 /// caller explicitly needs the paper's conservative ("never later") rounding,
 /// for which floor/ceil variants are provided.
+///
+/// Each conversion is exact over the whole 64-bit range.  Operands up to a
+/// few seconds (every cost and timer delay) take a 64-bit multiply/divide;
+/// larger ones fall back to 128-bit arithmetic.  Both paths compute the same
+/// value.
 class Frequency {
  public:
-  constexpr explicit Frequency(std::int64_t hz) : hz_(hz) {}
+  constexpr explicit Frequency(std::int64_t hz)
+      : hz_(hz),
+        max_exact64_cycles_((kInt64Max - hz) / kNanosPerSecond),
+        max_exact64_ns_((kInt64Max - kNanosPerSecond) / hz) {}
 
   [[nodiscard]] constexpr std::int64_t hz() const { return hz_; }
   [[nodiscard]] constexpr double ghz() const {
     return static_cast<double>(hz_) / 1e9;
   }
 
+  /// Largest |cycles| that cycles_to_ns / cycles_to_ns_ceil convert in
+  /// 64 bits: c * 1e9 plus the rounding term cannot overflow.
+  [[nodiscard]] constexpr Cycles max_exact64_cycles() const {
+    return max_exact64_cycles_;
+  }
+  /// Largest |ns| that ns_to_cycles / ns_to_cycles_floor convert in 64 bits.
+  [[nodiscard]] constexpr Nanos max_exact64_ns() const {
+    return max_exact64_ns_;
+  }
+
   /// Cycles -> nanoseconds, rounded to nearest (symmetric for negatives,
   /// which calibration offsets can be).
   [[nodiscard]] constexpr Nanos cycles_to_ns(Cycles c) const {
-    // c * 1e9 / hz, done in 128-bit to avoid overflow for large counts.
+    if (fits(c, max_exact64_cycles_)) {
+      return div_nearest(c * kNanosPerSecond, hz_);
+    }
     const __int128 num = static_cast<__int128>(c) * kNanosPerSecond;
     return static_cast<Nanos>(div_nearest(num, hz_));
   }
 
   /// Nanoseconds -> cycles, rounded to nearest.
   [[nodiscard]] constexpr Cycles ns_to_cycles(Nanos ns) const {
+    if (fits(ns, max_exact64_ns_)) {
+      return div_nearest(ns * hz_, kNanosPerSecond);
+    }
     const __int128 num = static_cast<__int128>(ns) * hz_;
     return static_cast<Cycles>(div_nearest(num, kNanosPerSecond));
   }
@@ -55,23 +78,36 @@ class Frequency {
   /// Nanoseconds -> cycles, rounded down (conservative countdowns: a timer
   /// programmed with the floor fires earlier, never later).
   [[nodiscard]] constexpr Cycles ns_to_cycles_floor(Nanos ns) const {
+    if (fits(ns, max_exact64_ns_)) return ns * hz_ / kNanosPerSecond;
     const __int128 num = static_cast<__int128>(ns) * hz_;
     return static_cast<Cycles>(num / kNanosPerSecond);
   }
 
   /// Cycles -> nanoseconds, rounded up.
   [[nodiscard]] constexpr Nanos cycles_to_ns_ceil(Cycles c) const {
+    if (fits(c, max_exact64_cycles_)) {
+      return (c * kNanosPerSecond + hz_ - 1) / hz_;
+    }
     const __int128 num = static_cast<__int128>(c) * kNanosPerSecond;
     return static_cast<Nanos>((num + hz_ - 1) / hz_);
   }
 
  private:
-  static constexpr __int128 div_nearest(__int128 num, std::int64_t den) {
+  static constexpr std::int64_t kInt64Max = INT64_MAX;
+
+  static constexpr bool fits(std::int64_t v, std::int64_t max) {
+    return v <= max && v >= -max;
+  }
+
+  template <typename T>
+  static constexpr T div_nearest(T num, std::int64_t den) {
     if (num >= 0) return (num + den / 2) / den;
     return -((-num + den / 2) / den);
   }
 
   std::int64_t hz_;
+  std::int64_t max_exact64_cycles_;
+  std::int64_t max_exact64_ns_;
 };
 
 }  // namespace hrt::sim

@@ -321,7 +321,8 @@ void write_metrics_json(std::ostream& os, const Telemetry& tel,
   const FlightRecorder& rec = tel.recorder();
   os << "  \"recorder\": {\"written\": " << rec.written()
      << ", \"dropped\": " << rec.dropped()
-     << ", \"ring_capacity\": " << rec.ring(0).capacity()
+     << ", \"ring_capacity\": "
+     << (rec.num_cpus() > 0 ? rec.ring(0).capacity() : 0)
      << ", \"sampled_cost_ns\": {\"samples\": "
      << rec.sampled_cost_ns().count()
      << ", \"mean\": " << rec.sampled_cost_ns().mean() << "}}\n";

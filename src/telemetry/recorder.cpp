@@ -125,7 +125,7 @@ std::uint64_t FlightRecorder::dropped() const {
 std::uint64_t FlightRecorder::retained_kind_count(std::uint32_t cpu,
                                                   EventKind k) const {
   std::uint64_t n = 0;
-  for (const Record& r : rings_[cpu]->snapshot()) {
+  for (const Record& r : snapshot(cpu)) {
     if (r.kind == k) ++n;
   }
   return n;

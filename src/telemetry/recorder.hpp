@@ -29,6 +29,7 @@ struct RecorderConfig {
 
 class FlightRecorder {
  public:
+  /// One ring per CPU; num_cpus = 0 (a disabled hub) allocates nothing.
   FlightRecorder(std::uint32_t num_cpus, RecorderConfig cfg);
 
   void record(std::uint32_t cpu, EventKind kind, sim::Nanos time,
@@ -37,13 +38,16 @@ class FlightRecorder {
   [[nodiscard]] std::uint32_t num_cpus() const {
     return static_cast<std::uint32_t>(rings_.size());
   }
+  /// Throws std::out_of_range for a CPU without a ring.
   [[nodiscard]] const SpscRing& ring(std::uint32_t cpu) const {
-    return *rings_[cpu];
+    return *rings_.at(cpu);
   }
   [[nodiscard]] const RecorderConfig& config() const { return cfg_; }
 
-  /// Retained window of one CPU, oldest first.
+  /// Retained window of one CPU, oldest first (empty for a CPU without a
+  /// ring).
   [[nodiscard]] std::vector<Record> snapshot(std::uint32_t cpu) const {
+    if (cpu >= rings_.size()) return {};
     return rings_[cpu]->snapshot();
   }
   /// All CPUs merged, sorted by (time, cpu); within one (time, cpu) pair the
@@ -55,7 +59,8 @@ class FlightRecorder {
   [[nodiscard]] std::uint64_t kind_count(EventKind k) const {
     return kind_counts_[static_cast<std::size_t>(k)];
   }
-  /// Count of one kind inside a single CPU's retained window.
+  /// Count of one kind inside a single CPU's retained window (0 for a CPU
+  /// without a ring).
   [[nodiscard]] std::uint64_t retained_kind_count(std::uint32_t cpu,
                                                   EventKind k) const;
 

@@ -41,10 +41,14 @@ class SpscRing {
   void push(const Record& r) noexcept {
     const std::uint64_t h = head_.load(std::memory_order_relaxed);
     Slot& s = slots_[h & mask_];
-    // Odd tag: write in flight.  Readers that see it skip the slot.
-    s.seq.store(2 * h + 1, std::memory_order_release);
-    s.rec = r;
-    s.rec.gen = static_cast<std::uint8_t>(h / capacity_);
+    // Odd tag: write in flight.  Readers that see it skip the slot.  The
+    // fence keeps the payload stores below from moving above the tag.
+    s.seq.store(2 * h + 1, std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_release);
+    store_word(s.time, static_cast<std::uint64_t>(r.time));
+    store_word(s.arg, static_cast<std::uint64_t>(r.arg));
+    const auto gen = static_cast<std::uint8_t>(h / capacity_);
+    store_word(s.tail, pack_tail(r, gen));
     // Even tag encodes the logical index, so a reader can verify the copy
     // belongs to the generation it expected (wraparound detection).
     s.seq.store(2 * (h + 1), std::memory_order_release);
@@ -78,9 +82,12 @@ class SpscRing {
     out.reserve(static_cast<std::size_t>(h - lo));
     std::uint64_t skipped = 0;
     for (std::uint64_t i = lo; i < h; ++i) {
-      const Slot& s = slots_[i & mask_];
+      Slot& s = slots_[i & mask_];
       const std::uint64_t before = s.seq.load(std::memory_order_acquire);
-      Record r = s.rec;
+      Record r;
+      r.time = static_cast<sim::Nanos>(load_word(s.time));
+      r.arg = static_cast<std::int64_t>(load_word(s.arg));
+      unpack_tail(load_word(s.tail), r);
       std::atomic_thread_fence(std::memory_order_acquire);
       const std::uint64_t after = s.seq.load(std::memory_order_relaxed);
       if (before == after && before == 2 * (i + 1)) {
@@ -94,10 +101,37 @@ class SpscRing {
   }
 
  private:
+  // The payload travels as three relaxed atomic words: a reader may copy a
+  // slot while the writer overwrites it (the seqlock then discards the
+  // copy), and that overlap must still be a defined access.  On x86-64
+  // these are plain moves.
   struct Slot {
     std::atomic<std::uint64_t> seq{0};
-    Record rec{};
+    std::uint64_t time = 0;
+    std::uint64_t arg = 0;
+    std::uint64_t tail = 0;  // tid | cpu << 32 | kind << 48 | gen << 56
   };
+  static_assert(std::atomic_ref<std::uint64_t>::required_alignment ==
+                alignof(std::uint64_t));
+
+  static void store_word(std::uint64_t& w, std::uint64_t v) {
+    std::atomic_ref<std::uint64_t>(w).store(v, std::memory_order_relaxed);
+  }
+  static std::uint64_t load_word(std::uint64_t& w) {
+    return std::atomic_ref<std::uint64_t>(w).load(std::memory_order_relaxed);
+  }
+
+  static std::uint64_t pack_tail(const Record& r, std::uint8_t gen) {
+    return std::uint64_t{r.tid} | std::uint64_t{r.cpu} << 32 |
+           std::uint64_t{static_cast<std::uint8_t>(r.kind)} << 48 |
+           std::uint64_t{gen} << 56;
+  }
+  static void unpack_tail(std::uint64_t t, Record& r) {
+    r.tid = static_cast<std::uint32_t>(t);
+    r.cpu = static_cast<std::uint16_t>(t >> 32);
+    r.kind = static_cast<EventKind>(static_cast<std::uint8_t>(t >> 48));
+    r.gen = static_cast<std::uint8_t>(t >> 56);
+  }
 
   std::size_t capacity_ = 0;
   std::uint64_t mask_ = 0;

@@ -21,7 +21,10 @@ std::int64_t to_ppm(double x) {
 
 Telemetry::Telemetry(std::uint32_t num_cpus, Config cfg)
     : cfg_(std::move(cfg)),
-      recorder_(std::make_unique<FlightRecorder>(num_cpus, cfg_.recorder)),
+      // Off means null: a disabled hub records nothing, so it holds no
+      // rings (256 CPUs x 4096 slots would be 32 MB).
+      recorder_(std::make_unique<FlightRecorder>(cfg_.enabled ? num_cpus : 0,
+                                                 cfg_.recorder)),
       metrics_(std::make_unique<MetricsRegistry>(num_cpus,
                                                  cfg_.max_thread_metrics)),
       slo_(std::make_unique<SloMonitor>(cfg_.slos)) {

@@ -27,8 +27,10 @@ class Auditor;
 namespace hrt::telemetry {
 
 struct Config {
-  /// Master switch.  Off (the default) means rt::System does not even
-  /// construct the subsystem and the kernel carries a null pointer.
+  /// Master switch.  Off (the default) means the kernel carries a null
+  /// pointer, every hook returns at once, and the flight recorder holds no
+  /// rings; rt::System still constructs the hub, so telemetry() is always
+  /// valid.
   bool enabled = false;
   RecorderConfig recorder{};
   /// Distinct threads tracked with full histograms; beyond this only the

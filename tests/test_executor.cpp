@@ -3,6 +3,9 @@
 // handling, run-span budget charging, device handlers, livelock guard.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
 #include "rt/system.hpp"
 
 namespace hrt {
@@ -285,21 +288,145 @@ TEST(Executor, SmiFreezeExtendsComputeWallTime) {
   EXPECT_LT(done_at, sim::micros(100 + 50 + 30));
 }
 
-TEST(Executor, SmiDuringHandlerShiftsHandlerEnd) {
+// The timed stages an SMI can interrupt, beyond a plain compute.
+enum class StageKind {
+  kSchedCall,      // change-constraints with an on_complete
+  kDeviceHandler,  // a device vector's handler
+  kSpinNotice,     // a spinner observing an already-set flag
+  kAtomic,         // a serialized atomic op
+  kInlineTasks,    // a kick pass that runs two sized tasks inline
+};
+
+constexpr hw::Vector kTestDeviceVector = 0x40;
+constexpr sim::Nanos kTaskSize = sim::micros(3);
+
+struct StageRun {
+  sim::Nanos begin = -1;             // stage start (tasks: their submission)
+  std::vector<sim::Nanos> resumed;   // each run of the stage's continuation
+  std::array<int, 2> task_runs{};    // per inline task
+  std::uint64_t tasks_inline = 0;
+};
+
+/// Run one `kind` stage on CPU 1 of a quiet machine; when `smi_len` > 0,
+/// an SMI of that length lands at `smi_at`.
+StageRun run_stage(StageKind kind, sim::Nanos smi_at, sim::Nanos smi_len) {
   System sys(quiet());
+  StageRun r;
+  sim::Engine& eng = sys.engine();
+  const auto resume = [&r, &eng] { r.resumed.push_back(eng.now()); };
+  sys.kernel().register_device_handler(kTestDeviceVector, 4000, resume);
   sys.boot();
-  // Schedule an SMI to land inside the thread-creation kick handler.
-  bool ran = false;
-  sys.engine().schedule_at(sys.engine().now() + 1000, [&] {
-    sys.machine().smi().force(sim::micros(20));
-  });
-  sys.spawn("t",
-            std::make_unique<nk::SequenceBehavior>(std::vector<nk::Action>{
-                nk::Action::compute(sim::micros(1),
-                                    [&](nk::ThreadCtx&) { ran = true; })}),
-            1);
-  sys.run_for(sim::millis(1));
-  EXPECT_TRUE(ran);
+  if (smi_len > 0) {
+    eng.schedule_at(
+        smi_at, [&sys, smi_len] { sys.machine().smi().force(smi_len); },
+        sim::EventBand::kSmi);
+  }
+  nk::WaitFlag flag(sys.kernel());
+  flag.set();
+  nk::SeqResource res;
+  // The thread's first action is the stage; it starts the instant next()
+  // returns it.
+  const auto stage_action = [&]() -> nk::Action {
+    r.begin = eng.now();
+    const auto fx = [resume](nk::ThreadCtx&) { resume(); };
+    if (kind == StageKind::kSchedCall) {
+      return nk::Action::change_constraints(
+          rt::Constraints::periodic(sim::micros(100), sim::millis(1),
+                                    sim::micros(100)),
+          fx);
+    }
+    if (kind == StageKind::kSpinNotice) return nk::Action::spin_until(&flag, fx);
+    return nk::Action::atomic(&res, sim::micros(5), fx);
+  };
+  switch (kind) {
+    case StageKind::kSchedCall:
+    case StageKind::kSpinNotice:
+    case StageKind::kAtomic:
+      sys.spawn("stage",
+                std::make_unique<nk::FnBehavior>(
+                    [&](nk::ThreadCtx&, std::uint64_t step) {
+                      if (step == 0) return stage_action();
+                      return step < 4 ? nk::Action::compute(sim::micros(10))
+                                      : nk::Action::exit();
+                    }),
+                1);
+      break;
+    case StageKind::kDeviceHandler:
+      // CPU 1 is halted with interrupts on: the vector is taken at once.
+      eng.schedule_at(eng.now() + sim::micros(10), [&] {
+        r.begin = eng.now();
+        sys.machine().cpu(1).raise(kTestDeviceVector);
+      });
+      break;
+    case StageKind::kInlineTasks:
+      // The kick pass on idle CPU 1 runs both tasks inside its handler
+      // span, which the kick's IPI latency (well under 2 * kTaskSize)
+      // separates from the submission.
+      r.begin = eng.now();
+      for (std::size_t i = 0; i < r.task_runs.size(); ++i) {
+        sys.kernel().submit_task(1, nk::Task{[&r, resume, i] {
+                                               ++r.task_runs[i];
+                                               resume();
+                                             },
+                                             kTaskSize});
+      }
+      break;
+  }
+  sys.run_for(sim::millis(2));
+  r.tasks_inline = sys.sched(1).stats().tasks_inline;
+  return r;
+}
+
+TEST(Executor, SmiDuringHandlerShiftsHandlerEnd) {
+  {
+    System sys(quiet());
+    sys.boot();
+    // Schedule an SMI to land inside the thread-creation kick handler.
+    bool ran = false;
+    sys.engine().schedule_at(sys.engine().now() + 1000, [&] {
+      sys.machine().smi().force(sim::micros(20));
+    });
+    sys.spawn("t",
+              std::make_unique<nk::SequenceBehavior>(std::vector<nk::Action>{
+                  nk::Action::compute(sim::micros(1),
+                                      [&](nk::ThreadCtx&) { ran = true; })}),
+              1);
+    sys.run_for(sim::millis(1));
+    EXPECT_TRUE(ran);
+  }
+  // Every other stage kind: an SMI that lands mid-stage resumes the same
+  // continuation, exactly once, shifted by exactly the frozen time.
+  constexpr sim::Nanos kFreeze = sim::micros(20);
+  for (const StageKind kind :
+       {StageKind::kSchedCall, StageKind::kDeviceHandler,
+        StageKind::kSpinNotice, StageKind::kAtomic,
+        StageKind::kInlineTasks}) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    const StageRun base = run_stage(kind, 0, 0);
+    ASSERT_GE(base.begin, 0);
+    ASSERT_FALSE(base.resumed.empty());
+    ASSERT_GT(base.resumed.front(), base.begin);
+    const StageRun frozen =
+        run_stage(kind, (base.begin + base.resumed.front()) / 2, kFreeze);
+    EXPECT_EQ(frozen.begin, base.begin);
+    ASSERT_EQ(frozen.resumed.size(), base.resumed.size());
+    for (std::size_t i = 0; i < base.resumed.size(); ++i) {
+      EXPECT_EQ(frozen.resumed[i], base.resumed[i] + kFreeze);
+    }
+    EXPECT_EQ(frozen.task_runs, base.task_runs);
+    EXPECT_EQ(frozen.tasks_inline, base.tasks_inline);
+  }
+}
+
+TEST(Executor, InlineSizedTasksRunOnceAtHandlerEnd) {
+  // A pass that inlines sized tasks charges them to its handler span and
+  // runs each callback exactly once, together, when that span ends.
+  const StageRun r = run_stage(StageKind::kInlineTasks, 0, 0);
+  EXPECT_EQ(r.tasks_inline, 2u);
+  EXPECT_EQ(r.task_runs, (std::array<int, 2>{1, 1}));
+  ASSERT_EQ(r.resumed.size(), 2u);
+  EXPECT_EQ(r.resumed[0], r.resumed[1]);
+  EXPECT_GE(r.resumed[0] - r.begin, 2 * kTaskSize);
 }
 
 TEST(Executor, BudgetChargedIncludesStolenTime) {

@@ -47,6 +47,53 @@ TEST(Frequency, LargeValuesNoOverflow) {
               static_cast<double>(day), 1.0);
 }
 
+// Reference conversions, always in 128-bit, written independently of the
+// class's 64-bit fast path.
+__int128 ref_div_nearest(__int128 num, __int128 den) {
+  return num >= 0 ? (num + den / 2) / den : -((-num + den / 2) / den);
+}
+
+void expect_matches_reference(const Frequency& f, std::int64_t v) {
+  const __int128 hz = f.hz();
+  const __int128 ns_per_s = kNanosPerSecond;
+  SCOPED_TRACE(testing::Message() << "hz " << f.hz() << " v " << v);
+  EXPECT_EQ(f.cycles_to_ns(v),
+            static_cast<Nanos>(ref_div_nearest(v * ns_per_s, hz)));
+  EXPECT_EQ(f.cycles_to_ns_ceil(v),
+            static_cast<Nanos>((v * ns_per_s + hz - 1) / hz));
+  EXPECT_EQ(f.ns_to_cycles(v),
+            static_cast<Cycles>(ref_div_nearest(v * hz, ns_per_s)));
+  EXPECT_EQ(f.ns_to_cycles_floor(v), static_cast<Cycles>(v * hz / ns_per_s));
+}
+
+TEST(Frequency, ExactAgainstInt128Reference) {
+  for (const std::int64_t hz :
+       {std::int64_t{1'000'000'000}, std::int64_t{1'300'000'000},
+        std::int64_t{2'200'000'000}}) {
+    const Frequency f(hz);
+    // The 64-bit path's guards are derived from hz; probe both sides of
+    // each, for both signs, plus the small values every cost model uses.
+    std::vector<std::int64_t> probes = {0, 1, 2, 499, 500, 501, 769, 1300,
+                                        999'999'999, 1'000'000'000};
+    for (const std::int64_t g : {f.max_exact64_cycles(), f.max_exact64_ns()}) {
+      ASSERT_GT(g, 1'000'000'000);  // every delay up to a second is 64-bit
+      for (const std::int64_t d : {-1, 0, 1}) probes.push_back(g + d);
+    }
+    probes.push_back(INT64_MAX / kNanosPerSecond);
+    probes.push_back(INT64_MAX / hz);
+    Rng rng(static_cast<std::uint64_t>(hz));
+    for (int i = 0; i < 2000; ++i) {
+      // Log-uniform magnitudes: short costs through year-long spans.
+      const std::int64_t top = std::int64_t{1} << rng.uniform(0, 62);
+      probes.push_back(rng.uniform(0, top));
+    }
+    for (const std::int64_t v : probes) {
+      expect_matches_reference(f, v);
+      expect_matches_reference(f, -v);
+    }
+  }
+}
+
 class FrequencySweep : public ::testing::TestWithParam<std::int64_t> {};
 
 TEST_P(FrequencySweep, ConversionsMonotone) {

@@ -103,14 +103,20 @@ TEST(TelemetryRing, ConcurrentWriterReaderNoTornRecords) {
   // record is internally consistent (arg == time) and in order.
   telemetry::SpscRing ring(256);
   constexpr std::int64_t kN = 200000;
+  std::atomic<bool> reading{false};
   std::atomic<bool> done{false};
   std::thread writer([&] {
+    // Start once the reader is up, so the two really overlap: the whole
+    // write burst takes only a few milliseconds.
+    while (!reading.load(std::memory_order_acquire)) {
+    }
     for (std::int64_t i = 0; i < kN; ++i) ring.push(rec_at(i, i));
     done.store(true, std::memory_order_release);
   });
   std::uint64_t total_torn = 0;
   std::uint64_t snapshots = 0;
-  while (!done.load(std::memory_order_acquire)) {
+  reading.store(true, std::memory_order_release);
+  do {
     std::uint64_t torn = 0;
     const auto snap = ring.snapshot(&torn);
     total_torn += torn;
@@ -121,7 +127,7 @@ TEST(TelemetryRing, ConcurrentWriterReaderNoTornRecords) {
       ASSERT_GT(r.time, prev) << "snapshot out of order";
       prev = r.time;
     }
-  }
+  } while (!done.load(std::memory_order_acquire));
   writer.join();
   EXPECT_EQ(ring.written(), static_cast<std::uint64_t>(kN));
   EXPECT_GT(snapshots, 0u);
@@ -332,6 +338,32 @@ TEST(TelemetrySystem, DisabledByDefaultIsNullPointerAndRecordsNothing) {
   EXPECT_EQ(sys.telemetry().recorder().written(), 0u);
   EXPECT_EQ(sys.telemetry().metrics().cpu(1).passes, 0u);
   EXPECT_EQ(sys.telemetry().metrics().cpu(1).completions, 0u);
+}
+
+TEST(TelemetrySystem, DisabledRecorderHoldsNoRings) {
+  // Off means null all the way down: a default System (256-CPU phi) builds
+  // the hub but not one ring, and every per-CPU accessor stays in bounds.
+  System sys;
+  telemetry::FlightRecorder& rec = sys.telemetry().recorder();
+  EXPECT_EQ(rec.num_cpus(), 0u);
+  for (const std::uint32_t cpu : {0u, 1u, 255u, 256u}) {
+    EXPECT_TRUE(rec.snapshot(cpu).empty()) << "cpu " << cpu;
+    EXPECT_EQ(rec.retained_kind_count(cpu, EventKind::kPass), 0u);
+    EXPECT_THROW((void)rec.ring(cpu), std::out_of_range) << "cpu " << cpu;
+    rec.record(cpu, EventKind::kCustom, 1, 0, 0);  // dropped, not indexed
+  }
+  EXPECT_TRUE(rec.snapshot_all().empty());
+  EXPECT_EQ(rec.written(), 0u);
+  EXPECT_EQ(rec.dropped(), 0u);
+  std::ostringstream os;
+  telemetry::write_metrics_json(os, sys.telemetry(), sys.engine().now());
+  EXPECT_NE(os.str().find("\"ring_capacity\": 0"), std::string::npos);
+
+  // Enabled, the recorder has exactly one ring per CPU.
+  System on(observed());
+  EXPECT_EQ(on.telemetry().recorder().num_cpus(), 4u);
+  EXPECT_EQ(on.telemetry().recorder().ring(3).capacity(),
+            on.options().telemetry.recorder.ring_capacity);
 }
 
 TEST(TelemetrySystem, BitIdenticalScheduleOnVsOff) {
