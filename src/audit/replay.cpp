@@ -47,8 +47,9 @@ class Replayer {
 
   ReplayResult run(const sim::Trace& trace, std::uint32_t cpu,
                    sim::Nanos end_time) {
-    for (const sim::TraceRecord& r : trace.records()) {
-      if (r.cpu != cpu) continue;
+    const std::vector<sim::TraceRecord>& records = trace.records();
+    for (const std::uint32_t i : trace.positions(cpu)) {
+      const sim::TraceRecord& r = records[i];
       switch (r.kind) {
         case sim::TraceKind::kThreadActive:
           advance_to(r.time);

@@ -15,7 +15,8 @@
 // writes to CSV/VCD): kThreadActive/kThreadInactive delimit run intervals
 // and kIrqEnter/kIrqExit delimit handler windows, which are excluded from
 // budget charging exactly as the executor excludes them.  The oracle is
-// per-CPU; threads are bound, so a machine-wide check is a loop over CPUs.
+// per-CPU; threads are bound, so a machine-wide check is a loop over CPUs,
+// and each call walks only its CPU's records (sim::Trace::positions).
 //
 // Accuracy model: the reference cannot see scheduler-internal times, so all
 // comparisons carry explicit tolerances (ReplayConfig) derived from the

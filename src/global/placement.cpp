@@ -111,23 +111,30 @@ std::uint32_t PlacementEngine::fallback_cpu(bool realtime) const {
   return best_quiet != kInvalidCpu ? best_quiet : best;
 }
 
-std::vector<std::uint32_t> PlacementEngine::rt_cpu_order(double util) const {
+std::vector<std::uint32_t> PlacementEngine::rt_cpu_order() const {
   const std::uint32_t n = ledger_.num_cpus();
-  std::vector<std::uint32_t> order(n);
-  std::iota(order.begin(), order.end(), 0u);
   const bool steer = cfg_.policy == Policy::kTopology &&
                      cfg_.steer_rt_interrupt_free &&
                      cfg_.interrupt_laden_cpus < n;
   const std::uint32_t laden = steer ? cfg_.interrupt_laden_cpus : 0;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     const bool sa = storm_hit(a), sb = storm_hit(b);
-                     if (sa != sb) return !sa;  // quiet CPUs first
-                     const bool fa = a >= laden, fb = b >= laden;
-                     if (fa != fb) return fa;  // interrupt-free first
-                     return ledger_.headroom(a) > ledger_.headroom(b);
-                   });
-  (void)util;
+  // Read each CPU's sort inputs once; the comparator only compares keys.
+  struct Key {
+    bool storm;
+    bool laden;
+    double headroom;
+    std::uint32_t cpu;
+  };
+  std::vector<Key> keys(n);
+  for (std::uint32_t c = 0; c < n; ++c) {
+    keys[c] = Key{storm_hit(c), c < laden, ledger_.headroom(c), c};
+  }
+  std::stable_sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
+    if (a.storm != b.storm) return !a.storm;  // quiet CPUs first
+    if (a.laden != b.laden) return !a.laden;  // interrupt-free first
+    return a.headroom > b.headroom;
+  });
+  std::vector<std::uint32_t> order(n);
+  for (std::uint32_t i = 0; i < n; ++i) order[i] = keys[i].cpu;
   return order;
 }
 
@@ -198,7 +205,7 @@ std::vector<std::uint32_t> PlacementEngine::choose_group(
     std::uint32_t n, const rt::Constraints& c) const {
   const double util = c.utilization();
   std::vector<std::uint32_t> out;
-  for (std::uint32_t cpu : rt_cpu_order(util)) {
+  for (std::uint32_t cpu : rt_cpu_order()) {
     if (!fits(cpu, util)) continue;
     out.push_back(cpu);
     if (out.size() == n) return out;

@@ -112,10 +112,12 @@ class PlacementEngine {
   [[nodiscard]] std::vector<std::uint32_t> place_batch(
       const std::vector<rt::Constraints>& specs) const;
 
-  /// All CPUs ordered by how attractive they are for an RT thread of
-  /// `util`: interrupt-free first (when steering), then by descending
-  /// headroom.  Used by the rebalancer's make-room search.
-  [[nodiscard]] std::vector<std::uint32_t> rt_cpu_order(double util) const;
+  /// All CPUs ordered by how attractive they are for RT work: quiet
+  /// (not storm-hit) first, then interrupt-free (when steering), then by
+  /// descending headroom; ties keep CPU order.  Used by choose_group, the
+  /// rebalancer (make-room victims and re-leveling destinations) and the
+  /// storm drain.
+  [[nodiscard]] std::vector<std::uint32_t> rt_cpu_order() const;
 
   /// Storm deprioritization (docs/RESILIENCE.md): the resilience controller
   /// marks CPUs it has classified as storm-hit; choose_cpu and rt_cpu_order

@@ -1,6 +1,7 @@
 #include "global/rebalancer.hpp"
 
 #include <cmath>
+#include <vector>
 
 #include "global/ledger.hpp"
 #include "group/group.hpp"
@@ -41,7 +42,7 @@ bool Rebalancer::rebalance_once() {
   // The destination is picked the same way placement is: interrupt-free
   // partition first when steering is on.
   std::uint32_t lo = kInvalidCpu;
-  for (std::uint32_t c : engine_.rt_cpu_order(0.0)) {
+  for (std::uint32_t c : engine_.rt_cpu_order()) {
     if (c == hi) continue;
     if (lo == kInvalidCpu || ledger_.committed(c) < ledger_.committed(lo)) {
       lo = c;
@@ -99,18 +100,28 @@ std::uint32_t Rebalancer::make_room(const rt::Constraints& c,
   ++stats_.make_room_calls;
   if (kernel_ == nullptr) return kInvalidCpu;
   const double util = c.utilization();
-  const auto live = kernel_->live_threads();
+  const std::uint32_t n = ledger_.num_cpus();
 
-  for (std::uint32_t x : engine_.rt_cpu_order(util)) {
+  // Live threads bucketed by CPU, built once the first candidate does not
+  // already fit.  Each bucket keeps live_threads() order, so victim ties
+  // resolve exactly as a scan of the whole list would.
+  std::vector<std::vector<nk::Thread*>> on_cpu;
+  for (std::uint32_t x : engine_.rt_cpu_order()) {
     const double deficit = util - ledger_.headroom(x);
     if (deficit <= 0) return x;  // already fits; caller just retries here
+    if (on_cpu.empty()) {
+      on_cpu.resize(n);
+      for (nk::Thread* t : kernel_->live_threads()) {
+        if (t->cpu < n) on_cpu[t->cpu].push_back(t);
+      }
+    }
 
     // Smallest movable periodic thread on x whose departure covers the
     // deficit, paired with the roomiest destination that can absorb it.
     nk::Thread* victim = nullptr;
     double victim_util = 0.0;
-    for (nk::Thread* t : live) {
-      if (t == for_thread || t->cpu != x || !movable(t)) continue;
+    for (nk::Thread* t : on_cpu[x]) {
+      if (t == for_thread || !movable(t)) continue;
       if (t->constraints.cls != rt::ConstraintClass::kPeriodic) continue;
       const double u = t->constraints.utilization();
       if (u + 1e-12 < deficit) continue;
@@ -121,7 +132,7 @@ std::uint32_t Rebalancer::make_room(const rt::Constraints& c,
     }
     if (victim == nullptr) continue;
     std::uint32_t dest = kInvalidCpu;
-    for (std::uint32_t y = 0; y < ledger_.num_cpus(); ++y) {
+    for (std::uint32_t y = 0; y < n; ++y) {
       if (y == x) continue;
       if (ledger_.headroom(y) + 1e-12 < victim_util) continue;
       if (dest == kInvalidCpu ||

@@ -260,7 +260,7 @@ void StormController::respond(std::uint32_t cpu, sim::Nanos now) {
       }
       const double u = util_of(t);
       bool moved = false;
-      for (std::uint32_t c : global_->engine().rt_cpu_order(u)) {
+      for (std::uint32_t c : global_->engine().rt_cpu_order()) {
         if (c == cpu) continue;
         if (ledger.headroom(c) + kEps < u) continue;
         if (sched(cpu)->request_migration(*t, c)) {

@@ -52,8 +52,9 @@ void export_pins_vcd(const Trace& trace, std::uint32_t cpu, std::ostream& os,
   os << "$end\n";
 
   Nanos last_time = -1;
-  for (const TraceRecord& r : trace.records()) {
-    if (r.kind != TraceKind::kPin || r.cpu != cpu) continue;
+  for (const std::uint32_t i : trace.positions(cpu)) {
+    const TraceRecord& r = trace.records()[i];
+    if (r.kind != TraceKind::kPin) continue;
     const int pin = static_cast<int>(r.value >> 1);
     const int level = static_cast<int>(r.value & 1);
     if (pin < 0 || pin >= 8) continue;

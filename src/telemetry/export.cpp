@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <concepts>
 #include <cstdio>
 #include <string>
 
@@ -12,33 +13,6 @@
 namespace hrt::telemetry {
 
 namespace {
-
-void json_escape(std::ostream& os, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-}
 
 /// Chrome ts is in microseconds; keep 3 decimals so distinct ns timestamps
 /// stay distinct (exact value rides in args.t).
@@ -118,31 +92,43 @@ void write_chrome_trace(std::ostream& os, const Telemetry& tel,
   write_chrome_trace(os, tel.recorder().snapshot_all(), opts, &tel);
 }
 
+namespace {
+
+/// Append the recorder analogue of `r`, if it has one.
+void adapt(const sim::TraceRecord& r, std::vector<Record>& out) {
+  Record rec;
+  rec.time = r.time;
+  rec.cpu = static_cast<std::uint16_t>(r.cpu);
+  switch (r.kind) {
+    case sim::TraceKind::kSwitch:
+      rec.kind = EventKind::kSwitch;
+      rec.tid = static_cast<std::uint32_t>(r.value);
+      break;
+    case sim::TraceKind::kSchedPass:
+      rec.kind = EventKind::kPass;
+      rec.arg = r.value;
+      break;
+    case sim::TraceKind::kIrqEnter:
+      rec.kind = EventKind::kKick;
+      rec.arg = r.value;  // vector
+      break;
+    default:
+      return;  // pin / active / inactive / exit: no recorder analogue
+  }
+  out.push_back(rec);
+}
+
+}  // namespace
+
 std::vector<Record> from_sim_trace(const sim::Trace& trace,
                                    std::uint32_t cpu) {
   std::vector<Record> out;
-  for (const sim::TraceRecord& r : trace.records()) {
-    if (cpu != ~0u && r.cpu != cpu) continue;
-    Record rec;
-    rec.time = r.time;
-    rec.cpu = static_cast<std::uint16_t>(r.cpu);
-    switch (r.kind) {
-      case sim::TraceKind::kSwitch:
-        rec.kind = EventKind::kSwitch;
-        rec.tid = static_cast<std::uint32_t>(r.value);
-        break;
-      case sim::TraceKind::kSchedPass:
-        rec.kind = EventKind::kPass;
-        rec.arg = r.value;
-        break;
-      case sim::TraceKind::kIrqEnter:
-        rec.kind = EventKind::kKick;
-        rec.arg = r.value;  // vector
-        break;
-      default:
-        continue;  // pin / active / inactive / exit: no recorder analogue
-    }
-    out.push_back(rec);
+  if (cpu == ~0u) {
+    for (const sim::TraceRecord& r : trace.records()) adapt(r, out);
+    return out;
+  }
+  for (const std::uint32_t i : trace.positions(cpu)) {
+    adapt(trace.records()[i], out);
   }
   return out;
 }
@@ -249,8 +235,72 @@ ParsedTrace parse_chrome_trace(std::string_view json) {
 
 namespace {
 
-void write_log_hist(std::ostream& os, const LogHistogram& h) {
-  os << "{\"count\": " << h.total() << ", \"min\": " << h.min()
+/// The metrics document is built in one string and written once.  Numbers
+/// print exactly as a default-formatted std::ostream prints them: integers
+/// in decimal, doubles as %.6g (std::to_chars with the general format and
+/// precision 6 is specified as printf's %.6g).
+class JsonText {
+ public:
+  JsonText& operator<<(std::string_view s) {
+    out_.append(s);
+    return *this;
+  }
+  JsonText& operator<<(double v) {
+    char buf[32];
+    const auto r = std::to_chars(buf, buf + sizeof buf, v,
+                                 std::chars_format::general, 6);
+    out_.append(buf, r.ptr);
+    return *this;
+  }
+  template <std::integral T>
+  JsonText& operator<<(T v) {
+    static_assert(sizeof(T) > 1,
+                  "std::ostream prints one-byte integers as characters");
+    char buf[24];
+    const auto r = std::to_chars(buf, buf + sizeof buf, v);
+    out_.append(buf, r.ptr);
+    return *this;
+  }
+
+  /// The body of a JSON string: quotes, backslashes and control characters
+  /// escaped.
+  JsonText& escaped(std::string_view s) {
+    for (const char c : s) {
+      switch (c) {
+        case '"':
+          out_ += "\\\"";
+          break;
+        case '\\':
+          out_ += "\\\\";
+          break;
+        case '\n':
+          out_ += "\\n";
+          break;
+        case '\t':
+          out_ += "\\t";
+          break;
+        default:
+          if (static_cast<unsigned char>(c) < 0x20) {
+            constexpr char kHex[] = "0123456789abcdef";
+            out_ += "\\u00";
+            out_ += kHex[(c >> 4) & 0xF];
+            out_ += kHex[c & 0xF];
+          } else {
+            out_ += c;
+          }
+      }
+    }
+    return *this;
+  }
+
+  [[nodiscard]] const std::string& str() const { return out_; }
+
+ private:
+  std::string out_;
+};
+
+void write_log_hist(JsonText& js, const LogHistogram& h) {
+  js << "{\"count\": " << h.total() << ", \"min\": " << h.min()
      << ", \"mean\": " << h.mean() << ", \"p50\": " << h.quantile(0.50)
      << ", \"p90\": " << h.quantile(0.90) << ", \"p99\": " << h.quantile(0.99)
      << ", \"max\": " << h.max() << "}";
@@ -258,15 +308,16 @@ void write_log_hist(std::ostream& os, const LogHistogram& h) {
 
 }  // namespace
 
-void write_metrics_json(std::ostream& os, const Telemetry& tel,
+void write_metrics_json(std::ostream& out, const Telemetry& tel,
                         sim::Nanos now) {
+  JsonText js;
   const MetricsRegistry& m = tel.metrics();
-  os << "{\n  \"schema\": \"hrt-metrics-v1\",\n";
-  os << "  \"now_ns\": " << now << ",\n";
-  os << "  \"cpus\": [\n";
+  js << "{\n  \"schema\": \"hrt-metrics-v1\",\n";
+  js << "  \"now_ns\": " << now << ",\n";
+  js << "  \"cpus\": [\n";
   for (std::uint32_t c = 0; c < m.num_cpus(); ++c) {
     const CpuMetrics& cm = m.cpu(c);
-    os << "    {\"cpu\": " << c << ", \"passes\": " << cm.passes
+    js << "    {\"cpu\": " << c << ", \"passes\": " << cm.passes
        << ", \"switches\": " << cm.switches << ", \"kicks\": " << cm.kicks
        << ", \"timer_arms\": " << cm.timer_arms
        << ", \"admits_ok\": " << cm.admits_ok
@@ -282,51 +333,51 @@ void write_metrics_json(std::ostream& os, const Telemetry& tel,
        << ", \"effective_capacity\": " << cm.effective_capacity << "}"
        << (c + 1 < m.num_cpus() ? ",\n" : "\n");
   }
-  os << "  ],\n";
+  js << "  ],\n";
 
-  os << "  \"threads\": [\n";
+  js << "  \"threads\": [\n";
   const auto threads = m.threads_sorted();
   for (std::size_t i = 0; i < threads.size(); ++i) {
     const ThreadMetrics& tm = *threads[i];
-    os << "    {\"tid\": " << tm.tid << ", \"name\": \"";
-    json_escape(os, tm.name);
-    os << "\", \"completions\": " << tm.completions
-       << ", \"misses\": " << tm.misses << ", \"slack_ns\": ";
-    write_log_hist(os, tm.slack_ns);
-    os << ", \"lateness_ns\": ";
-    write_log_hist(os, tm.lateness_ns);
-    os << "}" << (i + 1 < threads.size() ? ",\n" : "\n");
+    js << "    {\"tid\": " << tm.tid << ", \"name\": \"";
+    js.escaped(tm.name)
+        << "\", \"completions\": " << tm.completions
+        << ", \"misses\": " << tm.misses << ", \"slack_ns\": ";
+    write_log_hist(js, tm.slack_ns);
+    js << ", \"lateness_ns\": ";
+    write_log_hist(js, tm.lateness_ns);
+    js << "}" << (i + 1 < threads.size() ? ",\n" : "\n");
   }
-  os << "  ],\n";
-  os << "  \"threads_dropped\": " << m.threads_dropped() << ",\n";
+  js << "  ],\n";
+  js << "  \"threads_dropped\": " << m.threads_dropped() << ",\n";
 
-  os << "  \"slos\": [\n";
+  js << "  \"slos\": [\n";
   const auto slos = tel.slo().status(now);
   for (std::size_t i = 0; i < slos.size(); ++i) {
     const SloStatus& s = slos[i];
-    os << "    {\"name\": \"";
-    json_escape(os, s.spec->name);
-    os << "\", \"thread_match\": \"";
-    json_escape(os, s.spec->thread_match);
-    os << "\", \"miss_budget\": " << s.spec->miss_budget
-       << ", \"window_ns\": " << s.spec->window_ns
-       << ", \"completions\": " << s.completions
-       << ", \"misses\": " << s.misses << ", \"burn_rate\": " << s.burn_rate
-       << ", \"alerting\": " << (s.alerting ? "true" : "false")
-       << ", \"alerts\": " << s.alerts << "}"
-       << (i + 1 < slos.size() ? ",\n" : "\n");
+    js << "    {\"name\": \"";
+    js.escaped(s.spec->name) << "\", \"thread_match\": \"";
+    js.escaped(s.spec->thread_match)
+        << "\", \"miss_budget\": " << s.spec->miss_budget
+        << ", \"window_ns\": " << s.spec->window_ns
+        << ", \"completions\": " << s.completions
+        << ", \"misses\": " << s.misses << ", \"burn_rate\": " << s.burn_rate
+        << ", \"alerting\": " << (s.alerting ? "true" : "false")
+        << ", \"alerts\": " << s.alerts << "}"
+        << (i + 1 < slos.size() ? ",\n" : "\n");
   }
-  os << "  ],\n";
+  js << "  ],\n";
 
   const FlightRecorder& rec = tel.recorder();
-  os << "  \"recorder\": {\"written\": " << rec.written()
+  js << "  \"recorder\": {\"written\": " << rec.written()
      << ", \"dropped\": " << rec.dropped()
      << ", \"ring_capacity\": "
      << (rec.num_cpus() > 0 ? rec.ring(0).capacity() : 0)
      << ", \"sampled_cost_ns\": {\"samples\": "
      << rec.sampled_cost_ns().count()
      << ", \"mean\": " << rec.sampled_cost_ns().mean() << "}}\n";
-  os << "}\n";
+  js << "}\n";
+  out.write(js.str().data(), static_cast<std::streamsize>(js.str().size()));
 }
 
 }  // namespace hrt::telemetry

@@ -78,7 +78,8 @@ struct ParsedTrace {
 /// general JSON parser; good enough to validate round-trips in tests.
 [[nodiscard]] ParsedTrace parse_chrome_trace(std::string_view json);
 
-/// Aggregate metrics snapshot as JSON (schema: docs/PERFORMANCE.md).
+/// Aggregate metrics snapshot as JSON (schema: docs/PERFORMANCE.md).  The
+/// document is formatted into one buffer and written to `os` in one call.
 void write_metrics_json(std::ostream& os, const Telemetry& tel,
                         sim::Nanos now);
 

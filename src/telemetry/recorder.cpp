@@ -67,9 +67,11 @@ const char* event_kind_name(EventKind k) {
 
 FlightRecorder::FlightRecorder(std::uint32_t num_cpus, RecorderConfig cfg)
     : cfg_(cfg) {
+  const std::size_t cap = SpscRing::round_capacity(cfg_.ring_capacity);
+  slab_ = SpscRing::zeroed_slots(num_cpus * cap);
   rings_.reserve(num_cpus);
   for (std::uint32_t c = 0; c < num_cpus; ++c) {
-    rings_.push_back(std::make_unique<SpscRing>(cfg_.ring_capacity));
+    rings_.push_back(std::make_unique<SpscRing>(slab_.get() + c * cap, cap));
   }
 }
 

@@ -1,6 +1,8 @@
 // Per-CPU flight recorder (docs/OBSERVABILITY.md).
 //
-// Owns one SpscRing per CPU plus the bookkeeping the export layer needs:
+// Owns one SpscRing per CPU, all carved out of one zeroed slab (a fresh
+// 256-CPU recorder costs page faults only where records land, not 32 MB of
+// up-front stores), plus the bookkeeping the export layer needs:
 // per-kind event counters and a self-measured record cost.  The cost is
 // measured two ways — a sampled in-line probe (every Nth record is timed
 // with the host steady clock, including the clock overhead) and a batch
@@ -76,6 +78,7 @@ class FlightRecorder {
 
  private:
   RecorderConfig cfg_;
+  SpscRing::Slab slab_;  // every ring's slots, one block
   std::vector<std::unique_ptr<SpscRing>> rings_;
   std::array<std::uint64_t, kEventKindCount> kind_counts_{};
   std::uint64_t sample_tick_ = 0;

@@ -9,6 +9,11 @@
 // the slot and re-checks the tag; a concurrent overwrite of that slot shows
 // up as a tag change and the torn copy is discarded rather than returned.
 //
+// Slots are plain words accessed through std::atomic_ref, so an all-zero
+// slot is an empty one: a ring can live in zeroed memory (std::calloc), and
+// FlightRecorder carves all of its per-CPU rings out of one such slab, whose
+// pages are faulted in only where records land.
+//
 // Inside the simulator all CPUs of one System run on a single host thread,
 // so writer and reader never actually race there; the real atomics matter
 // for the cross-thread stress test (tests/test_telemetry.cpp) and keep the
@@ -17,7 +22,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
+#include <new>
+#include <type_traits>
 #include <vector>
 
 #include "telemetry/record.hpp"
@@ -26,14 +34,46 @@ namespace hrt::telemetry {
 
 class SpscRing {
  public:
-  /// Capacity is rounded up to a power of two (minimum 8).
-  explicit SpscRing(std::size_t capacity) {
+  /// One ring slot.  Trivially constructible: zero-filled memory is an
+  /// empty slot (tag 0 never matches a committed index).
+  struct Slot {
+    std::uint64_t seq;   // seqlock tag: odd in flight, 2 * (index + 1) done
+    std::uint64_t time;
+    std::uint64_t arg;
+    std::uint64_t tail;  // tid | cpu << 32 | kind << 48 | gen << 56
+  };
+  static_assert(std::is_trivially_default_constructible_v<Slot>);
+
+  struct FreeSlots {
+    void operator()(Slot* p) const noexcept { std::free(p); }
+  };
+  /// `n` zeroed slots as one std::calloc block (empty for n = 0).
+  using Slab = std::unique_ptr<Slot[], FreeSlots>;
+  [[nodiscard]] static Slab zeroed_slots(std::size_t n) {
+    if (n == 0) return Slab();
+    auto* p = static_cast<Slot*>(std::calloc(n, sizeof(Slot)));
+    if (p == nullptr) throw std::bad_alloc();
+    return Slab(p);
+  }
+
+  /// Capacity rounded up to a power of two (minimum 8).
+  [[nodiscard]] static std::size_t round_capacity(std::size_t capacity) {
     std::size_t cap = 8;
     while (cap < capacity) cap <<= 1;
-    capacity_ = cap;
-    mask_ = cap - 1;
-    slots_ = std::make_unique<Slot[]>(cap);
+    return cap;
   }
+
+  /// A ring owning its own zeroed slots; capacity as round_capacity.
+  explicit SpscRing(std::size_t capacity)
+      : own_(zeroed_slots(round_capacity(capacity))),
+        slots_(own_.get()),
+        capacity_(round_capacity(capacity)),
+        mask_(capacity_ - 1) {}
+
+  /// A ring over `capacity` zeroed slots owned by the caller, who keeps
+  /// them alive as long as the ring.  `capacity` must be a power of two.
+  SpscRing(Slot* slots, std::size_t capacity)
+      : slots_(slots), capacity_(capacity), mask_(capacity - 1) {}
 
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
@@ -43,7 +83,7 @@ class SpscRing {
     Slot& s = slots_[h & mask_];
     // Odd tag: write in flight.  Readers that see it skip the slot.  The
     // fence keeps the payload stores below from moving above the tag.
-    s.seq.store(2 * h + 1, std::memory_order_relaxed);
+    store_word(s.seq, 2 * h + 1);
     std::atomic_thread_fence(std::memory_order_release);
     store_word(s.time, static_cast<std::uint64_t>(r.time));
     store_word(s.arg, static_cast<std::uint64_t>(r.arg));
@@ -51,7 +91,7 @@ class SpscRing {
     store_word(s.tail, pack_tail(r, gen));
     // Even tag encodes the logical index, so a reader can verify the copy
     // belongs to the generation it expected (wraparound detection).
-    s.seq.store(2 * (h + 1), std::memory_order_release);
+    store_word(s.seq, 2 * (h + 1), std::memory_order_release);
     head_.store(h + 1, std::memory_order_release);
   }
 
@@ -83,13 +123,13 @@ class SpscRing {
     std::uint64_t skipped = 0;
     for (std::uint64_t i = lo; i < h; ++i) {
       Slot& s = slots_[i & mask_];
-      const std::uint64_t before = s.seq.load(std::memory_order_acquire);
+      const std::uint64_t before = load_word(s.seq, std::memory_order_acquire);
       Record r;
       r.time = static_cast<sim::Nanos>(load_word(s.time));
       r.arg = static_cast<std::int64_t>(load_word(s.arg));
       unpack_tail(load_word(s.tail), r);
       std::atomic_thread_fence(std::memory_order_acquire);
-      const std::uint64_t after = s.seq.load(std::memory_order_relaxed);
+      const std::uint64_t after = load_word(s.seq);
       if (before == after && before == 2 * (i + 1)) {
         out.push_back(r);
       } else {
@@ -101,24 +141,20 @@ class SpscRing {
   }
 
  private:
-  // The payload travels as three relaxed atomic words: a reader may copy a
-  // slot while the writer overwrites it (the seqlock then discards the
-  // copy), and that overlap must still be a defined access.  On x86-64
-  // these are plain moves.
-  struct Slot {
-    std::atomic<std::uint64_t> seq{0};
-    std::uint64_t time = 0;
-    std::uint64_t arg = 0;
-    std::uint64_t tail = 0;  // tid | cpu << 32 | kind << 48 | gen << 56
-  };
+  // Every slot word, tag included, is a relaxed (or release/acquire, for
+  // the tag) atomic access: a reader may copy a slot while the writer
+  // overwrites it (the seqlock then discards the copy), and that overlap
+  // must still be a defined access.  On x86-64 these are plain moves.
   static_assert(std::atomic_ref<std::uint64_t>::required_alignment ==
                 alignof(std::uint64_t));
 
-  static void store_word(std::uint64_t& w, std::uint64_t v) {
-    std::atomic_ref<std::uint64_t>(w).store(v, std::memory_order_relaxed);
+  static void store_word(std::uint64_t& w, std::uint64_t v,
+                         std::memory_order o = std::memory_order_relaxed) {
+    std::atomic_ref<std::uint64_t>(w).store(v, o);
   }
-  static std::uint64_t load_word(std::uint64_t& w) {
-    return std::atomic_ref<std::uint64_t>(w).load(std::memory_order_relaxed);
+  static std::uint64_t load_word(
+      std::uint64_t& w, std::memory_order o = std::memory_order_relaxed) {
+    return std::atomic_ref<std::uint64_t>(w).load(o);
   }
 
   static std::uint64_t pack_tail(const Record& r, std::uint8_t gen) {
@@ -133,9 +169,10 @@ class SpscRing {
     r.gen = static_cast<std::uint8_t>(t >> 56);
   }
 
-  std::size_t capacity_ = 0;
-  std::uint64_t mask_ = 0;
-  std::unique_ptr<Slot[]> slots_;
+  Slab own_;  // empty when the slots belong to a recorder's slab
+  Slot* slots_;
+  std::size_t capacity_;
+  std::uint64_t mask_;
   std::atomic<std::uint64_t> head_{0};
 };
 

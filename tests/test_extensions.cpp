@@ -1,13 +1,16 @@
 // Tests for the extension modules: the interrupt thread (section 3.5's
 // second steering mechanism), the cyclic-executive scheduler (section 8
-// future work, running on the simulated machine), and trace export.
+// future work, running on the simulated machine), and trace export and
+// sim::Trace's per-CPU record positions.
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
 #include "nautilus/interrupt_thread.hpp"
 #include "rt/ce_scheduler.hpp"
 #include "rt/system.hpp"
+#include "sim/rng.hpp"
 #include "sim/trace_export.hpp"
 
 namespace hrt {
@@ -220,6 +223,67 @@ TEST(TraceExport, VcdHasHeaderAndTransitions) {
   EXPECT_NE(out.find("#10\n1!"), std::string::npos);
   EXPECT_NE(out.find("#50\n0!\n1#"), std::string::npos);
   EXPECT_EQ(out.find("#60"), std::string::npos);  // cpu 1 excluded
+}
+
+TEST(Trace, PerCpuPositionsMatchFullScan) {
+  // positions(cpu) and filter(kind, cpu) walk per-CPU position lists; they
+  // must agree with a scan of every record.  Covers interleaved CPUs, a CPU
+  // that never records (2), CPUs past every recorded one, recording while
+  // disabled, and clear().
+  sim::Trace trace;
+  auto check = [&] {
+    const auto& all = trace.records();
+    for (const std::uint32_t cpu : {0u, 1u, 2u, 3u, 4u, 5u, 6u, 1000u}) {
+      std::vector<std::uint32_t> want;
+      for (std::uint32_t i = 0; i < all.size(); ++i) {
+        if (all[i].cpu == cpu) want.push_back(i);
+      }
+      const auto got = trace.positions(cpu);
+      EXPECT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()), want)
+          << "cpu " << cpu;
+      for (int k = 0; k <= static_cast<int>(sim::TraceKind::kCustom); ++k) {
+        const auto kind = static_cast<sim::TraceKind>(k);
+        std::vector<std::int64_t> ref;
+        for (const sim::TraceRecord& r : all) {
+          if (r.kind == kind && r.cpu == cpu) ref.push_back(r.value);
+        }
+        std::vector<std::int64_t> filtered;
+        for (const sim::TraceRecord& r : trace.filter(kind, cpu)) {
+          EXPECT_EQ(r.kind, kind);
+          EXPECT_EQ(r.cpu, cpu);
+          filtered.push_back(r.value);
+        }
+        EXPECT_EQ(filtered, ref) << "cpu " << cpu << " kind " << k;
+      }
+    }
+  };
+  auto fill = [&](std::uint64_t seed) {
+    sim::Rng rng(seed);
+    constexpr std::uint32_t kCpus[] = {0, 1, 3, 4, 5};
+    for (std::int64_t i = 0; i < 600; ++i) {
+      if (i == 300) trace.disable();
+      if (i == 350) trace.enable();
+      const std::uint32_t cpu = kCpus[rng.uniform(0, 4)];
+      const auto kind = static_cast<sim::TraceKind>(
+          rng.uniform(0, static_cast<int>(sim::TraceKind::kCustom)));
+      trace.record(i, cpu, kind, i);
+    }
+  };
+
+  trace.record(1, 3, sim::TraceKind::kPin, 1);  // disabled: dropped
+  EXPECT_TRUE(trace.records().empty());
+  EXPECT_TRUE(trace.positions(3).empty());
+  trace.enable();
+  fill(11);
+  EXPECT_EQ(trace.records().size(), 550u);
+  check();
+  trace.clear();
+  EXPECT_TRUE(trace.records().empty());
+  for (const std::uint32_t cpu : {0u, 3u, 5u}) {
+    EXPECT_TRUE(trace.positions(cpu).empty());
+  }
+  fill(12);
+  check();
 }
 
 TEST(TraceExport, KindNamesStable) {

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <numeric>
 #include <set>
 
 #include "audit/replay.hpp"
@@ -14,6 +15,7 @@
 #include "group/group_admission.hpp"
 #include "rt/system.hpp"
 #include "rt/taskset_gen.hpp"
+#include "sim/rng.hpp"
 
 namespace hrt {
 namespace {
@@ -387,6 +389,86 @@ TEST(Rebalance, ExitTriggersRebalance) {
   EXPECT_EQ(p1->rt.misses, 0u);
   EXPECT_EQ(p2->rt.misses, 0u);
   EXPECT_EQ(sys.auditor().total_violations(), 0u);
+}
+
+TEST(Rebalance, MakeRoomTiesPickEarlierVictimAndLowerDestination) {
+  // CPU 0 holds two equal 0.2 threads (headroom 0.39); CPUs 1 and 2 tie at
+  // headroom 0.30; CPU 3 has 0.10.  A 0.5 request fits nowhere, so
+  // make_room's first candidate is CPU 0: both threads cover the 0.11
+  // deficit, and both CPUs 1 and 2 can absorb one.  Ties go to the
+  // earlier-spawned victim and the lower-numbered destination.
+  System sys(placed(4, 0));
+  sys.boot();
+  auto util = [](sim::Nanos slice) {
+    return rt::Constraints::periodic(sim::millis(1), sim::millis(1), slice);
+  };
+  nk::Thread* first = sys.spawn("first", rt_worker(util(sim::micros(200))), 0);
+  nk::Thread* second =
+      sys.spawn("second", rt_worker(util(sim::micros(200))), 0);
+  sys.spawn("one", rt_worker(util(sim::micros(490))), 1);
+  sys.spawn("two", rt_worker(util(sim::micros(490))), 2);
+  sys.spawn("three", rt_worker(util(sim::micros(690))), 3);
+  sys.run_for(sim::millis(5));
+  const auto& ledger = sys.placement().ledger();
+  ASSERT_TRUE(admitted_rt(first) && admitted_rt(second));
+  ASSERT_EQ(ledger.committed_raw(1), ledger.committed_raw(2));
+  ASSERT_EQ(sys.placement().engine().rt_cpu_order().front(), 0u);
+
+  const std::uint32_t x = sys.placement().rebalancer().make_room(
+      util(sim::micros(500)), nullptr);
+  EXPECT_EQ(x, 0u);
+  EXPECT_EQ(sys.placement().rebalancer().stats().make_room_migrations, 1u);
+  sys.run_for(sim::millis(5));
+  EXPECT_EQ(first->cpu, 1u);
+  EXPECT_EQ(second->cpu, 0u);
+  EXPECT_NEAR(ledger.committed(1), 0.69, 1e-9);
+  EXPECT_NEAR(ledger.committed(2), 0.49, 1e-9);
+  EXPECT_EQ(sys.auditor().total_violations(), 0u);
+}
+
+TEST(Placement, RtCpuOrderMatchesStableSortReference) {
+  // rt_cpu_order over a hand-fed ledger must equal a std::stable_sort of
+  // 0..n-1 with the comparator it has always meant: quiet before
+  // storm-hit, interrupt-free before laden (when steering), then more
+  // headroom first, ties in CPU order.  Headrooms come from a few discrete
+  // levels, so ties are common.
+  sim::Rng rng(20260417);
+  for (int round = 0; round < 200; ++round) {
+    const auto n = static_cast<std::uint32_t>(rng.uniform(1, 24));
+    global::UtilizationLedger ledger(n, 0.8);
+    for (std::uint32_t c = 0; c < n; ++c) {
+      const auto level = rng.uniform(0, 9);  // 9: over capacity, headroom 0
+      if (level > 0) ledger.on_admit(c, 0.1 * static_cast<double>(level));
+    }
+    std::vector<std::uint8_t> storm(n);
+    for (auto& f : storm) f = rng.uniform(0, 3) == 0 ? 1 : 0;
+    for (const std::uint32_t laden : {0u, 1u, 4u}) {
+      for (const bool steer : {true, false}) {
+        global::Config cfg;
+        cfg.policy = global::Policy::kTopology;
+        cfg.interrupt_laden_cpus = laden;
+        cfg.steer_rt_interrupt_free = steer;
+        global::PlacementEngine engine(ledger, cfg);
+        if (round % 2 == 0) engine.set_storm_flags(&storm);
+
+        std::vector<std::uint32_t> want(n);
+        std::iota(want.begin(), want.end(), 0u);
+        const std::uint32_t free_from = steer && laden < n ? laden : 0;
+        std::stable_sort(want.begin(), want.end(),
+                         [&](std::uint32_t a, std::uint32_t b) {
+                           const bool sa = engine.storm_hit(a);
+                           const bool sb = engine.storm_hit(b);
+                           if (sa != sb) return !sa;
+                           const bool fa = a >= free_from, fb = b >= free_from;
+                           if (fa != fb) return fa;
+                           return ledger.headroom(a) > ledger.headroom(b);
+                         });
+        EXPECT_EQ(engine.rt_cpu_order(), want)
+            << "round " << round << " n " << n << " laden " << laden
+            << " steer " << steer;
+      }
+    }
+  }
 }
 
 // ---------- topology-aware + group placement ----------

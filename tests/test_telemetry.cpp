@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <functional>
 #include <map>
 #include <sstream>
@@ -96,12 +97,12 @@ TEST(TelemetryRing, OrderAndWraparound) {
   EXPECT_EQ(telemetry::SpscRing(100).capacity(), 128u);
 }
 
-TEST(TelemetryRing, ConcurrentWriterReaderNoTornRecords) {
-  // The simulator never races writer against reader (one host thread), but
-  // the seqlock protocol must hold for a native port: hammer the ring from
-  // a real writer thread while snapshotting, and verify every returned
-  // record is internally consistent (arg == time) and in order.
-  telemetry::SpscRing ring(256);
+/// Hammer one ring from a real writer thread while snapshotting it, and
+/// verify every returned record is internally consistent (arg == time) and
+/// in order.  `push(i)` writes record i; `snapshot(&torn)` copies the ring.
+void check_concurrent_writer_reader(
+    std::size_t capacity, const std::function<void(std::int64_t)>& push,
+    const std::function<std::vector<Record>(std::uint64_t*)>& snapshot) {
   constexpr std::int64_t kN = 200000;
   std::atomic<bool> reading{false};
   std::atomic<bool> done{false};
@@ -110,7 +111,7 @@ TEST(TelemetryRing, ConcurrentWriterReaderNoTornRecords) {
     // write burst takes only a few milliseconds.
     while (!reading.load(std::memory_order_acquire)) {
     }
-    for (std::int64_t i = 0; i < kN; ++i) ring.push(rec_at(i, i));
+    for (std::int64_t i = 0; i < kN; ++i) push(i);
     done.store(true, std::memory_order_release);
   });
   std::uint64_t total_torn = 0;
@@ -118,7 +119,7 @@ TEST(TelemetryRing, ConcurrentWriterReaderNoTornRecords) {
   reading.store(true, std::memory_order_release);
   do {
     std::uint64_t torn = 0;
-    const auto snap = ring.snapshot(&torn);
+    const auto snap = snapshot(&torn);
     total_torn += torn;
     ++snapshots;
     sim::Nanos prev = -1;
@@ -129,13 +130,22 @@ TEST(TelemetryRing, ConcurrentWriterReaderNoTornRecords) {
     }
   } while (!done.load(std::memory_order_acquire));
   writer.join();
-  EXPECT_EQ(ring.written(), static_cast<std::uint64_t>(kN));
   EXPECT_GT(snapshots, 0u);
   // A final quiescent snapshot sees the full retained window.
-  const auto snap = ring.snapshot();
-  EXPECT_EQ(snap.size(), ring.capacity());
-  EXPECT_EQ(snap.front().time, kN - 256);
+  const auto snap = snapshot(nullptr);
+  ASSERT_EQ(snap.size(), capacity);
+  EXPECT_EQ(snap.front().time, kN - static_cast<std::int64_t>(capacity));
   EXPECT_EQ(snap.back().time, kN - 1);
+}
+
+TEST(TelemetryRing, ConcurrentWriterReaderNoTornRecords) {
+  // The simulator never races writer against reader (one host thread), but
+  // the seqlock protocol must hold for a native port.
+  telemetry::SpscRing ring(256);
+  check_concurrent_writer_reader(
+      ring.capacity(), [&](std::int64_t i) { ring.push(rec_at(i, i)); },
+      [&](std::uint64_t* torn) { return ring.snapshot(torn); });
+  EXPECT_EQ(ring.written(), 200000u);
 }
 
 // ---------- recorder ----------
@@ -178,6 +188,66 @@ TEST(TelemetryRecorder, KindCountsMergedSnapshotAndSelfCost) {
     EXPECT_NE(telemetry::event_kind_name(static_cast<EventKind>(k)),
               std::string("?"));
   }
+}
+
+TEST(TelemetryRecorder, SlabRingsStayApartAndStartEmpty) {
+  telemetry::RecorderConfig cfg;
+  cfg.ring_capacity = 8;
+  cfg.cost_sample_every = 0;
+  // A fresh recorder: zeroed slab memory is an empty ring on every CPU.
+  const telemetry::FlightRecorder fresh(4, cfg);
+  for (std::uint32_t cpu = 0; cpu < 4; ++cpu) {
+    EXPECT_TRUE(fresh.snapshot(cpu).empty()) << cpu;
+    EXPECT_EQ(fresh.ring(cpu).written(), 0u);
+  }
+
+  telemetry::FlightRecorder rec(4, cfg);
+  const std::size_t cap = rec.ring(1).capacity();
+  ASSERT_EQ(cap, 8u);
+  for (std::size_t i = 0; i < cap + 5; ++i) {
+    rec.record(1, EventKind::kCustom, static_cast<sim::Nanos>(i), 0,
+               static_cast<std::int64_t>(i));
+  }
+  for (const std::uint32_t cpu : {0u, 2u, 3u}) {
+    EXPECT_TRUE(rec.snapshot(cpu).empty()) << cpu;
+  }
+  auto check_cpu1 = [&] {
+    const auto snap = rec.snapshot(1);
+    ASSERT_EQ(snap.size(), cap);
+    for (std::size_t i = 0; i < cap; ++i) {
+      const std::uint64_t logical = 5 + i;  // the newest `cap` records
+      EXPECT_EQ(snap[i].time, static_cast<sim::Nanos>(logical));
+      EXPECT_EQ(snap[i].cpu, 1u);
+      EXPECT_EQ(snap[i].gen, logical < cap ? 0 : 1);
+    }
+  };
+  check_cpu1();
+  // The neighbours' slots are their own: writing them leaves CPU 1 intact.
+  for (const std::uint32_t cpu : {0u, 2u, 3u}) {
+    rec.record(cpu, EventKind::kPass, 100 + cpu, cpu, 0);
+    const auto snap = rec.snapshot(cpu);
+    ASSERT_EQ(snap.size(), 1u);
+    EXPECT_EQ(snap[0].time, static_cast<sim::Nanos>(100 + cpu));
+  }
+  check_cpu1();
+}
+
+TEST(TelemetryRecorder, ConcurrentWriterReaderOnSlabRing) {
+  // Same seqlock check as TelemetryRing's, against a ring carved out of a
+  // recorder's slab (a middle CPU, so its neighbours' slots surround it).
+  telemetry::RecorderConfig cfg;
+  cfg.ring_capacity = 256;
+  cfg.cost_sample_every = 0;
+  telemetry::FlightRecorder rec(3, cfg);
+  check_concurrent_writer_reader(
+      rec.ring(1).capacity(),
+      [&](std::int64_t i) {
+        rec.record(1, EventKind::kCustom, i, 0, i);
+      },
+      [&](std::uint64_t* torn) { return rec.ring(1).snapshot(torn); });
+  EXPECT_EQ(rec.ring(1).written(), 200000u);
+  EXPECT_TRUE(rec.snapshot(0).empty());
+  EXPECT_TRUE(rec.snapshot(2).empty());
 }
 
 // ---------- histograms ----------
@@ -702,6 +772,149 @@ TEST(TelemetryExport, MetricsJsonIsWellFormed) {
             std::count(json.begin(), json.end(), '}'));
   EXPECT_EQ(std::count(json.begin(), json.end(), '['),
             std::count(json.begin(), json.end(), ']'));
+}
+
+/// The metrics document as the stream-formatted exporter printed it:
+/// every number through a default-formatted std::ostream.
+std::string ostream_metrics_json(const telemetry::Telemetry& tel,
+                                 sim::Nanos now) {
+  auto esc = [](std::ostream& os, std::string_view s) {
+    for (const char c : s) {
+      if (c == '"') {
+        os << "\\\"";
+      } else if (c == '\\') {
+        os << "\\\\";
+      } else if (c == '\n') {
+        os << "\\n";
+      } else if (c == '\t') {
+        os << "\\t";
+      } else if (static_cast<unsigned char>(c) < 0x20) {
+        char buf[8];
+        std::snprintf(buf, sizeof buf, "\\u%04x", c);
+        os << buf;
+      } else {
+        os << c;
+      }
+    }
+  };
+  auto hist = [](std::ostream& os, const telemetry::LogHistogram& h) {
+    os << "{\"count\": " << h.total() << ", \"min\": " << h.min()
+       << ", \"mean\": " << h.mean() << ", \"p50\": " << h.quantile(0.50)
+       << ", \"p90\": " << h.quantile(0.90)
+       << ", \"p99\": " << h.quantile(0.99) << ", \"max\": " << h.max()
+       << "}";
+  };
+  const telemetry::MetricsRegistry& m = tel.metrics();
+  std::ostringstream os;
+  os << "{\n  \"schema\": \"hrt-metrics-v1\",\n  \"now_ns\": " << now
+     << ",\n  \"cpus\": [\n";
+  for (std::uint32_t c = 0; c < m.num_cpus(); ++c) {
+    const telemetry::CpuMetrics& cm = m.cpu(c);
+    os << "    {\"cpu\": " << c << ", \"passes\": " << cm.passes
+       << ", \"switches\": " << cm.switches << ", \"kicks\": " << cm.kicks
+       << ", \"timer_arms\": " << cm.timer_arms
+       << ", \"admits_ok\": " << cm.admits_ok
+       << ", \"admits_rejected\": " << cm.admits_rejected
+       << ", \"completions\": " << cm.completions
+       << ", \"misses\": " << cm.misses
+       << ", \"migrations_in\": " << cm.migrations_in
+       << ", \"migrations_out\": " << cm.migrations_out
+       << ", \"sheds\": " << cm.sheds << ", \"restores\": " << cm.restores
+       << ", \"pass_span_ns\": {\"count\": " << cm.pass_span_ns.count()
+       << ", \"mean\": " << cm.pass_span_ns.mean()
+       << ", \"max\": " << cm.pass_span_ns.max() << "}"
+       << ", \"effective_capacity\": " << cm.effective_capacity << "}"
+       << (c + 1 < m.num_cpus() ? ",\n" : "\n");
+  }
+  os << "  ],\n  \"threads\": [\n";
+  const auto threads = m.threads_sorted();
+  for (std::size_t i = 0; i < threads.size(); ++i) {
+    const telemetry::ThreadMetrics& tm = *threads[i];
+    os << "    {\"tid\": " << tm.tid << ", \"name\": \"";
+    esc(os, tm.name);
+    os << "\", \"completions\": " << tm.completions
+       << ", \"misses\": " << tm.misses << ", \"slack_ns\": ";
+    hist(os, tm.slack_ns);
+    os << ", \"lateness_ns\": ";
+    hist(os, tm.lateness_ns);
+    os << "}" << (i + 1 < threads.size() ? ",\n" : "\n");
+  }
+  os << "  ],\n  \"threads_dropped\": " << m.threads_dropped()
+     << ",\n  \"slos\": [\n";
+  const auto slos = tel.slo().status(now);
+  for (std::size_t i = 0; i < slos.size(); ++i) {
+    const telemetry::SloStatus& st = slos[i];
+    os << "    {\"name\": \"";
+    esc(os, st.spec->name);
+    os << "\", \"thread_match\": \"";
+    esc(os, st.spec->thread_match);
+    os << "\", \"miss_budget\": " << st.spec->miss_budget
+       << ", \"window_ns\": " << st.spec->window_ns
+       << ", \"completions\": " << st.completions
+       << ", \"misses\": " << st.misses << ", \"burn_rate\": " << st.burn_rate
+       << ", \"alerting\": " << (st.alerting ? "true" : "false")
+       << ", \"alerts\": " << st.alerts << "}"
+       << (i + 1 < slos.size() ? ",\n" : "\n");
+  }
+  const telemetry::FlightRecorder& rec = tel.recorder();
+  os << "  ],\n  \"recorder\": {\"written\": " << rec.written()
+     << ", \"dropped\": " << rec.dropped() << ", \"ring_capacity\": "
+     << (rec.num_cpus() > 0 ? rec.ring(0).capacity() : 0)
+     << ", \"sampled_cost_ns\": {\"samples\": "
+     << rec.sampled_cost_ns().count()
+     << ", \"mean\": " << rec.sampled_cost_ns().mean() << "}}\n}\n";
+  return os.str();
+}
+
+TEST(TelemetryExport, MetricsJsonPrintsNumbersAsOstreamDoes) {
+  // %.6g's rounding and its fixed/exponent switch, in gauges, pass spans,
+  // histograms and SLO fields, plus names that need every escape kind.
+  auto ostream_text = [](double v) {
+    std::ostringstream os;
+    os << v;
+    return os.str();
+  };
+  EXPECT_EQ(ostream_text(0.0), "0");
+  EXPECT_EQ(ostream_text(0.79), "0.79");
+  EXPECT_EQ(ostream_text(1e-7), "1e-07");
+  EXPECT_EQ(ostream_text(123456789.0), "1.23457e+08");
+  EXPECT_EQ(ostream_text(1e21), "1e+21");
+
+  telemetry::Config cfg;
+  cfg.enabled = true;
+  cfg.recorder.ring_capacity = 8;
+  telemetry::SloSpec spec;
+  spec.name = "slo \"q\" \\ \x01";
+  spec.thread_match = "w";
+  spec.miss_budget = 1e-7;
+  spec.window_ns = 123456789;
+  spec.min_completions = 1;
+  cfg.slos.push_back(spec);
+  telemetry::Telemetry tel(3, cfg);
+  const std::string name = "w\"q\\\t\n\x1f";
+  tel.set_effective_capacity(0, 0.79);
+  tel.set_effective_capacity(1, 1e21);
+  tel.set_effective_capacity(2, 1e-7);
+  tel.on_pass_span(0, 1e-7);
+  tel.on_pass_span(1, 123456789.0);
+  tel.on_pass_span(2, 1e21);
+  tel.on_pass_span(2, 0.79);
+  tel.on_completion(1, 1000, 7, name, 0);             // slack 0
+  tel.on_completion(1, 2000, 7, name, -123456789);    // slack 1.23457e+08
+  tel.on_completion(2, 3000, 9, "w.late", 987654321);  // lateness
+  tel.on_completion(2, 4000, 9, "w.late", -1);
+
+  std::ostringstream os;
+  telemetry::write_metrics_json(os, tel, 5000);
+  const std::string json = os.str();
+  EXPECT_EQ(json, ostream_metrics_json(tel, 5000));
+  for (const char* text : {"\"effective_capacity\": 0.79}",
+                           "\"effective_capacity\": 1e+21}",
+                           "\"effective_capacity\": 1e-07}",
+                           "\"mean\": 1.23457e+08", "\"miss_budget\": 1e-07",
+                           R"(w\"q\\\t\n\u001f)", R"(slo \"q\" \\ \u0001)"}) {
+    EXPECT_NE(json.find(text), std::string::npos) << text;
+  }
 }
 
 // ---------- satellite: auto-derived group SLOs ----------
