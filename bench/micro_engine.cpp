@@ -1,16 +1,21 @@
-// Engine microbenchmark: the timer-wheel sim::Engine on a mixed
-// schedule/cancel/run workload.
+// Engine microbenchmark: the timer-wheel sim::Engine on two workloads.
 //
-// The workload models the simulator's hot path under a preemption-heavy RT
+// `wheel` models the simulator's hot path under a preemption-heavy RT
 // load: completion events are scheduled a few microseconds to a few
 // milliseconds out, and roughly half are cancelled before they fire (a
 // preemption invalidates the in-flight completion).  The operation sequence
 // is a pure function of --seed.
 //
-// Output: one human-readable line plus a machine-readable JSON record
-// (--json=PATH, default BENCH_engine.json) with events/sec and sampled
-// p50/p99 schedule_at/cancel latencies.  See docs/PERFORMANCE.md for the
-// schema.
+// `lockstep` models a gang-scheduled parallel job (the BSP runs of Figs.
+// 15/16): every round, 256 events complete at one shared timestamp, each
+// reschedules itself for the next round in rank order, and one event is
+// inserted into the already-drained window at the shared timestamp, as a
+// barrier release is.
+//
+// Output: one human-readable line per cell plus a machine-readable JSON
+// record (--json=PATH, default BENCH_engine.json) with events/sec, and for
+// `wheel` sampled p50/p99 schedule_at/cancel latencies.  See
+// docs/PERFORMANCE.md for the schema.
 #include <chrono>
 #include <cstdio>
 #include <vector>
@@ -117,11 +122,59 @@ EngineResult run_mixed(std::uint64_t target_events, std::uint64_t seed) {
   return r;
 }
 
+/// Lock-step gang: kGang members fire at one timestamp per round, in rank
+/// order; each reschedules itself one round later, and the first member of
+/// each round also schedules a release at now(), behind the whole gang.
+EngineResult run_lockstep(std::uint64_t target_events) {
+  constexpr std::uint32_t kGang = 256;
+  constexpr Nanos kRound = hrt::sim::micros(20);
+  struct Gang {
+    hrt::sim::Engine eng;
+    std::uint64_t scheduled = 0;
+
+    void member(std::uint32_t rank) {
+      eng.schedule_after(kRound, [this, rank] { member(rank); });
+      ++scheduled;
+      if (rank == 0) {
+        eng.schedule_at(eng.now(), [] {});
+        ++scheduled;
+      }
+    }
+  };
+  Gang g;
+  EngineResult r;
+  bench::Stopwatch wall;
+  for (std::uint32_t rank = 0; rank < kGang; ++rank) {
+    g.eng.schedule_at(kRound, [&g, rank] { g.member(rank); });
+    ++g.scheduled;
+  }
+  while (g.eng.events_executed() < target_events) {
+    g.eng.run_until(g.eng.now() + hrt::sim::micros(50));
+  }
+  r.wall_s = wall.seconds();
+  r.executed = g.eng.events_executed();
+  r.scheduled = g.scheduled;
+  r.events_per_sec = static_cast<double>(r.executed) / r.wall_s;
+  r.ops_per_sec =
+      static_cast<double>(r.scheduled + r.executed) / r.wall_s;
+  return r;
+}
+
 void print_result(const char* name, const EngineResult& r) {
   std::printf("%-8s %10.3fs  %12.0f ev/s %12.0f op/s  sched p50/p99 %5.0f/%5.0f ns"
               "  cancel p50/p99 %5.0f/%5.0f ns\n",
               name, r.wall_s, r.events_per_sec, r.ops_per_sec, r.sched_p50_ns,
               r.sched_p99_ns, r.cancel_p50_ns, r.cancel_p99_ns);
+}
+
+std::string lockstep_json(const EngineResult& r) {
+  bench::JsonObject j;
+  j.field("wall_s", r.wall_s);
+  j.field("executed", r.executed);
+  j.field("scheduled", r.scheduled);
+  j.field("events_per_sec", r.events_per_sec);
+  j.field("ops_per_sec", r.ops_per_sec);
+  return j.str();
 }
 
 std::string result_json(const EngineResult& r) {
@@ -147,8 +200,8 @@ int main(int argc, char** argv) {
   const std::uint64_t target = args.full ? 4'000'000 : 800'000;
 
   bench::header("micro_engine: timer-wheel Engine",
-                "mixed schedule/cancel workload; events/sec and "
-                "schedule/cancel p50/p99");
+                "mixed schedule/cancel workload (events/sec, schedule/cancel "
+                "p50/p99) and a 256-event lock-step gang (events/sec)");
   std::printf("target events: %llu (seed %llu)\n\n",
               (unsigned long long)target, (unsigned long long)args.seed);
 
@@ -156,6 +209,10 @@ int main(int argc, char** argv) {
   (void)run_mixed(target / 8, args.seed);
   const EngineResult wheel = run_mixed(target, args.seed);
   print_result("wheel", wheel);
+  (void)run_lockstep(target / 8);
+  const EngineResult lockstep = run_lockstep(target);
+  std::printf("%-8s %10.3fs  %12.0f ev/s %12.0f op/s\n", "lockstep",
+              lockstep.wall_s, lockstep.events_per_sec, lockstep.ops_per_sec);
 
   bench::JsonObject j;
   j.field("benchmark", std::string("micro_engine"));
@@ -163,6 +220,7 @@ int main(int argc, char** argv) {
   j.field("seed", static_cast<std::uint64_t>(args.seed));
   j.field("target_events", static_cast<std::uint64_t>(target));
   j.raw("wheel", result_json(wheel));
+  j.raw("lockstep", lockstep_json(lockstep));
   if (!j.write_file(args.json)) {
     std::fprintf(stderr, "warning: cannot write %s\n", args.json.c_str());
     return 1;

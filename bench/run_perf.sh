@@ -6,7 +6,8 @@
 # Produces in the current directory:
 #   BENCH_engine.json    — micro_engine: timer-wheel engine on a mixed
 #                          schedule/cancel workload (events/sec, p50/p99
-#                          schedule/cancel latency)
+#                          schedule/cancel latency) and on a 256-event
+#                          lock-step gang (events/sec); no gate
 #   BENCH_placement.json — ablate_placement: pure partitioning policies vs
 #                          semi-partitioned overflow (admitted utilization,
 #                          zero-miss executions, replay-oracle verdict)

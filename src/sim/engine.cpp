@@ -12,7 +12,8 @@ Engine::Engine() {
   slot_head_.fill(kNil);
   occupied_.fill(0);
   pool_.reserve(64);
-  ready_.reserve(64);
+  run_.reserve(64);
+  side_.reserve(64);
   far_.reserve(64);
 }
 
@@ -23,26 +24,26 @@ bool Engine::ready_after(const ReadyEntry& a, const ReadyEntry& b) {
 
 bool Engine::far_after(std::uint32_t a, std::uint32_t b) const {
   // Ties need no band/seq resolution here: far events are migrated into the
-  // wheel and finally ordered in the ready heap.
+  // wheel and finally ordered in the ready run.
   return pool_[a].when > pool_[b].when;
 }
 
-void Engine::ready_push(std::uint32_t idx) {
+void Engine::side_push(std::uint32_t idx) {
   const Node& n = pool_[idx];
-  ready_.push_back(ReadyEntry{n.when, n.order, idx});
-  std::push_heap(ready_.begin(), ready_.end(), [](const ReadyEntry& a,
-                                                  const ReadyEntry& b) {
-    return ready_after(a, b);
-  });
+  side_.push_back(ReadyEntry{n.when, n.order, idx});
+  std::push_heap(side_.begin(), side_.end(),
+                 [](const ReadyEntry& a, const ReadyEntry& b) {
+                   return ready_after(a, b);
+                 });
 }
 
-std::uint32_t Engine::ready_pop() {
-  std::pop_heap(ready_.begin(), ready_.end(), [](const ReadyEntry& a,
-                                                 const ReadyEntry& b) {
-    return ready_after(a, b);
-  });
-  const std::uint32_t idx = ready_.back().idx;
-  ready_.pop_back();
+std::uint32_t Engine::side_pop() {
+  std::pop_heap(side_.begin(), side_.end(),
+                [](const ReadyEntry& a, const ReadyEntry& b) {
+                  return ready_after(a, b);
+                });
+  const std::uint32_t idx = side_.back().idx;
+  side_.pop_back();
   return idx;
 }
 
@@ -118,15 +119,28 @@ void Engine::unlink_wheel(std::uint32_t idx) {
 }
 
 void Engine::drain_slot(std::uint32_t slot) {
-  std::uint32_t idx = slot_head_[slot];
+  // The run is popped from the back, so it is kept in descending order.  The
+  // slot list is LIFO: when its events were scheduled in (when, band) order,
+  // as a lock-stepped gang's are, the walk already yields that order.
+  // Otherwise sort once.
+  assert(run_.empty());
+  bool descending = true;
+  for (std::uint32_t idx = slot_head_[slot]; idx != kNil;) {
+    Node& n = pool_[idx];
+    n.loc = Loc::kReady;
+    const ReadyEntry e{n.when, n.order, idx};
+    if (!run_.empty() && ready_after(e, run_.back())) descending = false;
+    run_.push_back(e);
+    idx = n.next;
+  }
   slot_head_[slot] = kNil;
   occupied_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
-  while (idx != kNil) {
-    const std::uint32_t next = pool_[idx].next;
-    pool_[idx].loc = Loc::kReady;
-    ready_push(idx);
-    --wheel_count_;
-    idx = next;
+  wheel_count_ -= run_.size();
+  if (!descending) {
+    std::sort(run_.begin(), run_.end(),
+              [](const ReadyEntry& a, const ReadyEntry& b) {
+                return ready_after(a, b);
+              });
   }
 }
 
@@ -159,9 +173,10 @@ EventId Engine::schedule_at(Nanos when, Callback cb, EventBand band) {
   ++live_count_;
   if (when < wheel_base_) {
     // Inside the already-drained region (e.g. scheduled from a callback for
-    // "now"); goes straight to the ready heap.
+    // "now"); it may precede entries still in the run, so it takes the side
+    // heap.
     n.loc = Loc::kReady;
-    ready_push(idx);
+    side_push(idx);
   } else if (when < wheel_base_ + kSpanNs) {
     link_wheel(idx);
   } else {
@@ -184,8 +199,8 @@ void Engine::cancel(EventId id) {
     unlink_wheel(idx);
     free_node(idx);
   } else {
-    // Heap-resident (far or ready): tombstone, reclaimed lazily when the
-    // pop reaches it.
+    // Far-, run- or side-heap-resident: tombstone, reclaimed lazily when
+    // the pop reaches it.
     n.cancelled = true;
     n.cb.reset();  // release captured resources eagerly
   }
@@ -195,8 +210,9 @@ bool Engine::refill_ready() {
   if (live_count_ == 0) return false;
   for (;;) {
     if (wheel_count_ == 0) {
-      // Every live event is in the far heap (the caller drained ready).
-      // Purge tombstones and jump the window to the earliest far event.
+      // Every live event is in the far heap (the run and side heap are
+      // empty).  Purge tombstones and jump the window to the earliest far
+      // event.
       while (!far_.empty() && pool_[far_.front()].cancelled) {
         free_node(far_pop());
       }
@@ -224,41 +240,63 @@ bool Engine::refill_ready() {
         static_cast<Nanos>((s - base_slot) & kSlotMask) * kSlotNs;
     drain_slot(s);
     wheel_base_ = slot_start + kSlotNs;
-    // Wheel nodes are never tombstoned, so ready now holds a live event.
+    // Wheel nodes are never tombstoned, so the run's head is live.
     return true;
   }
 }
 
-void Engine::purge_cancelled_ready_top() {
-  while (!ready_.empty() && pool_[ready_.front().idx].cancelled) {
-    free_node(ready_pop());
+const Engine::ReadyEntry* Engine::peek_live() {
+  for (;;) {
+    while (!run_.empty() && pool_[run_.back().idx].cancelled) {
+      free_node(run_.back().idx);
+      run_.pop_back();
+    }
+    while (!side_.empty() && pool_[side_.front().idx].cancelled) {
+      free_node(side_pop());
+    }
+    if (!run_.empty()) {
+      const ReadyEntry& head = run_.back();
+      if (side_.empty() || ready_after(side_.front(), head)) return &head;
+      return &side_.front();
+    }
+    if (!side_.empty()) return &side_.front();
+    // Everything before wheel_base_ has run: drain the next slot.
+    if (!refill_ready()) return nullptr;
   }
 }
 
-bool Engine::step() {
-  purge_cancelled_ready_top();
-  if (ready_.empty() && !refill_ready()) return false;
-  purge_cancelled_ready_top();
-  const std::uint32_t idx = ready_pop();
-  Node& n = pool_[idx];
-  assert(n.when >= now_);
-  now_ = n.when;
-  Callback cb = std::move(n.cb);
+void Engine::fire(const ReadyEntry* head) {
+  const Nanos when = head->when;
+  std::uint32_t idx;
+  if (!run_.empty() && head == &run_.back()) {
+    idx = head->idx;
+    run_.pop_back();
+  } else {
+    idx = side_pop();
+  }
+  assert(when >= now_);
+  now_ = when;
+  Callback cb = std::move(pool_[idx].cb);
   --live_count_;
   free_node(idx);
   ++executed_;
   cb();
+}
+
+bool Engine::step() {
+  const ReadyEntry* head = peek_live();
+  if (head == nullptr) return false;
+  fire(head);
   return true;
 }
 
 std::uint64_t Engine::run_until(Nanos t_end) {
   std::uint64_t n = 0;
   for (;;) {
-    purge_cancelled_ready_top();
-    if (ready_.empty() && !refill_ready()) break;
-    purge_cancelled_ready_top();
-    if (ready_.front().when > t_end) break;
-    if (step()) ++n;
+    const ReadyEntry* head = peek_live();
+    if (head == nullptr || head->when > t_end) break;
+    fire(head);
+    ++n;
   }
   // Advance the clock to the horizon even if the queue ran dry earlier.
   if (now_ < t_end) now_ = t_end;

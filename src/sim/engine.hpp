@@ -6,25 +6,37 @@
 // are ordered by an explicit priority band first (so that, e.g., an SMI
 // freeze at time T is applied before a work completion at T), then FIFO.
 //
-// Implementation: a hierarchical timer wheel.  Events land in one of three
+// Implementation: a hierarchical timer wheel.  Events land in one of four
 // places:
 //
-//   * ready heap — events earlier than the wheel window (already-drained
-//     slots); a small binary heap ordered by (when, band, seq).  Entries
-//     carry their sort key inline, so sifts never touch the node pool.
+//   * ready run  — the entries of the last drained wheel slot in descending
+//     (when, band, seq) order, popped from the back.  A slot's list is LIFO,
+//     so when its events were scheduled in order (a lock-stepped gang
+//     finishing at one timestamp) the list walk yields the run and no sort
+//     happens; any other slot is sorted once.
+//   * side heap  — events scheduled into the already-drained window (e.g. at
+//     now() from a callback); a small binary heap ordered by (when, band,
+//     seq).  Entries carry their sort key inline, so sifts never touch the
+//     node pool.  Each pop takes the smaller of the run's and the heap's
+//     heads.
 //   * wheel      — kNumSlots circular buckets of kSlotNs each (~4 ms span);
 //     each bucket is an intrusive doubly-linked list, with an occupancy
 //     bitmap for O(1) find-next-bucket.
 //   * far heap   — events beyond the wheel horizon; migrated into the wheel
 //     in amortized O(log n) as the window advances.
 //
+// run_until and step share one peek per event: it drops tombstoned heads
+// and drains the next wheel slot only when the run and the side heap are
+// both empty.
+//
 // Events live in a pooled free-list arena with generation-tagged slots, so
 // EventId validation needs no hash lookup: schedule_at and cancel are O(1)
 // amortized.  Cancellation matters — preemption constantly invalidates
 // in-flight completion events — so a wheel-resident event is unlinked and
-// reclaimed immediately, while heap-resident events are tombstoned and
-// reclaimed lazily at pop.  Callbacks use a small-buffer-optimized Callback
-// (sim/callback.hpp): no per-event heap allocation on the common path.
+// reclaimed immediately, while run-, heap- and far-resident events are
+// tombstoned and reclaimed lazily at pop.  Callbacks use a
+// small-buffer-optimized Callback (sim/callback.hpp): no per-event heap
+// allocation on the common path.
 //
 // One engine drives the whole simulated machine on one host thread.  The
 // execution order is a pure function of the schedule/cancel sequence, so a
@@ -117,7 +129,7 @@ class Engine {
     kFree,    // on the free list
     kWheel,   // linked into a wheel slot
     kFar,     // in the far (overflow) heap
-    kReady,   // in the ready heap
+    kReady,   // in the ready run or the side heap
   };
 
   // Same-time order: band in the top byte, then the global FIFO sequence
@@ -132,10 +144,11 @@ class Engine {
     std::uint32_t prev = kNil;
     std::uint32_t gen = 0;
     Loc loc = Loc::kFree;
-    bool cancelled = false;  // tombstone for heap-resident nodes
+    bool cancelled = false;  // tombstone for run- and heap-resident nodes
   };
 
-  /// A ready-heap entry: the node's full sort key plus its pool index.
+  /// A ready entry (run or side heap): the node's full sort key plus its
+  /// pool index.
   struct ReadyEntry {
     Nanos when;
     std::uint64_t order;
@@ -152,20 +165,26 @@ class Engine {
   void free_node(std::uint32_t idx);
   void link_wheel(std::uint32_t idx);
   void unlink_wheel(std::uint32_t idx);
+  /// Fill the (empty) run with the slot's entries in descending order.
   void drain_slot(std::uint32_t slot);
   [[nodiscard]] std::uint32_t find_occupied_from(std::uint32_t slot) const;
-  void purge_cancelled_ready_top();
-  /// Advance wheel state until the ready heap holds a live event.
+  /// Advance wheel state and drain the next occupied slot into the run.
   /// Returns false when no live events exist anywhere.
   bool refill_ready();
+  /// The earliest live ready entry, or nullptr when nothing is pending.
+  /// Reclaims tombstoned heads and refills the run as needed; the pointer
+  /// stays valid until the next schedule_at or pop.
+  const ReadyEntry* peek_live();
+  /// Pop `head` (from peek_live) and run its callback.
+  void fire(const ReadyEntry* head);
 
-  // The ready heap orders its inline keys; the far heap stores bare pool
+  // The side heap orders its inline keys; the far heap stores bare pool
   // indices, ordered by the nodes' times.
   [[nodiscard]] static bool ready_after(const ReadyEntry& a,
                                         const ReadyEntry& b);
   [[nodiscard]] bool far_after(std::uint32_t a, std::uint32_t b) const;
-  void ready_push(std::uint32_t idx);
-  std::uint32_t ready_pop();
+  void side_push(std::uint32_t idx);
+  std::uint32_t side_pop();
   void far_push(std::uint32_t idx);
   std::uint32_t far_pop();
 
@@ -181,7 +200,8 @@ class Engine {
   std::uint32_t free_head_ = kNil;
   std::array<std::uint32_t, kNumSlots> slot_head_;
   std::array<std::uint64_t, kNumSlots / 64> occupied_;
-  std::vector<ReadyEntry> ready_;
+  std::vector<ReadyEntry> run_;   // the drained slot, popped from the back
+  std::vector<ReadyEntry> side_;  // heap of schedules into the drained window
   std::vector<std::uint32_t> far_;
 };
 

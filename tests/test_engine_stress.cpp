@@ -1,9 +1,11 @@
 // Engine stress tests: randomized schedule/cancel/run interleavings checked
 // against a naive reference implementation.  Callbacks schedule and cancel
 // while they run, as the kernel's do; a batched fuzz also cancels handles
-// that already ran, including a running event's own.  Also pins the
-// stale-cancel regressions: empty() must stay exact and a recycled pool slot
-// must not be cancellable through an old handle.
+// that already ran, including a running event's own, and adds lock-step
+// clusters of up to 300 events in one wheel slot whose callbacks schedule
+// into the drained window and cancel events of their own slot.  Also pins
+// the stale-cancel regressions: empty() must stay exact and a recycled pool
+// slot must not be cancellable through an old handle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,23 +23,33 @@ namespace {
 /// themselves and carry its tag with one marker bit set, so tags stay unique.
 enum class OnFire : int {
   kNothing,
-  kReschedule,    // schedule at now() + 1: below wheel_base_, the ready heap
+  kReschedule,    // schedule at now() + 1: below wheel_base_, the side heap
   kKick,          // schedule at now() + kKickNs in kHardware, like an IPI
   kCancelNewest,  // cancel the newest live handle
   // Cancel the newest handle ever scheduled, which may have run, been
   // cancelled, or be the running event itself: then a no-op.
   kCancelLastScheduled,
+  // Schedule at now() in kSmi: ahead of same-time events still pending.
+  kNowSmi,
+  // Schedule at the last nanosecond of now()'s wheel slot, which has
+  // drained: behind some of its pending events, ahead of others.
+  kSlotEnd,
+  // Cancel the event tagged `target`, pending or not.
+  kCancelTarget,
 };
 constexpr Nanos kKickNs = 400;
+constexpr Nanos kSlotNs = 1024;  // the engine's wheel slot width
 constexpr std::uint64_t kRescheduleBit = std::uint64_t{1} << 62;
 constexpr std::uint64_t kKickBit = std::uint64_t{1} << 61;
+constexpr std::uint64_t kNowSmiBit = std::uint64_t{1} << 60;
+constexpr std::uint64_t kSlotEndBit = std::uint64_t{1} << 59;
 
 // Naive reference model: a flat vector, linear min-scan on every pop.
 class ReferenceModel {
  public:
   void schedule(Nanos when, std::uint8_t band, std::uint64_t tag,
-                OnFire on_fire = OnFire::kNothing) {
-    pending_.push_back(Entry{when, band, next_seq_++, tag, on_fire});
+                OnFire on_fire = OnFire::kNothing, std::uint64_t target = 0) {
+    pending_.push_back(Entry{when, band, next_seq_++, tag, on_fire, target});
     last_tag_ = tag;
   }
 
@@ -54,22 +66,13 @@ class ReferenceModel {
   /// Pop every entry with when <= t_end in (when, band, seq) order,
   /// appending tags to `order` and applying each entry's OnFire.
   void run_until(Nanos t_end, std::vector<std::uint64_t>& order) {
-    for (;;) {
-      std::size_t best = pending_.size();
-      for (std::size_t i = 0; i < pending_.size(); ++i) {
-        if (pending_[i].when > t_end) continue;
-        if (best == pending_.size() || before(pending_[i], pending_[best])) {
-          best = i;
-        }
-      }
-      if (best == pending_.size()) return;
-      const Entry e = pending_[best];
-      pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(best));
-      order.push_back(e.tag);
-      fired_at_.push_back(e.when);
-      now_ = e.when;
-      fire(e);
+    while (pop(t_end, order)) {
     }
+  }
+
+  /// Pop the first entry, if any, like Engine::step().
+  bool step(std::vector<std::uint64_t>& order) {
+    return pop(std::numeric_limits<Nanos>::max(), order);
   }
 
   [[nodiscard]] bool empty() const { return pending_.empty(); }
@@ -87,11 +90,30 @@ class ReferenceModel {
     std::uint64_t seq;
     std::uint64_t tag;
     OnFire on_fire;
+    std::uint64_t target;
   };
   static bool before(const Entry& a, const Entry& b) {
     if (a.when != b.when) return a.when < b.when;
     if (a.band != b.band) return a.band < b.band;
     return a.seq < b.seq;
+  }
+
+  bool pop(Nanos t_end, std::vector<std::uint64_t>& order) {
+    std::size_t best = pending_.size();
+    for (std::size_t i = 0; i < pending_.size(); ++i) {
+      if (pending_[i].when > t_end) continue;
+      if (best == pending_.size() || before(pending_[i], pending_[best])) {
+        best = i;
+      }
+    }
+    if (best == pending_.size()) return false;
+    const Entry e = pending_[best];
+    pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(best));
+    order.push_back(e.tag);
+    fired_at_.push_back(e.when);
+    now_ = e.when;
+    fire(e);
+    return true;
   }
 
   void fire(const Entry& e) {
@@ -114,6 +136,18 @@ class ReferenceModel {
       case OnFire::kCancelLastScheduled:
         cancel(last_tag_);
         break;
+      case OnFire::kNowSmi:
+        schedule(now_, static_cast<std::uint8_t>(EventBand::kSmi),
+                 e.tag | kNowSmiBit);
+        break;
+      case OnFire::kSlotEnd:
+        schedule(now_ | (kSlotNs - 1),
+                 static_cast<std::uint8_t>(EventBand::kDefault),
+                 e.tag | kSlotEndBit);
+        break;
+      case OnFire::kCancelTarget:
+        cancel(e.target);
+        break;
     }
   }
 
@@ -134,9 +168,10 @@ struct EngineUnderTest {
   };
 
   void schedule(Nanos when, EventBand band, std::uint64_t tag,
-                OnFire on_fire) {
+                OnFire on_fire, std::uint64_t target = 0) {
     const EventId id = eng.schedule_at(
-        when, [this, tag, on_fire] { fire(tag, on_fire); }, band);
+        when, [this, tag, on_fire, target] { fire(tag, on_fire, target); },
+        band);
     live.push_back(Live{id, tag});
     scheduled.push_back(Live{id, tag});
   }
@@ -159,6 +194,16 @@ struct EngineUnderTest {
     }
   }
 
+  /// Cancel the event tagged `tag`, whether it is still live or not.
+  void cancel_tag(std::uint64_t tag) {
+    const auto it =
+        std::find_if(scheduled.begin(), scheduled.end(),
+                     [tag](const Live& l) { return l.tag == tag; });
+    if (it != scheduled.end()) {
+      cancel_scheduled(static_cast<std::size_t>(it - scheduled.begin()));
+    }
+  }
+
   EngineT eng;
   std::vector<Live> live;      // neither run nor cancelled, oldest first
   std::vector<Live> scheduled;  // every handle, in schedule order
@@ -167,7 +212,7 @@ struct EngineUnderTest {
   std::vector<Nanos> got_at;       // now() at each execution
 
  private:
-  void fire(std::uint64_t tag, OnFire on_fire) {
+  void fire(std::uint64_t tag, OnFire on_fire, std::uint64_t target) {
     got.push_back(tag);
     got_at.push_back(eng.now());
     const auto self = std::find_if(
@@ -190,6 +235,17 @@ struct EngineUnderTest {
         break;
       case OnFire::kCancelLastScheduled:
         cancel_scheduled(scheduled.size() - 1);
+        break;
+      case OnFire::kNowSmi:
+        schedule(eng.now(), EventBand::kSmi, tag | kNowSmiBit,
+                 OnFire::kNothing);
+        break;
+      case OnFire::kSlotEnd:
+        schedule(eng.now() | (kSlotNs - 1), EventBand::kDefault,
+                 tag | kSlotEndBit, OnFire::kNothing);
+        break;
+      case OnFire::kCancelTarget:
+        cancel_tag(target);
         break;
     }
   }
@@ -271,9 +327,16 @@ TYPED_TEST(EngineStress, RandomInterleavingsMatchReference) {
 // cancels land together, many on round timestamps so (band, seq) carry the
 // order, then time advances past part of them.  Cancels pick any handle
 // ever scheduled, so many are stale; callbacks may cancel their own
-// handle while running.
+// handle while running.  Every other batch adds a lock-step cluster, as a
+// gang of CPUs finishing together produces: up to 300 schedules inside one
+// wheel slot, in ascending or descending (when, band) order.  Callbacks
+// schedule into the drained window (at now() in kSmi, or at the slot's last
+// nanosecond) and cancel cluster members that may still wait to run.
+// Seed 77 advances by step() alone, so batches also land while a drained
+// slot is part-way through.
 TEST(EngineFuzz, PopOrderMatchesReference) {
-  for (const std::uint64_t seed : {1u, 7u, 42u, 1234u}) {
+  for (const std::uint64_t seed : {1u, 7u, 42u, 1234u, 77u}) {
+    const bool step_only = seed == 77;
     EngineUnderTest<Engine> e;
     ReferenceModel ref;
     Rng rng(seed);
@@ -294,21 +357,78 @@ TEST(EngineFuzz, PopOrderMatchesReference) {
         Nanos when = t + rng.uniform(0, 4999);
         if (rng.next_double() < 0.3) when = std::max(t, when & ~Nanos{63});
         const auto band = static_cast<EventBand>(rng.uniform(0, 3));
-        const auto on_fire = static_cast<OnFire>(rng.uniform(0, 4));
+        const auto on_fire = static_cast<OnFire>(rng.uniform(0, 7));
         const std::uint64_t tag = next_tag++;
-        e.schedule(when, band, tag, on_fire);
-        ref.schedule(when, static_cast<std::uint8_t>(band), tag, on_fire);
+        const auto target = static_cast<std::uint64_t>(
+            rng.uniform(1, static_cast<std::int64_t>(tag)));
+        e.schedule(when, band, tag, on_fire, target);
+        ref.schedule(when, static_cast<std::uint8_t>(band), tag, on_fire,
+                     target);
       }
-      t += rng.uniform(500, 3499);
-      e.eng.run_until(t);
-      ref.run_until(t, expected);
+      std::int64_t cluster = 0;
+      if (batch % 2 == 1) {
+        cluster = rng.uniform(2, 300);
+        const Nanos slot =
+            (t + rng.uniform(kSlotNs, 4 * kSlotNs)) & ~(kSlotNs - 1);
+        struct Member {
+          Nanos when;
+          EventBand band;
+        };
+        // Half the clusters share one timestamp, so only (band, seq) orders
+        // them; the rest put half their members at the slot's start.
+        const bool one_time = rng.next_double() < 0.5;
+        const Nanos shared = rng.uniform(0, kSlotNs - 1);
+        std::vector<Member> members;
+        for (std::int64_t m = 0; m < cluster; ++m) {
+          Nanos offset = shared;
+          if (!one_time) {
+            offset = rng.next_double() < 0.5 ? 0 : rng.uniform(0, kSlotNs - 1);
+          }
+          members.push_back(
+              Member{slot + offset, static_cast<EventBand>(rng.uniform(0, 3))});
+        }
+        const bool descending = rng.next_double() < 0.5;
+        std::sort(members.begin(), members.end(),
+                  [descending](const Member& a, const Member& b) {
+                    const bool lt = a.when != b.when ? a.when < b.when
+                                                     : a.band < b.band;
+                    const bool gt = a.when != b.when ? a.when > b.when
+                                                     : a.band > b.band;
+                    return descending ? gt : lt;
+                  });
+        const std::uint64_t first = next_tag;
+        for (const Member& m : members) {
+          const auto on_fire = static_cast<OnFire>(rng.uniform(0, 7));
+          const std::uint64_t tag = next_tag++;
+          const std::uint64_t target =
+              first + static_cast<std::uint64_t>(rng.uniform(0, cluster - 1));
+          e.schedule(m.when, m.band, tag, on_fire, target);
+          ref.schedule(m.when, static_cast<std::uint8_t>(m.band), tag,
+                       on_fire, target);
+        }
+      }
+      if (step_only) {
+        const auto steps = rng.uniform(0, 2 * (ops + cluster));
+        for (std::int64_t i = 0; i < steps; ++i) {
+          const bool ran = e.eng.step();
+          ASSERT_EQ(ran, ref.step(expected)) << "seed " << seed;
+        }
+        ASSERT_EQ(e.eng.now(), ref.now()) << "seed " << seed;
+        t = e.eng.now();
+      } else {
+        t += rng.uniform(500, 3499);
+        e.eng.run_until(t);
+        ref.run_until(t, expected);
+        ASSERT_EQ(e.eng.now(), t) << "seed " << seed;
+      }
       ASSERT_EQ(e.got, expected) << "seed " << seed << " batch " << batch;
       ASSERT_EQ(e.eng.empty(), ref.empty()) << "seed " << seed;
-      ASSERT_EQ(e.eng.now(), t) << "seed " << seed;
+      ASSERT_EQ(e.eng.pending_count(), ref.size()) << "seed " << seed;
     }
 
-    e.eng.run_until(t + millis(1));  // drain stragglers
-    ref.run_until(t + millis(1), expected);
+    while (e.eng.step()) {  // drain stragglers
+    }
+    ref.run_until(std::numeric_limits<Nanos>::max(), expected);
     ASSERT_EQ(e.got, expected) << "seed " << seed;
     EXPECT_EQ(e.got_at, ref.fired_at()) << "seed " << seed;
     EXPECT_TRUE(e.eng.empty());

@@ -1,5 +1,5 @@
 // Integration and property tests across the whole stack:
-//   * determinism: identical seeds give identical simulations, and two
+//   * determinism: identical seeds give identical simulations, and three
 //     full-kernel scenarios match golden fingerprints,
 //   * hard invariant: admitted (feasible) constraints never miss, across a
 //     parameter sweep and under SMI storms and device-interrupt load,
@@ -162,6 +162,45 @@ std::uint64_t run_fig12_style() {
   return kernel_fingerprint(sys, threads);
 }
 
+// fig15/16-style BSP cell: a hard real-time group of 8 threads in lock-step
+// with the barrier on.  The members' compute, write and barrier steps end at
+// shared timestamps, so many wheel slots hold a gang of 8 or more same-time
+// events scheduled in (when, band) order; the fig06/fig12 runs above drain
+// no slot that large in order.
+std::uint64_t run_bsp_style() {
+  System::Options o;
+  o.spec = hw::MachineSpec::phi_small(9);
+  o.seed = 2018;
+  o.sched.sporadic_reservation = 0.04;
+  o.sched.aperiodic_reservation = 0.05;
+  System sys(std::move(o));
+  sys.machine().trace().enable();
+  sys.boot();
+  bsp::BspConfig cfg;
+  cfg.P = 8;
+  cfg.NE = 512;
+  cfg.NC = 8;
+  cfg.NW = 8;
+  cfg.N = 100;
+  cfg.mode = bsp::Mode::kGroupRt;
+  cfg.barrier = true;
+  cfg.period = sim::micros(200);
+  cfg.slice = sim::micros(160);
+  const sim::Nanos t0 = sys.engine().now();
+  const bsp::BspResult res = bsp::run_bsp(sys, cfg);
+  EXPECT_TRUE(res.admission_ok);
+  EXPECT_TRUE(res.all_done);
+  EXPECT_GT(res.barrier_rounds, 0u);
+  const grp::ThreadGroup* group =
+      sys.groups().find("bsp-" + std::to_string(t0));
+  if (group == nullptr) {
+    ADD_FAILURE() << "bsp group not found";
+    return 0;
+  }
+  EXPECT_EQ(group->members().size(), cfg.P);
+  return kernel_fingerprint(sys, group->members());
+}
+
 TEST(DeterminismFingerprint, Fig06StyleMatchesGolden) {
   const std::uint64_t fp = run_fig06_style();
   EXPECT_EQ(fp, 0x768c1c30aca0ea49ULL) << std::hex << "got 0x" << fp;
@@ -172,6 +211,12 @@ TEST(DeterminismFingerprint, Fig12StyleMatchesGolden) {
   const std::uint64_t fp = run_fig12_style();
   EXPECT_EQ(fp, 0x02dfec70e0cf6bc4ULL) << std::hex << "got 0x" << fp;
   EXPECT_EQ(fp, run_fig12_style()) << "two runs differ";
+}
+
+TEST(DeterminismFingerprint, BspStyleMatchesGolden) {
+  const std::uint64_t fp = run_bsp_style();
+  EXPECT_EQ(fp, 0x1fa7cae2a67fc539ULL) << std::hex << "got 0x" << fp;
+  EXPECT_EQ(fp, run_bsp_style()) << "two runs differ";
 }
 
 // ---------- The hard real-time invariant ----------
