@@ -233,7 +233,8 @@ int main(int argc, char** argv) {
   j.field("nodes", static_cast<std::uint64_t>(nodes));
   j.field("horizon_ms", static_cast<std::uint64_t>(horizon / 1000000));
   j.field("control_period_us", on.control_period_us);
-  // Flat gate keys (bench/run_perf.sh reads these three directly).
+  // Flat copies of the three shape-checked values, readable without
+  // walking the cells.
   j.field("availability_failover", on.availability);
   j.field("availability_baseline", off.availability);
   j.field("post_failover_misses", on.post_failover_misses);

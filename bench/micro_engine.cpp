@@ -14,8 +14,9 @@
 //
 // Output: one human-readable line per cell plus a machine-readable JSON
 // record (--json=PATH, default BENCH_engine.json) with events/sec, and for
-// `wheel` sampled p50/p99 schedule_at/cancel latencies.  See
-// docs/PERFORMANCE.md for the schema.
+// `wheel` sampled p50/p99 schedule_at/cancel latencies.  A local tool:
+// bench/run_perf.sh does not run it and no snapshot is committed, since
+// single runs swing too widely to compare (docs/PERFORMANCE.md).
 #include <chrono>
 #include <cstdio>
 #include <vector>

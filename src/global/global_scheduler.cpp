@@ -113,7 +113,7 @@ SplitPlan GlobalScheduler::plan_split(const rt::Constraints& c,
   // survive the worst recent window, not the average.
   if (kernel_ != nullptr && cfg_.split_degrade_missing_time) {
     for (std::uint32_t i = 0; i < n && i < kernel_->num_cpus(); ++i) {
-      auto* ls = dynamic_cast<rt::LocalScheduler*>(&kernel_->scheduler(i));
+      const rt::LocalScheduler* ls = kernel_->local_scheduler(i);
       if (ls == nullptr) continue;
       headroom[i] -= ls->missing_time().windowed_max_fraction();
       if (headroom[i] < 0.0) headroom[i] = 0.0;

@@ -11,14 +11,6 @@
 
 namespace hrt::global {
 
-namespace {
-
-rt::LocalScheduler* local_sched(nk::Kernel& kernel, std::uint32_t cpu) {
-  return dynamic_cast<rt::LocalScheduler*>(&kernel.scheduler(cpu));
-}
-
-}  // namespace
-
 bool Rebalancer::movable(const nk::Thread* t) const {
   if (t == nullptr || t->is_idle) return false;
   if (t->state == nk::Thread::State::kExited ||
@@ -76,7 +68,7 @@ bool Rebalancer::rebalance_once() {
   }
   if (victim == nullptr) return false;
 
-  rt::LocalScheduler* src = local_sched(*kernel_, hi);
+  rt::LocalScheduler* src = kernel_->local_scheduler(hi);
   if (src == nullptr || !src->request_migration(*victim, lo)) return false;
   ++stats_.migrations_proposed;
   return true;
@@ -141,7 +133,7 @@ std::uint32_t Rebalancer::make_room(const rt::Constraints& c,
       }
     }
     if (dest == kInvalidCpu) continue;
-    rt::LocalScheduler* src = local_sched(*kernel_, x);
+    rt::LocalScheduler* src = kernel_->local_scheduler(x);
     if (src == nullptr || !src->request_migration(*victim, dest)) continue;
     ++stats_.make_room_migrations;
     ++stats_.migrations_proposed;

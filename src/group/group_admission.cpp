@@ -22,11 +22,9 @@ nk::Action with_fx(nk::Action a, std::function<void(nk::ThreadCtx&)> extra) {
 }
 
 rt::LocalScheduler& local_sched(nk::ThreadCtx& ctx) {
-  // The group layer is built for the hard real-time scheduler; the
-  // static_cast mirrors the fact that nk_group_sched_change_constraints is
-  // part of that scheduler's API.
-  return static_cast<rt::LocalScheduler&>(
-      ctx.kernel.scheduler(ctx.self.cpu));
+  // The group layer is built for the hard real-time scheduler, as
+  // nk_group_sched_change_constraints is part of that scheduler's API.
+  return *ctx.kernel.local_scheduler(ctx.self.cpu);
 }
 
 constexpr std::uint32_t kBarrierA = 0;

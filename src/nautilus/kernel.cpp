@@ -98,9 +98,11 @@ void Kernel::boot() {
   const std::uint32_t n = machine_.num_cpus();
   executors_.reserve(n);
   schedulers_.reserve(n);
+  locals_.reserve(n);
   idle_threads_.reserve(n);
   for (std::uint32_t c = 0; c < n; ++c) {
     schedulers_.push_back(options_.scheduler_factory(*this, c));
+    locals_.push_back(schedulers_[c]->local());
     executors_.push_back(
         std::make_unique<CpuExecutor>(*this, c, schedulers_[c].get()));
   }

@@ -7,7 +7,7 @@
 // only interrupt handlers and threads (plus the scheduler's lightweight
 // tasks).  The kernel is policy-free about scheduling: a SchedulerFactory
 // supplies one SchedulerBase per CPU (the hard real-time scheduler from rt/,
-// or a baseline).
+// or the cyclic executive).
 #pragma once
 
 #include <cstdint>
@@ -141,6 +141,11 @@ class Kernel {
   [[nodiscard]] SchedulerBase& scheduler(std::uint32_t cpu) {
     return *schedulers_[cpu];
   }
+  /// The hard real-time scheduler on `cpu`, or null when the CPU runs
+  /// another policy (the cyclic executive).  Valid after boot().
+  [[nodiscard]] rt::LocalScheduler* local_scheduler(std::uint32_t cpu) const {
+    return locals_[cpu];
+  }
   [[nodiscard]] Thread* idle_thread(std::uint32_t cpu) {
     return idle_threads_[cpu];
   }
@@ -234,6 +239,7 @@ class Kernel {
 
   std::vector<std::unique_ptr<CpuExecutor>> executors_;
   std::vector<std::unique_ptr<SchedulerBase>> schedulers_;
+  std::vector<rt::LocalScheduler*> locals_;  // schedulers_[c]->local()
   std::vector<Thread*> idle_threads_;
 
   std::vector<std::unique_ptr<Thread>> threads_;

@@ -1,8 +1,8 @@
 // The interface a local scheduler presents to the kernel/executor layer.
 //
 // The concrete hard real-time scheduler lives in rt/; keeping the interface
-// here lets the kernel host any per-CPU scheduling policy (the baseline
-// non-real-time schedulers implement it too).
+// here lets the kernel host any per-CPU scheduling policy (the cyclic
+// executive in rt/ce_scheduler.hpp implements it too).
 #pragma once
 
 #include <cstdint>
@@ -11,6 +11,10 @@
 
 #include "rt/constraints.hpp"
 #include "sim/time.hpp"
+
+namespace hrt::rt {
+class LocalScheduler;
+}
 
 namespace hrt::nk {
 
@@ -99,9 +103,10 @@ class SchedulerBase {
   /// migration unsupported.
   virtual bool detach_for_migration(Thread& /*t*/) { return false; }
 
-  /// Introspection for tests and admission bookkeeping.
-  [[nodiscard]] virtual std::size_t thread_count() const = 0;
-  [[nodiscard]] virtual double admitted_utilization() const = 0;
+  /// The hard real-time scheduler behind this interface, or null for any
+  /// other policy.  The kernel reads it once per CPU when it builds the
+  /// schedulers (Kernel::local_scheduler), so no caller has to cast.
+  virtual rt::LocalScheduler* local() { return nullptr; }
 
   /// Invariant-audit checkpoint (audit/auditor.hpp), called by the executor
   /// after every handler once the switch has settled.  Default: no checks.

@@ -73,10 +73,6 @@ sim::Engine& StormController::engine() const {
   return kernel_->machine().engine();
 }
 
-rt::LocalScheduler* StormController::sched(std::uint32_t cpu) const {
-  return dynamic_cast<rt::LocalScheduler*>(&kernel_->scheduler(cpu));
-}
-
 void StormController::log(Transition::Kind k, std::uint32_t cpu, sim::Nanos t,
                           std::uint32_t thread_id, double util) {
   transitions_.push_back(Transition{k, cpu, t, thread_id, util});
@@ -138,7 +134,7 @@ void StormController::sample() {
   gc_records();
   auto& ledger = global_->ledger();
   for (std::uint32_t c = 0; c < cpus_.size(); ++c) {
-    rt::LocalScheduler* ls = sched(c);
+    rt::LocalScheduler* ls = kernel_->local_scheduler(c);
     if (ls == nullptr) continue;
     MissingTimeEstimator& est = ls->missing_time();
     est.advance(now);
@@ -193,7 +189,7 @@ void StormController::shed_thread(nk::Thread* t, std::uint32_t cpu,
   log(Transition::Kind::kShed, cpu, now, t->id, util);
   ++stats_.sheds;
   const std::uint32_t id = t->id;
-  sched(cpu)->defer_constraint_change(
+  kernel_->local_scheduler(cpu)->defer_constraint_change(
       *t, rt::Constraints::aperiodic(rt::kIdlePriority),
       [this, id](nk::Thread* th, bool ok) {
         ShedRecord* r = find_record(th, id);
@@ -263,7 +259,7 @@ void StormController::respond(std::uint32_t cpu, sim::Nanos now) {
       for (std::uint32_t c : global_->engine().rt_cpu_order()) {
         if (c == cpu) continue;
         if (ledger.headroom(c) + kEps < u) continue;
-        if (sched(cpu)->request_migration(*t, c)) {
+        if (kernel_->local_scheduler(cpu)->request_migration(*t, c)) {
           over -= u;
           log(Transition::Kind::kDrain, cpu, now, t->id, u);
           ++stats_.drains;
@@ -327,7 +323,7 @@ void StormController::try_restores(sim::Nanos now) {
     }
     r.restoring = true;
     const std::uint32_t id = r.id;
-    sched(t->cpu)->defer_constraint_change(
+    kernel_->local_scheduler(t->cpu)->defer_constraint_change(
         *t, r.original, [this, id](nk::Thread* th, bool ok) {
           ShedRecord* rec = find_record(th, id);
           if (rec == nullptr) return;

@@ -52,10 +52,6 @@ namespace hrt::audit {
 class Auditor;
 }
 
-namespace hrt::rt {
-class LocalScheduler;
-}
-
 namespace hrt::resilience {
 
 struct Config {
@@ -164,7 +160,6 @@ class StormController {
   void gc_records();
   void log(Transition::Kind k, std::uint32_t cpu, sim::Nanos t,
            std::uint32_t thread_id, double util);
-  [[nodiscard]] rt::LocalScheduler* sched(std::uint32_t cpu) const;
   [[nodiscard]] sim::Engine& engine() const;
   [[nodiscard]] ShedRecord* find_record(const nk::Thread* t, std::uint32_t id);
   [[nodiscard]] bool has_record(const nk::Thread* t) const;

@@ -215,11 +215,6 @@ void CyclicExecutiveScheduler::submit_task(nk::Task task) {
   tasks_queue_.push_back(std::move(task));
 }
 
-std::size_t CyclicExecutiveScheduler::thread_count() const {
-  return slots_claimed() + aperiodic_.size() + sleepers_.size() +
-         (exec_ != nullptr && exec_->current() != nullptr ? 1 : 0);
-}
-
 double CyclicExecutiveScheduler::admitted_utilization() const {
   double u = 0.0;
   for (std::size_t i = 0; i < tasks_.size(); ++i) {

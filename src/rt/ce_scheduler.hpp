@@ -44,10 +44,9 @@ class CyclicExecutiveScheduler final : public nk::SchedulerBase {
   void submit_task(nk::Task task) override;
   [[nodiscard]] std::size_t stealable_count() const override { return 0; }
   nk::Thread* try_steal() override { return nullptr; }
-  [[nodiscard]] std::size_t thread_count() const override;
-  [[nodiscard]] double admitted_utilization() const override;
 
   // --- introspection ---
+  [[nodiscard]] double admitted_utilization() const;
   [[nodiscard]] bool active() const { return epoch_ >= 0; }
   [[nodiscard]] sim::Nanos epoch() const { return epoch_; }
   [[nodiscard]] std::size_t slots_claimed() const;

@@ -712,8 +712,7 @@ void LocalScheduler::detach_bookkeeping(nk::Thread* t) {
   // A detach (exit, or a fresh change_constraints) abandons any in-flight
   // migration; release the utilization held on the target.
   if (t->migrate_to != nk::kNoMigrateTarget) {
-    auto* target =
-        dynamic_cast<LocalScheduler*>(&kernel_.scheduler(t->migrate_to));
+    LocalScheduler* target = kernel_.local_scheduler(t->migrate_to);
     if (target != nullptr) target->cancel_reservation(*t);
     t->migrate_to = nk::kNoMigrateTarget;
   }
@@ -927,7 +926,7 @@ bool LocalScheduler::request_migration(nk::Thread& t, std::uint32_t to) {
     return false;
   }
   if (t.migrate_to != nk::kNoMigrateTarget) return false;  // already in flight
-  auto* target = dynamic_cast<LocalScheduler*>(&kernel_.scheduler(to));
+  LocalScheduler* target = kernel_.local_scheduler(to);
   if (target == nullptr) return false;
   // Hold the utilization on the target now, so the space is still there when
   // the job boundary arrives.
@@ -951,7 +950,7 @@ bool LocalScheduler::request_migration(nk::Thread& t, std::uint32_t to) {
 void LocalScheduler::complete_migration(nk::Thread& t, sim::Nanos now) {
   const std::uint32_t to = t.migrate_to;
   t.migrate_to = nk::kNoMigrateTarget;  // before detach: keep the reservation
-  auto* target = dynamic_cast<LocalScheduler*>(&kernel_.scheduler(to));
+  LocalScheduler* target = kernel_.local_scheduler(to);
   if (target == nullptr) return;
   // Re-admission on the target starts a fresh RtState; carry the lifetime
   // statistics over so the migration is invisible in arrival/miss counters,

@@ -151,13 +151,13 @@ class LocalScheduler final : public nk::SchedulerBase {
   [[nodiscard]] std::size_t stealable_count() const override;
   nk::Thread* try_steal() override;
   bool detach_for_migration(nk::Thread& t) override;
-  [[nodiscard]] std::size_t thread_count() const override;
-  [[nodiscard]] double admitted_utilization() const override {
-    return admitted_periodic_util_ + sporadic_util_;
-  }
   void audit_state(sim::Nanos now) override;
+  LocalScheduler* local() override { return this; }
 
   // --- introspection ---
+  [[nodiscard]] double admitted_utilization() const {
+    return admitted_periodic_util_ + sporadic_util_;
+  }
   [[nodiscard]] const Config& config() const { return cfg_; }
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] std::size_t pending_count() const { return pending_.size(); }
@@ -280,6 +280,8 @@ class LocalScheduler final : public nk::SchedulerBase {
   void ledger_admit(double util);
   void ledger_release(double util);
   nk::Thread* select_next(sim::Nanos now, nk::PassReason reason);
+  /// Threads on this CPU, the per-thread term of the pass cost.
+  [[nodiscard]] std::size_t thread_count() const;
   void detach_bookkeeping(nk::Thread* t);
   [[nodiscard]] bool admit_check(const nk::Thread* t, const Constraints& c);
   [[nodiscard]] bool periodic_set_admissible(

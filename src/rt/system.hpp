@@ -85,7 +85,7 @@ class System {
 
   /// The concrete hard real-time scheduler on `cpu`.
   [[nodiscard]] rt::LocalScheduler& sched(std::uint32_t cpu) {
-    return static_cast<rt::LocalScheduler&>(kernel_->scheduler(cpu));
+    return *kernel_->local_scheduler(cpu);
   }
 
   /// Create an aperiodic thread bound to `cpu`.  Throws std::out_of_range

@@ -1,7 +1,8 @@
 // Tests for the extension modules: the interrupt thread (section 3.5's
 // second steering mechanism), the cyclic-executive scheduler (section 8
-// future work, running on the simulated machine), and trace export and
-// sim::Trace's per-CPU record positions.
+// future work, running on the simulated machine) beside the RT scheduler
+// in one kernel, and trace export and sim::Trace's per-CPU record
+// positions.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -190,6 +191,64 @@ TEST_F(CeFixture, ExitedSlotThreadLeavesIdleSegment) {
   kernel_->create_thread("short", std::move(b), 1);
   machine_->engine().run_until(sim::millis(20));
   EXPECT_NEAR(sched().admitted_utilization(), 0.0, 1e-9);
+}
+
+// ---------- Kernel::local_scheduler ----------
+
+// A mixed-policy kernel: the accessor is null on the cyclic-executive CPU,
+// so an RT migration toward it is refused with nothing held anywhere.
+TEST(Kernel, LocalSchedulerAccessor) {
+  const std::vector<rt::PeriodicTask> tasks{
+      {sim::micros(100), sim::micros(30), 0}};
+  auto ce = rt::CyclicExecutiveBuilder::build(tasks);
+  ASSERT_TRUE(ce.has_value());
+  hw::MachineSpec spec = hw::MachineSpec::phi_small(3);
+  spec.smi.enabled = false;
+  hw::Machine machine(spec, 42);
+  nk::Kernel::Options ko;
+  ko.scheduler_factory =
+      [ce_factory = rt::CyclicExecutiveScheduler::factory(*ce, tasks),
+       rt_factory = rt::make_scheduler_factory(rt::LocalScheduler::Config{})](
+          nk::Kernel& k, std::uint32_t cpu) {
+        return cpu == 2 ? ce_factory(k, cpu) : rt_factory(k, cpu);
+      };
+  nk::Kernel k(machine, std::move(ko));
+  k.boot();
+  EXPECT_EQ(k.local_scheduler(2), nullptr);
+  EXPECT_EQ(k.local_scheduler(1), &k.scheduler(1));
+
+  auto b = std::make_unique<nk::FnBehavior>(
+      [](nk::ThreadCtx&, std::uint64_t step) {
+        if (step == 0) {
+          return nk::Action::change_constraints(rt::Constraints::periodic(
+              0, sim::millis(1), sim::micros(300)));
+        }
+        return nk::Action::compute(sim::micros(50));
+      });
+  nk::Thread* t = k.create_thread("rt", std::move(b), 1);
+  machine.engine().run_until(sim::millis(5));
+  ASSERT_TRUE(t->last_admit_ok);
+  ASSERT_EQ(t->constraints.cls, rt::ConstraintClass::kPeriodic);
+
+  rt::LocalScheduler& from = *k.local_scheduler(1);
+  EXPECT_FALSE(from.request_migration(*t, 2));
+  EXPECT_EQ(t->migrate_to, nk::kNoMigrateTarget);
+  EXPECT_FALSE(from.has_reservation(*t));
+  EXPECT_EQ(from.stats().migrations_requested, 0u);
+  auto& target = static_cast<rt::CyclicExecutiveScheduler&>(k.scheduler(2));
+  EXPECT_EQ(target.slots_claimed(), 0u);
+  EXPECT_NEAR(target.admitted_utilization(), 0.0, 1e-9);
+  machine.engine().run_until(sim::millis(10));
+  EXPECT_EQ(t->cpu, 1u);
+
+  System sys(quiet());
+  sys.boot();
+  for (std::uint32_t c = 0; c < sys.kernel().num_cpus(); ++c) {
+    rt::LocalScheduler* ls = sys.kernel().local_scheduler(c);
+    ASSERT_NE(ls, nullptr);
+    EXPECT_EQ(ls, &sys.kernel().scheduler(c));
+    EXPECT_EQ(ls, &sys.sched(c));
+  }
 }
 
 // ---------- Trace export ----------

@@ -6,7 +6,6 @@
 #include "audit/replay.hpp"
 #include "bsp/bsp.hpp"
 #include "group/group_admission.hpp"
-#include "runtime/team.hpp"
 
 namespace hrt {
 namespace {
@@ -129,19 +128,6 @@ TEST(FailureInjection, BackToBackSmisExtendSingleFreeze) {
   // freeze spans [t0, t0+110]; the remaining ~85 us complete after it.
   EXPECT_GE(done_at, t0 + sim::micros(110 + 75));
   EXPECT_LT(done_at, t0 + sim::micros(110 + 100));
-}
-
-TEST(FailureInjection, TeamSurvivesSmiMidJob) {
-  System::Options o = base(8);
-  System sys(std::move(o));
-  sys.boot();
-  nrt::TeamRuntime team(sys, nrt::TeamRuntime::Options{.workers = 6});
-  nrt::Job& job =
-      team.parallel_for(1200, sim::micros(3), nrt::Dispatch::kGuided, 16);
-  sys.run_for(sim::micros(300));
-  sys.machine().smi().force(sim::micros(80));
-  ASSERT_TRUE(team.wait(job));
-  EXPECT_EQ(job.iterations_run(), 1200u);
 }
 
 TEST(FailureInjection, WorstCaseSmiAtSliceEndCausesBoundedLateness) {

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <random>
 #include <thread>
 #include <vector>
@@ -272,6 +273,38 @@ TEST(AdmissionFastPathFuzz, TenThousandSpecsZeroSpuriousAdmits) {
   EXPECT_GT(fast_true, 0u);
   EXPECT_GT(fast_sys.sched(0).stats().fast_admits, 0u);
   EXPECT_EQ(slow_sys.sched(0).stats().fast_admits, 0u);
+}
+
+// The BSP sweeps (Figs. 13-16) reach sigma/tau = 90 % under the 4 % + 5 %
+// reservations of bench/bsp_common.hpp, which leave an RT budget of
+// 0.99 - 0.04 - 0.05 = 0.8999999999999999 in doubles.  The word demand
+// ceil(0.9 * 2^32) is one quantum above the floored budget, so the fast
+// path rejects and the exact slow path is what admits the 90 % cell.
+TEST(AdmissionFastPath, NinetyPercentBspCellFallsBackToSlowPath) {
+  System::Options o = fuzz_options(true);
+  o.sched.sporadic_reservation = 0.04;
+  o.sched.aperiodic_reservation = 0.05;
+  System sys(std::move(o));
+  sys.boot();
+  rt::LocalScheduler& s = sys.sched(0);
+  ASSERT_EQ(s.effective_rt_availability(), 0.8999999999999999);
+  EXPECT_EQ(from_double_ceil(0.9), Raw{3865470567});
+  EXPECT_EQ(from_double_floor(s.effective_rt_availability()),
+            Raw{3865470566});
+
+  const auto at90 =
+      rt::Constraints::periodic(0, sim::micros(1000), sim::micros(900));
+  EXPECT_EQ(s.fast_path_decision(at90), std::optional<bool>(false));
+  EXPECT_TRUE(s.probe_admission(at90));
+  EXPECT_EQ(s.stats().fast_fallbacks, 1u);
+  EXPECT_EQ(s.stats().fast_admits, 0u);
+
+  const auto at89 =
+      rt::Constraints::periodic(0, sim::micros(1000), sim::micros(890));
+  EXPECT_EQ(s.fast_path_decision(at89), std::optional<bool>(true));
+  EXPECT_TRUE(s.probe_admission(at89));
+  EXPECT_EQ(s.stats().fast_admits, 1u);
+  EXPECT_EQ(s.stats().fast_fallbacks, 1u);
 }
 
 }  // namespace

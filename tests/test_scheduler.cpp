@@ -376,8 +376,7 @@ TEST(Tasks, UnsizedTasksQueueForHelperThread) {
   // A helper thread drains them.
   auto helper = std::make_unique<nk::FnBehavior>(
       [](nk::ThreadCtx& c, std::uint64_t) {
-        auto& sched = static_cast<rt::LocalScheduler&>(
-            c.kernel.scheduler(c.self.cpu));
+        auto& sched = *c.kernel.local_scheduler(c.self.cpu);
         if (!sched.has_unsized_task()) return nk::Action::exit();
         auto task = sched.pop_unsized_task();
         return nk::Action::compute(sim::micros(5),
@@ -449,8 +448,7 @@ TEST(Reservation, ReserveThenCommit) {
   sys.boot();
   auto b = std::make_unique<nk::FnBehavior>(
       [](nk::ThreadCtx& c, std::uint64_t step) {
-        auto& sched = static_cast<rt::LocalScheduler&>(
-            c.kernel.scheduler(c.self.cpu));
+        auto& sched = *c.kernel.local_scheduler(c.self.cpu);
         if (step == 0) {
           return nk::Action::compute(
               sim::micros(10), [&sched](nk::ThreadCtx& cc) {
