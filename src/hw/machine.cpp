@@ -1,5 +1,6 @@
 #include "hw/machine.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace hrt::hw {
@@ -13,6 +14,20 @@ Machine::Machine(const MachineSpec& spec, std::uint64_t seed)
       }) {
   if (const char* err = spec_.smi.validate()) {
     throw std::invalid_argument(err);
+  }
+  // The schedulers' release slop is one tick in either mode, and
+  // Apic::quantize divides by it unless deadlines are in TSC cycles.
+  if (spec_.timer.apic_tick_ns < 0 ||
+      (!spec_.timer.tsc_deadline && spec_.timer.apic_tick_ns == 0)) {
+    throw std::invalid_argument(
+        "TimerSpec: apic_tick_ns must be >= 0, and > 0 without tsc_deadline");
+  }
+  // A NaN passes jittered()'s `rel_std <= 0` test and would reach an int64
+  // cast; an infinity or a negative spread is no cost model either.
+  if (!std::isfinite(spec_.cost.jitter_rel_std) ||
+      spec_.cost.jitter_rel_std < 0.0) {
+    throw std::invalid_argument(
+        "CostModel: jitter_rel_std must be finite and >= 0");
   }
   cpus_.reserve(spec_.num_cpus);
   for (std::uint32_t i = 0; i < spec_.num_cpus; ++i) {

@@ -33,11 +33,13 @@ struct CostModel {
   sim::Cycles thread_create;         // thread pool allocation + setup
   sim::Cycles group_scan_per_member; // collective O(n) member scan, per member
   double jitter_rel_std;             // relative std-dev on charged costs
+                                     // (finite, >= 0; Machine checks)
 };
 
 /// APIC timer properties.
 struct TimerSpec {
-  sim::Nanos apic_tick_ns;  // one-shot countdown granularity
+  sim::Nanos apic_tick_ns;  // one-shot countdown granularity (>= 0, and
+                            // > 0 unless tsc_deadline; Machine checks)
   bool tsc_deadline;        // if true, program deadlines in TSC cycles
   sim::Nanos ipi_latency_ns;
 };

@@ -136,10 +136,30 @@ void Engine::drain_slot(std::uint32_t slot) {
   slot_head_[slot] = kNil;
   occupied_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
   wheel_count_ -= run_.size();
-  if (!descending) {
-    std::sort(run_.begin(), run_.end(),
-              [](const ReadyEntry& a, const ReadyEntry& b) {
-                return ready_after(a, b);
+  if (!descending) sort_run();
+}
+
+void Engine::sort_run() {
+  // Every entry lies in one slot, so descending sub-slot order is
+  // descending time order up to ties inside a bucket.  Bucket 0 is the
+  // slot's latest sub-slot.
+  const auto bucket = [](Nanos when) {
+    return kSubBuckets - 1 -
+           static_cast<std::uint32_t>((when & (kSlotNs - 1)) >> kSubShift);
+  };
+  std::array<std::uint32_t, kSubBuckets + 1> start{};
+  for (const ReadyEntry& e : run_) ++start[bucket(e.when) + 1];
+  for (std::uint32_t b = 0; b < kSubBuckets; ++b) start[b + 1] += start[b];
+  std::array<std::uint32_t, kSubBuckets> fill;
+  std::copy_n(start.begin(), kSubBuckets, fill.begin());
+  spare_.resize(run_.size());
+  for (const ReadyEntry& e : run_) spare_[fill[bucket(e.when)]++] = e;
+  run_.swap(spare_);
+  for (std::uint32_t b = 0; b < kSubBuckets; ++b) {
+    if (start[b + 1] - start[b] < 2) continue;
+    std::sort(run_.begin() + start[b], run_.begin() + start[b + 1],
+              [](const ReadyEntry& x, const ReadyEntry& y) {
+                return ready_after(x, y);
               });
   }
 }

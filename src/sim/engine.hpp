@@ -13,7 +13,8 @@
 //     (when, band, seq) order, popped from the back.  A slot's list is LIFO,
 //     so when its events were scheduled in order (a lock-stepped gang
 //     finishing at one timestamp) the list walk yields the run and no sort
-//     happens; any other slot is sorted once.
+//     happens; any other slot is sorted once: counting-sorted into 16 ns
+//     sub-slot buckets, so only each bucket's few entries need comparing.
 //   * side heap  — events scheduled into the already-drained window (e.g. at
 //     now() from a callback); a small binary heap ordered by (when, band,
 //     seq).  Entries carry their sort key inline, so sifts never touch the
@@ -124,6 +125,10 @@ class Engine {
   static constexpr std::uint32_t kSlotMask = kNumSlots - 1;
   static constexpr Nanos kSpanNs = kSlotNs * kNumSlots;
   static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
+  // An out-of-order slot is bucketed by sub-slot,
+  // (when & (kSlotNs - 1)) >> kSubShift, before each bucket is sorted.
+  static constexpr int kSubShift = 4;  // 16 ns buckets, 64 per slot
+  static constexpr std::uint32_t kSubBuckets = 1u << (kSlotShift - kSubShift);
 
   enum class Loc : std::uint8_t {
     kFree,    // on the free list
@@ -167,6 +172,8 @@ class Engine {
   void unlink_wheel(std::uint32_t idx);
   /// Fill the (empty) run with the slot's entries in descending order.
   void drain_slot(std::uint32_t slot);
+  /// Sort the run descending: bucket by sub-slot, then sort each bucket.
+  void sort_run();
   [[nodiscard]] std::uint32_t find_occupied_from(std::uint32_t slot) const;
   /// Advance wheel state and drain the next occupied slot into the run.
   /// Returns false when no live events exist anywhere.
@@ -201,6 +208,7 @@ class Engine {
   std::array<std::uint32_t, kNumSlots> slot_head_;
   std::array<std::uint64_t, kNumSlots / 64> occupied_;
   std::vector<ReadyEntry> run_;   // the drained slot, popped from the back
+  std::vector<ReadyEntry> spare_;  // sort_run's scatter target
   std::vector<ReadyEntry> side_;  // heap of schedules into the drained window
   std::vector<std::uint32_t> far_;
 };

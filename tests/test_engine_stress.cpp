@@ -2,10 +2,11 @@
 // against a naive reference implementation.  Callbacks schedule and cancel
 // while they run, as the kernel's do; a batched fuzz also cancels handles
 // that already ran, including a running event's own, and adds lock-step
-// clusters of up to 300 events in one wheel slot whose callbacks schedule
-// into the drained window and cancel events of their own slot.  Also pins
-// the stale-cancel regressions: empty() must stay exact and a recycled pool
-// slot must not be cancellable through an old handle.
+// clusters of up to 300 events in one wheel slot, and wide slots in random
+// order, whose callbacks schedule into the drained window and cancel events
+// of their own slot.  Also pins the stale-cancel regressions: empty() must
+// stay exact and a recycled pool slot must not be cancellable through an
+// old handle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -329,11 +330,15 @@ TYPED_TEST(EngineStress, RandomInterleavingsMatchReference) {
 // ever scheduled, so many are stale; callbacks may cancel their own
 // handle while running.  Every other batch adds a lock-step cluster, as a
 // gang of CPUs finishing together produces: up to 300 schedules inside one
-// wheel slot, in ascending or descending (when, band) order.  Callbacks
-// schedule into the drained window (at now() in kSmi, or at the slot's last
-// nanosecond) and cancel cluster members that may still wait to run.
-// Seed 77 advances by step() alone, so batches also land while a drained
-// slot is part-way through.
+// wheel slot, in ascending or descending (when, band) order.  Every fourth
+// batch adds a wide slot of 13-64 members at random offsets and bands,
+// scheduled in random order, so the drain's sub-slot bucket sort runs; batch
+// 20 adds 300 members at one timestamp in random band order: one bucket,
+// long enough that std::sort partitions it.  Callbacks schedule into the
+// drained window (at now() in kSmi, or at the slot's last nanosecond) and
+// cancel cluster members that may still wait to run.  Seed 77 advances by
+// step() alone, so batches also land while a drained slot is part-way
+// through.
 TEST(EngineFuzz, PopOrderMatchesReference) {
   for (const std::uint64_t seed : {1u, 7u, 42u, 1234u, 77u}) {
     const bool step_only = seed == 77;
@@ -343,6 +348,50 @@ TEST(EngineFuzz, PopOrderMatchesReference) {
     std::vector<std::uint64_t> expected;
     std::uint64_t next_tag = 1;
     Nanos t = 0;
+
+    struct Member {
+      Nanos when;
+      EventBand band;
+    };
+    enum class Order { kAscending, kDescending, kShuffled };
+    // Schedule `members` in `order`; each may cancel any member.
+    auto schedule_cluster = [&](std::vector<Member> members, Order order) {
+      if (order == Order::kShuffled) {
+        for (std::size_t i = members.size(); i > 1; --i) {
+          const auto j = static_cast<std::size_t>(
+              rng.uniform(0, static_cast<std::int64_t>(i) - 1));
+          std::swap(members[i - 1], members[j]);
+        }
+      } else {
+        const bool descending = order == Order::kDescending;
+        std::sort(members.begin(), members.end(),
+                  [descending](const Member& a, const Member& b) {
+                    const bool lt = a.when != b.when ? a.when < b.when
+                                                     : a.band < b.band;
+                    const bool gt = a.when != b.when ? a.when > b.when
+                                                     : a.band > b.band;
+                    return descending ? gt : lt;
+                  });
+      }
+      const std::uint64_t first = next_tag;
+      const auto n = static_cast<std::int64_t>(members.size());
+      for (const Member& m : members) {
+        const auto on_fire = static_cast<OnFire>(rng.uniform(0, 7));
+        const std::uint64_t tag = next_tag++;
+        const std::uint64_t target =
+            first + static_cast<std::uint64_t>(rng.uniform(0, n - 1));
+        e.schedule(m.when, m.band, tag, on_fire, target);
+        ref.schedule(m.when, static_cast<std::uint8_t>(m.band), tag, on_fire,
+                     target);
+      }
+      return n;
+    };
+    auto random_band = [&rng] {
+      return static_cast<EventBand>(rng.uniform(0, 3));
+    };
+    auto next_slot = [&rng, &t] {
+      return (t + rng.uniform(kSlotNs, 4 * kSlotNs)) & ~(kSlotNs - 1);
+    };
 
     for (int batch = 0; batch < 40; ++batch) {
       const auto ops = rng.uniform(1, 64);
@@ -367,45 +416,42 @@ TEST(EngineFuzz, PopOrderMatchesReference) {
       }
       std::int64_t cluster = 0;
       if (batch % 2 == 1) {
-        cluster = rng.uniform(2, 300);
-        const Nanos slot =
-            (t + rng.uniform(kSlotNs, 4 * kSlotNs)) & ~(kSlotNs - 1);
-        struct Member {
-          Nanos when;
-          EventBand band;
-        };
+        const auto size = rng.uniform(2, 300);
+        const Nanos slot = next_slot();
         // Half the clusters share one timestamp, so only (band, seq) orders
         // them; the rest put half their members at the slot's start.
         const bool one_time = rng.next_double() < 0.5;
         const Nanos shared = rng.uniform(0, kSlotNs - 1);
         std::vector<Member> members;
-        for (std::int64_t m = 0; m < cluster; ++m) {
+        for (std::int64_t m = 0; m < size; ++m) {
           Nanos offset = shared;
           if (!one_time) {
             offset = rng.next_double() < 0.5 ? 0 : rng.uniform(0, kSlotNs - 1);
           }
+          members.push_back(Member{slot + offset, random_band()});
+        }
+        cluster += schedule_cluster(std::move(members),
+                                    rng.next_double() < 0.5
+                                        ? Order::kDescending
+                                        : Order::kAscending);
+      }
+      if (batch % 4 == 0) {
+        const auto size = rng.uniform(13, 64);
+        const Nanos slot = next_slot();
+        std::vector<Member> members;
+        for (std::int64_t m = 0; m < size; ++m) {
           members.push_back(
-              Member{slot + offset, static_cast<EventBand>(rng.uniform(0, 3))});
+              Member{slot + rng.uniform(0, kSlotNs - 1), random_band()});
         }
-        const bool descending = rng.next_double() < 0.5;
-        std::sort(members.begin(), members.end(),
-                  [descending](const Member& a, const Member& b) {
-                    const bool lt = a.when != b.when ? a.when < b.when
-                                                     : a.band < b.band;
-                    const bool gt = a.when != b.when ? a.when > b.when
-                                                     : a.band > b.band;
-                    return descending ? gt : lt;
-                  });
-        const std::uint64_t first = next_tag;
-        for (const Member& m : members) {
-          const auto on_fire = static_cast<OnFire>(rng.uniform(0, 7));
-          const std::uint64_t tag = next_tag++;
-          const std::uint64_t target =
-              first + static_cast<std::uint64_t>(rng.uniform(0, cluster - 1));
-          e.schedule(m.when, m.band, tag, on_fire, target);
-          ref.schedule(m.when, static_cast<std::uint8_t>(m.band), tag,
-                       on_fire, target);
+        cluster += schedule_cluster(std::move(members), Order::kShuffled);
+      }
+      if (batch == 20) {
+        const Nanos when = next_slot() + rng.uniform(0, kSlotNs - 1);
+        std::vector<Member> members;
+        for (int m = 0; m < 300; ++m) {
+          members.push_back(Member{when, random_band()});
         }
+        cluster += schedule_cluster(std::move(members), Order::kShuffled);
       }
       if (step_only) {
         const auto steps = rng.uniform(0, 2 * (ops + cluster));

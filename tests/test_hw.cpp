@@ -2,6 +2,8 @@
 // acceptance rules, SMI source, GPIO, IoApic routing, machine-wide freeze.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "hw/machine.hpp"
@@ -266,6 +268,43 @@ TEST(Machine, TimersKeepCountingAcrossFreeze) {
   m.engine().schedule_at(100, [&] { m.freeze_all(sim::micros(50)); });
   m.engine().run_all();
   EXPECT_EQ(m.cpu(0).tsc().wall_ns(), m.engine().now());
+}
+
+// The schedulers' release slop is one tick in either mode, so a negative
+// tick is refused in both; Apic::quantize divides by the tick, so zero is
+// refused unless deadlines are programmed in TSC cycles.
+TEST(Machine, RejectsNegativeApicTickAndZeroWithoutTscDeadline) {
+  for (const bool tsc_deadline : {false, true}) {
+    MachineSpec spec = tiny();
+    spec.timer.tsc_deadline = tsc_deadline;
+    spec.timer.apic_tick_ns = -20;
+    EXPECT_THROW(Machine m(spec), std::invalid_argument) << tsc_deadline;
+  }
+  MachineSpec spec = tiny();
+  spec.timer.apic_tick_ns = 0;
+  EXPECT_THROW(Machine m(spec), std::invalid_argument);
+  spec.timer.tsc_deadline = true;
+  Machine m(spec);
+  m.cpu(0).apic().arm_oneshot(100);
+  m.engine().run_all();
+  EXPECT_EQ(m.cpu(0).apic().fires(), 1u);
+}
+
+// A NaN spread passes jittered()'s `rel_std <= 0` test and used to reach an
+// int64 cast; negative and infinite spreads are refused too.  Zero turns
+// jitter off and stays valid.
+TEST(Machine, RejectsNegativeOrNonFiniteJitter) {
+  for (const double rel_std :
+       {-0.01, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity()}) {
+    MachineSpec spec = tiny();
+    spec.cost.jitter_rel_std = rel_std;
+    EXPECT_THROW(Machine m(spec), std::invalid_argument) << rel_std;
+  }
+  MachineSpec spec = tiny();
+  spec.cost.jitter_rel_std = 0.0;
+  EXPECT_NO_THROW(Machine m(spec));
 }
 
 // ---------- Gpio + IoApic + Device ----------

@@ -2,8 +2,12 @@
 // deterministic RNG, statistics, histogram, scope analyzer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <vector>
 
+#include "hw/machine_spec.hpp"
 #include "sim/engine.hpp"
 #include "sim/histogram.hpp"
 #include "sim/rng.hpp"
@@ -267,6 +271,199 @@ TEST(Rng, JitterDisabledReturnsBase) {
   Rng r(1);
   EXPECT_EQ(r.jittered(1000, 0.0), 1000);
   EXPECT_EQ(r.jittered(0, 0.5), 0);
+}
+
+// Rng::jittered's formula as it stood before the fast path, libm cos and
+// all: the reference the fast path must reproduce bit for bit.
+std::int64_t libm_jitter(std::int64_t base, double rel_std,
+                         double min_fraction, double u1, double u2) {
+  if (u1 < 1e-300) u1 = 1e-300;
+  const double mag = std::sqrt(-2.0 * std::log(u1));
+  const double normal = 0.0 + rel_std * mag * std::cos(6.283185307179586 * u2);
+  const double v = static_cast<double>(base) * (1.0 + normal);
+  const double floor_v = static_cast<double>(base) * min_fraction;
+  return static_cast<std::int64_t>(v < floor_v ? floor_v : v);
+}
+
+// Draws `n` jitters from two same-seed streams, one through jittered() and
+// one through libm_jitter(); returns how many differ.
+std::int64_t jitter_mismatches(std::uint64_t seed, std::int64_t base,
+                               double rel_std, std::int64_t n,
+                               double min_fraction = 0.5) {
+  Rng fast(seed);
+  Rng ref(seed);
+  std::int64_t mismatches = 0;
+  for (std::int64_t i = 0; i < n; ++i) {
+    const std::int64_t got = fast.jittered(base, rel_std, min_fraction);
+    const double u1 = ref.next_double();
+    const double u2 = ref.next_double();
+    mismatches += got != libm_jitter(base, rel_std, min_fraction, u1, u2);
+  }
+  return mismatches;
+}
+
+// Every CostModel field of both machines, at the models' own rel_std, 10^7
+// draws each.  cost_ns is also charged lengths computed from the fields: a
+// scheduler pass of sched_pass_base + sched_pass_per_thread * n for up to
+// LocalScheduler's 1024 threads, a cyclic-executive pass of
+// sched_pass_base / 2, a reservation commit of admission_control / 20, and
+// atomics of any duration converted to cycles (every base 1..5000 here).
+// Then a slice at rel_std 1.0 (a cos error scaled ~12x larger) with the
+// default floor and with a negative one (negative costs returned); and
+// bases 2^20..2^40, where the band widens towards a cycle and the fallback
+// runs more and more often: from 2^37 up the band always covers an integer,
+// so every draw the floor does not clamp takes the fallback.
+TEST(Rng, JitteredMatchesLibmReference) {
+  std::vector<std::int64_t> bases;
+  std::uint64_t seed = 1;
+  for (const hw::MachineSpec& spec :
+       {hw::MachineSpec::phi(), hw::MachineSpec::r415()}) {
+    const hw::CostModel& c = spec.cost;
+    ASSERT_EQ(c.jitter_rel_std, 0.08);
+    for (const sim::Cycles b :
+         {c.irq_dispatch, c.sched_pass_base, c.sched_pass_per_thread,
+          c.context_switch, c.sched_other, c.admission_control, c.atomic_rmw,
+          c.cacheline_transfer, c.spin_notice, c.thread_create,
+          c.group_scan_per_member}) {
+      if (std::find(bases.begin(), bases.end(), b) == bases.end()) {
+        bases.push_back(b);
+      }
+    }
+    for (sim::Cycles n = 0; n <= 1024; ++n) {
+      const sim::Cycles pass = c.sched_pass_base + c.sched_pass_per_thread * n;
+      EXPECT_EQ(jitter_mismatches(seed++, pass, 0.08, 5'000), 0)
+          << spec.name << " pass with " << n << " threads";
+    }
+    for (const sim::Cycles b :
+         {c.sched_pass_base / 2, c.admission_control / 20}) {
+      EXPECT_EQ(jitter_mismatches(seed++, b, 0.08, 1'000'000), 0)
+          << spec.name << " base " << b;
+    }
+  }
+  for (const std::int64_t base : bases) {
+    EXPECT_EQ(jitter_mismatches(seed++, base, 0.08, 10'000'000), 0)
+        << "base " << base;
+  }
+  for (std::int64_t base = 1; base <= 5000; ++base) {
+    EXPECT_EQ(jitter_mismatches(seed++, base, 0.08, 2'000), 0)
+        << "base " << base;
+  }
+  for (const std::int64_t base : {6, 300, 2300, 80'000}) {
+    EXPECT_EQ(jitter_mismatches(seed++, base, 1.0, 1'000'000), 0)
+        << "base " << base << " rel_std 1.0";
+    EXPECT_EQ(jitter_mismatches(seed++, base, 1.0, 1'000'000, -4.0), 0)
+        << "base " << base << " rel_std 1.0, floor -4";
+  }
+  for (const int log2 : {20, 24, 30, 34, 36, 37, 38, 40}) {
+    const std::int64_t base = std::int64_t{1} << log2;
+    EXPECT_EQ(jitter_mismatches(seed++, base, 0.08, 100'000), 0)
+        << "base 2^" << log2;
+    EXPECT_EQ(jitter_mismatches(seed++, base + 1, 1.0, 100'000), 0)
+        << "base 2^" << log2 << " + 1, rel_std 1.0";
+  }
+}
+
+// Uniforms picked where a wrong fast path would show: u1 = 0 (the 1e-300
+// clamp), u2 on and next to each quadrant boundary, and pairs whose libm
+// value lies within 1e-9 of an integer or of the floor.
+TEST(Rng, JitterCostMatchesLibmAtHandPickedDraws) {
+  const std::vector<double> u1s = {0.0, 1e-300, 1e-12, 0.1, 0.5,
+                                   std::nextafter(1.0, 0.0)};
+  std::vector<double> u2s;
+  for (const double q : {0.0, 0.25, 0.5, 0.75, 1.0}) {
+    double lo = q;
+    double hi = q;
+    for (int k = 0; k < 8; ++k) {
+      if (q > 0.0) u2s.push_back(lo = std::nextafter(lo, 0.0));
+      if (q < 1.0) u2s.push_back(hi);
+      hi = std::nextafter(hi, 1.0);
+    }
+  }
+  for (const std::int64_t base : {1, 6, 1500, 2300, 80'000}) {
+    for (const double rel_std : {0.08, 1.0}) {
+      for (const double u1 : u1s) {
+        for (const double u2 : u2s) {
+          EXPECT_EQ(jitter_cost(base, rel_std, 0.5, u1, u2),
+                    libm_jitter(base, rel_std, 0.5, u1, u2))
+              << base << " " << rel_std << " " << u1 << " " << u2;
+        }
+      }
+    }
+  }
+
+  // Aim u2 at a target value T: cos(2*pi*u2) = (T/base - 1)/a, then walk
+  // u2 in 2^-52 steps across it.  Integer targets straddle a truncation;
+  // base/2 targets straddle the floor.
+  int near = 0;
+  int below_int = 0;
+  int above_int = 0;
+  for (const std::int64_t base : {6, 1500, 2300, 2301, 80'000}) {
+    for (const double rel_std : {0.08, 1.0}) {
+      for (const double u1 : {1e-12, 0.01, 0.3}) {
+        const double a = rel_std * std::sqrt(-2.0 * std::log(u1));
+        const double b = static_cast<double>(base);
+        const std::vector<double> targets = {
+            b * 0.5, b - 1.0, b, b + 1.0, std::floor(b * (1.0 + 0.3 * a)),
+            std::floor(b * (1.0 - 0.3 * a))};
+        for (const double target : targets) {
+          const double c = (target / b - 1.0) / a;
+          if (!(std::fabs(c) <= 1.0)) continue;
+          const double u2_hit = std::acos(c) / 6.283185307179586;
+          for (const double u2_mid : {u2_hit, 1.0 - u2_hit}) {
+            for (int j = -64; j <= 64; ++j) {
+              const double u2 = u2_mid + j * 0x1p-52;
+              if (!(u2 >= 0.0 && u2 < 1.0)) continue;
+              const double v =
+                  b * (1.0 + (0.0 + a * std::cos(6.283185307179586 * u2)));
+              if (std::fabs(v - target) >= 1e-9) continue;
+              ++near;
+              if (target == std::floor(target) && target != b * 0.5) {
+                below_int += v < target;
+                above_int += v >= target;
+              }
+              EXPECT_EQ(jitter_cost(base, rel_std, 0.5, u1, u2),
+                        libm_jitter(base, rel_std, 0.5, u1, u2))
+                  << base << " " << rel_std << " " << u1 << " " << u2;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(near, 1000);
+  EXPECT_GT(below_int, 100);
+  EXPECT_GT(above_int, 100);
+}
+
+// The band in jitter_cost assumes |cos_fast(x) - std::cos(x)| <=
+// kCosFastMaxErr over [0, 2*pi].  Check it on a dense grid of the
+// arguments jittered() forms, and within 64 ulps of every multiple of pi/4,
+// where the quadrant rounding switches.
+TEST(CosFast, StaysWithinAssumedBoundOfLibm) {
+  double worst = 0.0;
+  auto check = [&worst](double x) {
+    worst = std::max(worst, std::fabs(cos_fast(x) - std::cos(x)));
+  };
+  constexpr int kGrid = 1 << 23;
+  for (int i = 0; i < kGrid; ++i) {
+    check(6.283185307179586 * (static_cast<double>(i) / kGrid));
+  }
+  const double two_pi = 6.283185307179586;
+  for (int m = 0; m <= 8; ++m) {
+    const double center = m * (two_pi / 8.0);
+    double lo = center;
+    double hi = center;
+    for (int k = 0; k <= 64; ++k) {
+      if (lo >= 0.0) check(lo);
+      if (hi <= two_pi) check(hi);
+      lo = std::nextafter(lo, -1.0);
+      hi = std::nextafter(hi, 8.0);
+    }
+  }
+  check(two_pi * std::nextafter(1.0, 0.0));  // the largest u2 draw
+  EXPECT_LE(worst, kCosFastMaxErr);
+  // The documented derivation puts the error below 2^-51.
+  EXPECT_LT(worst, 0x1p-51);
 }
 
 TEST(Rng, ForkProducesIndependentStreams) {
