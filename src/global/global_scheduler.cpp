@@ -1,6 +1,7 @@
 #include "global/global_scheduler.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 #include "nautilus/behavior.hpp"
@@ -90,6 +91,25 @@ class AutoAdmitBehavior final : public nk::Behavior {
 };
 
 }  // namespace
+
+GlobalScheduler::GlobalScheduler(std::uint32_t num_cpus, double cpu_capacity,
+                                 Config cfg)
+    : cfg_(cfg),
+      ledger_(num_cpus, cpu_capacity),
+      engine_(ledger_, cfg),
+      rebalancer_(ledger_, engine_, cfg) {
+  // A NaN threshold fails `gap < threshold`, so every exit would rebalance.
+  if (!(cfg_.rebalance_threshold >= 0.0)) {
+    throw std::invalid_argument(
+        "global::Config: rebalance_threshold must be >= 0 and not NaN");
+  }
+  // A negative size makes the sized rebalance task an unsized helper-thread
+  // task (nk::Task).
+  if (cfg_.rebalance_task_size < 0) {
+    throw std::invalid_argument(
+        "global::Config: rebalance_task_size must be >= 0");
+  }
+}
 
 std::unique_ptr<nk::Behavior> GlobalScheduler::auto_admit(
     const rt::Constraints& c, std::unique_ptr<nk::Behavior> inner) {

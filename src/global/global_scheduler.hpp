@@ -44,11 +44,9 @@ class GlobalScheduler {
     std::uint64_t batch_specs = 0;          // specs across those batches
   };
 
-  GlobalScheduler(std::uint32_t num_cpus, double cpu_capacity, Config cfg)
-      : cfg_(cfg),
-        ledger_(num_cpus, cpu_capacity),
-        engine_(ledger_, cfg),
-        rebalancer_(ledger_, engine_, cfg) {}
+  /// Throws std::invalid_argument for a NaN or negative
+  /// cfg.rebalance_threshold or a negative cfg.rebalance_task_size.
+  GlobalScheduler(std::uint32_t num_cpus, double cpu_capacity, Config cfg);
 
   /// Late wiring; the kernel and registry outlive this object's uses.
   void attach(nk::Kernel* kernel, grp::GroupRegistry* groups) {

@@ -10,8 +10,11 @@ namespace hrt::global {
 
 namespace {
 
-// Mirrors the admission test's tolerance so "fits by ledger" and "admitted
-// by the scheduler" agree on the boundary.
+// Fit slack of the ledger test.  Admission scales its slack with the terms
+// it sums (rt::LocalScheduler's utilization_fits), so this flat slack is
+// looser by up to 1e-9: placement can pick a CPU whose admission then
+// rejects, which costs a retry, never a deadline.  Tightening it would
+// change placement decisions.
 constexpr double kEps = 1e-9;
 
 }  // namespace
@@ -145,13 +148,26 @@ std::vector<std::uint32_t> PlacementEngine::place_batch(
   if (n == 0 || specs.empty()) return out;
 
   // ONE ledger snapshot for the whole batch; every placement debits the
-  // scratch copy so later specs see earlier ones.
-  std::vector<double> head(n);
-  std::vector<double> committed(n);
+  // scratch copy so later specs see earlier ones.  The copy is a min-heap
+  // on (committed, CPU index): every scan below takes the first CPU in that
+  // order that passes its filters, which is the least-committed passing
+  // CPU, lowest index on ties.
+  struct Slot {
+    double committed;
+    double head;
+    std::uint32_t cpu;
+  };
+  auto later = [](const Slot& a, const Slot& b) {
+    if (a.committed != b.committed) return a.committed > b.committed;
+    return a.cpu > b.cpu;
+  };
+  std::vector<Slot> heap(n);
   for (std::uint32_t c = 0; c < n; ++c) {
-    head[c] = ledger_.headroom(c);
-    committed[c] = ledger_.committed(c);
+    heap[c] = Slot{ledger_.committed(c), ledger_.headroom(c), c};
   }
+  std::make_heap(heap.begin(), heap.end(), later);
+  // The entries popped for the current spec, in heap order.
+  std::vector<Slot> popped;
 
   // Worst-fit DECREASING: placing the big specs first is what makes the
   // single-pass packing competitive with per-spec placement against a live
@@ -166,37 +182,58 @@ std::vector<std::uint32_t> PlacementEngine::place_batch(
   const bool steer = cfg_.policy == Policy::kTopology &&
                      cfg_.steer_rt_interrupt_free &&
                      cfg_.interrupt_laden_cpus < n;
+  constexpr std::size_t kNone = ~std::size_t{0};
   for (std::size_t i : order) {
     const double util = specs[i].utilization();
     const bool realtime = specs[i].is_realtime();
-    auto scan = [&](bool want_free, bool avoid_storm, bool need_fit) {
-      std::uint32_t best = kInvalidCpu;
-      for (std::uint32_t c = 0; c < n; ++c) {
-        if (avoid_storm && storm_hit(c)) continue;
-        if (steer && ((c >= cfg_.interrupt_laden_cpus) != want_free)) continue;
-        if (need_fit && head[c] + kEps < util) continue;
-        if (best == kInvalidCpu || committed[c] < committed[best]) best = c;
+    auto passes = [&](const Slot& s, bool want_free, bool avoid_storm,
+                      bool need_fit) {
+      if (avoid_storm && storm_hit(s.cpu)) return false;
+      if (steer && ((s.cpu >= cfg_.interrupt_laden_cpus) != want_free)) {
+        return false;
       }
-      return best;
+      return !need_fit || s.head + kEps >= util;
     };
-    std::uint32_t cpu = kInvalidCpu;
+    // Index into `popped` of the first passing CPU.  A later scan of the
+    // same spec re-walks the popped prefix before popping further.
+    auto scan = [&](bool want_free, bool avoid_storm, bool need_fit) {
+      for (std::size_t k = 0; k < popped.size(); ++k) {
+        if (passes(popped[k], want_free, avoid_storm, need_fit)) return k;
+      }
+      while (!heap.empty()) {
+        std::pop_heap(heap.begin(), heap.end(), later);
+        popped.push_back(heap.back());
+        heap.pop_back();
+        if (passes(popped.back(), want_free, avoid_storm, need_fit)) {
+          return popped.size() - 1;
+        }
+      }
+      return kNone;
+    };
+    std::size_t k = kNone;
     // Same preference order as choose_cpu/fallback_cpu: quiet before
     // stormy, the right partition before the wrong one, fitting before
     // fallback-least-committed.
     const bool free_first = !steer || realtime;
     for (const bool need_fit : {true, false}) {
-      cpu = scan(free_first, true, need_fit);
-      if (cpu == kInvalidCpu) cpu = scan(!free_first, true, need_fit);
-      if (cpu == kInvalidCpu) cpu = scan(free_first, false, need_fit);
-      if (cpu == kInvalidCpu) cpu = scan(!free_first, false, need_fit);
-      if (cpu != kInvalidCpu) break;
+      k = scan(free_first, true, need_fit);
+      if (k == kNone) k = scan(!free_first, true, need_fit);
+      if (k == kNone) k = scan(free_first, false, need_fit);
+      if (k == kNone) k = scan(!free_first, false, need_fit);
+      if (k != kNone) break;
     }
-    out[i] = cpu;
-    if (cpu != kInvalidCpu) {
-      head[cpu] -= util;
-      if (head[cpu] < 0.0) head[cpu] = 0.0;
-      committed[cpu] += util;
+    if (k != kNone) {
+      Slot& s = popped[k];
+      out[i] = s.cpu;
+      s.head -= util;
+      if (s.head < 0.0) s.head = 0.0;
+      s.committed += util;
     }
+    for (const Slot& s : popped) {
+      heap.push_back(s);
+      std::push_heap(heap.begin(), heap.end(), later);
+    }
+    popped.clear();
   }
   return out;
 }

@@ -104,11 +104,12 @@ class PlacementEngine {
       std::uint32_t n, const rt::Constraints& c) const;
 
   /// One placement pass for a whole batch (System::spawn_batch): the ledger
-  /// is snapshotted into a scratch headroom vector once, then the specs are
-  /// packed worst-fit-decreasing against the scratch — each placement
-  /// debits it, so later specs see earlier ones without another ledger
-  /// read.  Specs that fit nowhere get the fallback CPU, exactly like
-  /// place(); result[i] is the CPU for specs[i].
+  /// is snapshotted once into a scratch min-heap on (committed, CPU index),
+  /// then the specs are packed worst-fit-decreasing against the scratch —
+  /// each placement debits it, so later specs see earlier ones without
+  /// another ledger read.  A spec costs O(log CPUs) when its least-committed
+  /// CPU passes the filters.  Specs that fit nowhere get the fallback CPU,
+  /// exactly like place(); result[i] is the CPU for specs[i].
   [[nodiscard]] std::vector<std::uint32_t> place_batch(
       const std::vector<rt::Constraints>& specs) const;
 

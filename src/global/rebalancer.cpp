@@ -27,10 +27,22 @@ bool Rebalancer::rebalance_once() {
   const std::uint32_t n = ledger_.num_cpus();
   if (n < 2) return false;
 
+  // The gap test needs only the least committed load among the CPUs other
+  // than `hi`, which is the least of all: `hi` holds the most, so it is
+  // also least only when every CPU holds the same.  The destination is
+  // ordered only once the gap passes.
   std::uint32_t hi = 0;
+  double most = ledger_.committed(0);
+  double least = most;
   for (std::uint32_t c = 1; c < n; ++c) {
-    if (ledger_.committed(c) > ledger_.committed(hi)) hi = c;
+    const double u = ledger_.committed(c);
+    if (u > most) {
+      hi = c;
+      most = u;
+    }
+    if (u < least) least = u;
   }
+  if (most - least < cfg_.rebalance_threshold) return false;
   // The destination is picked the same way placement is: interrupt-free
   // partition first when steering is on.
   std::uint32_t lo = kInvalidCpu;
@@ -41,8 +53,6 @@ bool Rebalancer::rebalance_once() {
     }
   }
   if (lo == kInvalidCpu) return false;
-  const double gap = ledger_.committed(hi) - ledger_.committed(lo);
-  if (gap < cfg_.rebalance_threshold) return false;
 
   // Largest movable periodic thread on `hi` that both fits in the gap
   // (moving it must not just flip the imbalance) and fits in `lo`'s

@@ -201,6 +201,145 @@ std::uint64_t run_bsp_style() {
   return kernel_fingerprint(sys, group->members());
 }
 
+/// Churn thread: one action of `jobs` - 1/2 slices of work, then exit in
+/// the middle of the last job.
+std::unique_ptr<nk::FnBehavior> finite(std::uint64_t jobs, sim::Nanos chunk) {
+  return std::make_unique<nk::FnBehavior>(
+      [jobs, chunk](nk::ThreadCtx&, std::uint64_t step) {
+        if (step == 0) {
+          return nk::Action::compute(static_cast<sim::Nanos>(2 * jobs - 1) *
+                                     chunk / 2);
+        }
+        return nk::Action::exit();
+      });
+}
+
+// admit_churn-style operator run, the one golden that runs placement:
+// telemetry with an SLO, audits in accumulate mode and sim::Trace on, as
+// perfbench's admit_churn_phi256 configures them.  Long-lived threads fill
+// CPUs 1-6; each wave makes a place_batch dry run (some with specs that fit
+// no CPU, so the no-fit fallback scans run), a spawn_batch and a spawn_auto
+// (every fourth fits no CPU: make_room, then a give-up), and now and then a
+// spawn_split.  Churn threads exit after a few jobs, and every exit runs
+// rebalance_once at the default threshold.  The hash covers each placement
+// decision and the placement and rebalancer stats besides the kernel run.
+std::uint64_t run_churn_style() {
+  System::Options o;
+  o.spec = hw::MachineSpec::phi_small(32);
+  o.seed = 7;
+  o.audit.enabled = true;  // accumulate mode; FORCE builds throw instead
+  o.telemetry.enabled = true;
+  telemetry::SloSpec slo;
+  slo.name = "longlived";
+  slo.thread_match = "ll.";
+  slo.window_ns = sim::millis(10);
+  o.telemetry.slos.push_back(slo);
+  System sys(std::move(o));
+  sys.machine().trace().enable();
+  sys.boot();
+
+  sim::Rng gen(20181);
+  const sim::Nanos taus[] = {sim::micros(200), sim::micros(500),
+                             sim::millis(1)};
+  std::uint64_t made = 0;
+  auto churn_spec = [&]() {
+    const sim::Nanos tau = taus[made++ % 3];
+    const double u = 0.08 + 0.22 * gen.next_double();
+    return rt::Constraints::periodic(gen.uniform(sim::micros(50),
+                                                 sim::micros(300)),
+                                     tau, static_cast<sim::Nanos>(tau * u));
+  };
+  Fnv1a h;
+  auto add_cpus = [&h](const std::vector<std::uint32_t>& cpus) {
+    h.add(cpus.size());
+    for (const std::uint32_t c : cpus) h.add(c);
+  };
+
+  std::vector<nk::Thread*> threads;
+  for (std::uint32_t cpu = 1; cpu <= 6; ++cpu) {
+    for (int k = 0; k < 3; ++k) {
+      const sim::Nanos tau = taus[k];
+      threads.push_back(sys.spawn(
+          "ll." + std::to_string(cpu) + "." + std::to_string(k),
+          rt_worker(rt::Constraints::periodic(sim::millis(1), tau,
+                                              tau * 24 / 100)),
+          cpu));
+    }
+  }
+  sys.run_for(sim::micros(500));
+
+  std::uint64_t id = 0;
+  for (int w = 0; w < 24; ++w) {
+    std::vector<rt::Constraints> dry;
+    for (int i = 0; i < 24; ++i) dry.push_back(churn_spec());
+    if (w % 4 == 1) {
+      dry.push_back(rt::Constraints::periodic(0, sim::millis(1),
+                                              sim::micros(900)));
+      dry.push_back(rt::Constraints::periodic(0, 0, sim::micros(10)));
+    }
+    if (w % 3 == 2) dry.push_back(rt::Constraints::aperiodic());
+    add_cpus(sys.placement().place_batch(dry));
+
+    std::vector<System::SpawnSpec> batch;
+    for (int i = 0; i < 8; ++i) {
+      System::SpawnSpec sp;
+      sp.name = "b." + std::to_string(id++);
+      sp.constraints = churn_spec();
+      sp.behavior = finite(static_cast<std::uint64_t>(gen.uniform(2, 5)),
+                           sp.constraints.slice);
+      batch.push_back(std::move(sp));
+    }
+    const System::BatchSpawnResult res = sys.spawn_batch(std::move(batch));
+    h.add(res.ok ? 1 : 0);
+    add_cpus(res.cpus);
+    threads.insert(threads.end(), res.threads.begin(), res.threads.end());
+
+    rt::Constraints c = churn_spec();
+    if (w % 4 == 0) {
+      c = rt::Constraints::periodic(c.phase, c.period, c.period * 85 / 100);
+    }
+    nk::Thread* a = sys.spawn_auto(
+        "a." + std::to_string(id++),
+        finite(static_cast<std::uint64_t>(gen.uniform(2, 5)), c.slice), c);
+    h.add(a->cpu);
+    threads.push_back(a);
+
+    if (w % 6 == 3) {
+      const double u = 0.82 + 0.16 * gen.next_double();
+      const std::uint64_t jobs = static_cast<std::uint64_t>(gen.uniform(2, 5));
+      const auto chunks = sys.spawn_split(
+          "s." + std::to_string(id++),
+          rt::Constraints::periodic(sim::micros(200), sim::millis(1),
+                                    static_cast<sim::Nanos>(sim::millis(1) * u)),
+          [&](std::uint32_t) { return finite(jobs, sim::micros(400)); });
+      h.add(chunks.size());
+      for (const nk::Thread* t : chunks) h.add(t->cpu);
+      threads.insert(threads.end(), chunks.begin(), chunks.end());
+    }
+    sys.run_for(sim::micros(300));
+  }
+  sys.run_for(sim::millis(5));
+
+  const global::GlobalScheduler::Stats& gs = sys.placement().stats();
+  for (const std::uint64_t v :
+       {gs.auto_placements, gs.fallback_placements, gs.split_plans,
+        gs.split_chunks, gs.admit_give_ups, gs.batch_placements,
+        gs.batch_specs}) {
+    h.add(v);
+  }
+  const global::Rebalancer::Stats& rs = sys.placement().rebalancer().stats();
+  for (const std::uint64_t v :
+       {rs.exit_rebalances, rs.migrations_proposed, rs.make_room_calls,
+        rs.make_room_migrations, rs.relocations}) {
+    h.add(v);
+  }
+  EXPECT_GT(gs.admit_give_ups, 0u);
+  EXPECT_GT(rs.make_room_calls, 0u);
+  EXPECT_GT(rs.migrations_proposed, 0u);
+  h.add(kernel_fingerprint(sys, threads));
+  return h.value();
+}
+
 TEST(DeterminismFingerprint, Fig06StyleMatchesGolden) {
   const std::uint64_t fp = run_fig06_style();
   EXPECT_EQ(fp, 0x768c1c30aca0ea49ULL) << std::hex << "got 0x" << fp;
@@ -217,6 +356,12 @@ TEST(DeterminismFingerprint, BspStyleMatchesGolden) {
   const std::uint64_t fp = run_bsp_style();
   EXPECT_EQ(fp, 0x1fa7cae2a67fc539ULL) << std::hex << "got 0x" << fp;
   EXPECT_EQ(fp, run_bsp_style()) << "two runs differ";
+}
+
+TEST(DeterminismFingerprint, ChurnStyleMatchesGolden) {
+  const std::uint64_t fp = run_churn_style();
+  EXPECT_EQ(fp, 0x05e34e398189ae72ULL) << std::hex << "got 0x" << fp;
+  EXPECT_EQ(fp, run_churn_style()) << "two runs differ";
 }
 
 // ---------- The hard real-time invariant ----------

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <numeric>
 #include <set>
 
@@ -80,6 +81,32 @@ TEST(SystemSpawn, RejectsOutOfRangeCpu) {
   nk::Thread* ok = sys.spawn("ok", busy(), 1);
   ASSERT_NE(ok, nullptr);
   EXPECT_EQ(ok->cpu, 1u);
+}
+
+// ---------- malformed placement settings ----------
+
+TEST(PlacementConfig, RejectsNanOrNegativeRebalanceThreshold) {
+  for (const double threshold :
+       {-0.01, -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()}) {
+    System::Options o = placed(2);
+    o.placement_config.rebalance_threshold = threshold;
+    EXPECT_THROW(System sys(o), std::invalid_argument) << threshold;
+  }
+  for (const double threshold :
+       {0.0, 0.8, std::numeric_limits<double>::infinity()}) {
+    System::Options o = placed(2);
+    o.placement_config.rebalance_threshold = threshold;
+    EXPECT_NO_THROW(System sys(o)) << threshold;
+  }
+}
+
+TEST(PlacementConfig, RejectsNegativeRebalanceTaskSize) {
+  System::Options o = placed(2);
+  o.placement_config.rebalance_task_size = -1;
+  EXPECT_THROW(System sys(o), std::invalid_argument);
+  o.placement_config.rebalance_task_size = 0;
+  EXPECT_NO_THROW(System sys(o));
 }
 
 // ---------- utilization ledger ----------
@@ -356,39 +383,54 @@ TEST(Rebalance, MakeRoomAdmitsAfterMigration) {
 }
 
 TEST(Rebalance, ExitTriggersRebalance) {
-  System sys(placed(2, 0));
-  sys.boot();
-  const auto c =
-      rt::Constraints::periodic(sim::millis(1), sim::millis(1), sim::micros(300));
   // Four 0.3 threads spread 2+2; the two transient ones land on the same
   // CPU (worst-fit alternates), and their exits leave a 0.6-vs-0 imbalance
-  // the exit-rebalance pass must level with one migration.
-  nk::Thread* t1 = sys.spawn_auto("short1", finite_worker(8, sim::micros(250)), c);
-  sys.run_for(sim::millis(2));
-  nk::Thread* p1 = sys.spawn_auto("long1", busy(), c);
-  sys.run_for(sim::millis(2));
-  nk::Thread* t2 = sys.spawn_auto("short2", finite_worker(8, sim::micros(250)), c);
-  sys.run_for(sim::millis(2));
-  nk::Thread* p2 = sys.spawn_auto("long2", busy(), c);
-  sys.run_for(sim::millis(2));
-  ASSERT_TRUE(admitted_rt(t1) && admitted_rt(p1) && admitted_rt(t2) &&
-              admitted_rt(p2));
-  ASSERT_EQ(t1->cpu, t2->cpu);
-  ASSERT_EQ(p1->cpu, p2->cpu);
-  ASSERT_NE(t1->cpu, p1->cpu);
+  // the exit-rebalance pass must level with one migration at the default
+  // threshold, and must leave alone at a threshold above the gap.
+  for (const double threshold : {0.25, 0.61}) {
+    SCOPED_TRACE(threshold);
+    System::Options o = placed(2, 0);
+    o.placement_config.rebalance_threshold = threshold;
+    System sys(o);
+    sys.boot();
+    const auto c = rt::Constraints::periodic(sim::millis(1), sim::millis(1),
+                                             sim::micros(300));
+    nk::Thread* t1 =
+        sys.spawn_auto("short1", finite_worker(8, sim::micros(250)), c);
+    sys.run_for(sim::millis(2));
+    nk::Thread* p1 = sys.spawn_auto("long1", busy(), c);
+    sys.run_for(sim::millis(2));
+    nk::Thread* t2 =
+        sys.spawn_auto("short2", finite_worker(8, sim::micros(250)), c);
+    sys.run_for(sim::millis(2));
+    nk::Thread* p2 = sys.spawn_auto("long2", busy(), c);
+    sys.run_for(sim::millis(2));
+    ASSERT_TRUE(admitted_rt(t1) && admitted_rt(p1) && admitted_rt(t2) &&
+                admitted_rt(p2));
+    ASSERT_EQ(t1->cpu, t2->cpu);
+    ASSERT_EQ(p1->cpu, p2->cpu);
+    ASSERT_NE(t1->cpu, p1->cpu);
 
-  sys.run_for(sim::millis(40));  // transients exit; rebalancer levels
+    sys.run_for(sim::millis(40));  // transients exit; rebalancer levels
 
-  EXPECT_TRUE(t1->state == nk::Thread::State::kExited ||
-              t1->state == nk::Thread::State::kPooled);
-  EXPECT_TRUE(t2->state == nk::Thread::State::kExited ||
-              t2->state == nk::Thread::State::kPooled);
-  EXPECT_GE(sys.placement().rebalancer().stats().migrations_proposed, 1u);
-  const auto& ledger = sys.placement().ledger();
-  EXPECT_LE(std::abs(ledger.committed(0) - ledger.committed(1)), 0.25 + 1e-9);
-  EXPECT_EQ(p1->rt.misses, 0u);
-  EXPECT_EQ(p2->rt.misses, 0u);
-  EXPECT_EQ(sys.auditor().total_violations(), 0u);
+    EXPECT_TRUE(t1->state == nk::Thread::State::kExited ||
+                t1->state == nk::Thread::State::kPooled);
+    EXPECT_TRUE(t2->state == nk::Thread::State::kExited ||
+                t2->state == nk::Thread::State::kPooled);
+    const auto& ledger = sys.placement().ledger();
+    const double gap = std::abs(ledger.committed(0) - ledger.committed(1));
+    const auto moved = sys.placement().rebalancer().stats().migrations_proposed;
+    if (threshold < 0.6) {
+      EXPECT_GE(moved, 1u);
+      EXPECT_LE(gap, 0.25 + 1e-9);
+    } else {
+      EXPECT_EQ(moved, 0u);
+      EXPECT_NEAR(gap, 0.6, 1e-6);
+    }
+    EXPECT_EQ(p1->rt.misses, 0u);
+    EXPECT_EQ(p2->rt.misses, 0u);
+    EXPECT_EQ(sys.auditor().total_violations(), 0u);
+  }
 }
 
 TEST(Rebalance, MakeRoomTiesPickEarlierVictimAndLowerDestination) {
@@ -468,6 +510,189 @@ TEST(Placement, RtCpuOrderMatchesStableSortReference) {
             << " steer " << steer;
       }
     }
+  }
+}
+
+TEST(Rebalance, DestinationIsFirstLeastCommittedInRtOrder) {
+  // rebalance_once migrates to the first least-committed CPU of
+  // rt_cpu_order() other than the most-committed one.  CPU 1 holds 0.6 and
+  // every other CPU is idle, so committed load and headroom tie on CPUs 0,
+  // 2, 3 and 4.  CPU 0 is interrupt-laden and CPU 2 storm-hit, which puts
+  // CPU 3 first among them in rt_cpu_order().
+  const std::vector<std::uint8_t> flags = {0, 0, 1, 0, 0};
+  System sys(placed(5, 1));
+  sys.boot();
+  const auto c =
+      rt::Constraints::periodic(sim::millis(1), sim::millis(1), sim::micros(300));
+  nk::Thread* a = sys.spawn("a", rt_worker(c), 1);
+  nk::Thread* b = sys.spawn("b", rt_worker(c), 1);
+  sys.run_for(sim::millis(5));
+  ASSERT_TRUE(admitted_rt(a) && admitted_rt(b));
+  sys.placement().engine_mut().set_storm_flags(&flags);
+  const auto& ledger = sys.placement().ledger();
+  std::uint32_t want = global::kInvalidCpu;
+  for (const std::uint32_t cpu : sys.placement().engine().rt_cpu_order()) {
+    if (cpu == 1) continue;
+    if (want == global::kInvalidCpu ||
+        ledger.committed(cpu) < ledger.committed(want)) {
+      want = cpu;
+    }
+  }
+  ASSERT_EQ(want, 3u);
+  ASSERT_TRUE(sys.placement().rebalancer().rebalance_once());
+  sys.run_for(sim::millis(5));
+  EXPECT_EQ(a->cpu, want);  // equal victims: the earlier-spawned one moves
+  EXPECT_EQ(b->cpu, 1u);
+  EXPECT_EQ(sys.auditor().total_violations(), 0u);
+}
+
+TEST(Rebalance, MakeRoomWalksPastVictimlessCandidates) {
+  // A 0.7 request fits no CPU (capacity 0.79).  In rt_cpu_order() CPU 2
+  // (headroom 0.59) and CPU 0 (0.54) come first, but every thread on them
+  // is smaller than their deficit; CPU 3 (0.49) is the first candidate
+  // whose thread covers it, and CPU 2 is the roomiest place to move that
+  // thread.
+  System sys(placed(4, 0));
+  sys.boot();
+  auto util = [](sim::Nanos slice) {
+    return rt::Constraints::periodic(sim::millis(1), sim::millis(1), slice);
+  };
+  sys.spawn("c2a", rt_worker(util(sim::micros(100))), 2);
+  sys.spawn("c2b", rt_worker(util(sim::micros(100))), 2);
+  sys.spawn("c0a", rt_worker(util(sim::micros(150))), 0);
+  sys.spawn("c0b", rt_worker(util(sim::micros(100))), 0);
+  nk::Thread* mover = sys.spawn("c3", rt_worker(util(sim::micros(300))), 3);
+  sys.spawn("c1a", rt_worker(util(sim::micros(300))), 1);
+  sys.spawn("c1b", rt_worker(util(sim::micros(300))), 1);
+  sys.run_for(sim::millis(5));
+  const std::vector<std::uint32_t> order =
+      sys.placement().engine().rt_cpu_order();
+  ASSERT_EQ(order, (std::vector<std::uint32_t>{2, 0, 3, 1}));
+
+  const std::uint32_t x = sys.placement().rebalancer().make_room(
+      util(sim::micros(700)), nullptr);
+  EXPECT_EQ(x, order[2]);
+  EXPECT_EQ(sys.placement().rebalancer().stats().make_room_migrations, 1u);
+  sys.run_for(sim::millis(5));
+  EXPECT_EQ(mover->cpu, 2u);
+  EXPECT_EQ(sys.auditor().total_violations(), 0u);
+}
+
+/// place_batch as it was before its CPUs were kept in a heap: for every
+/// spec, in worst-fit-decreasing order, up to eight full scans of the
+/// scratch ledger (partition, storm flag, fit), each taking the least
+/// committed CPU that passes, lowest index on ties.
+std::vector<std::uint32_t> place_batch_by_scan(
+    const global::UtilizationLedger& ledger,
+    const global::PlacementEngine& engine,
+    const std::vector<rt::Constraints>& specs) {
+  constexpr double kEps = 1e-9;
+  const global::Config& cfg = engine.config();
+  const std::uint32_t n = ledger.num_cpus();
+  std::vector<std::uint32_t> out(specs.size(), global::kInvalidCpu);
+  if (n == 0 || specs.empty()) return out;
+  std::vector<double> head(n);
+  std::vector<double> committed(n);
+  for (std::uint32_t c = 0; c < n; ++c) {
+    head[c] = ledger.headroom(c);
+    committed[c] = ledger.committed(c);
+  }
+  std::vector<std::size_t> order(specs.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return specs[a].utilization() > specs[b].utilization();
+                   });
+  const bool steer = cfg.policy == global::Policy::kTopology &&
+                     cfg.steer_rt_interrupt_free &&
+                     cfg.interrupt_laden_cpus < n;
+  for (const std::size_t i : order) {
+    const double util = specs[i].utilization();
+    auto scan = [&](bool want_free, bool avoid_storm, bool need_fit) {
+      std::uint32_t best = global::kInvalidCpu;
+      for (std::uint32_t c = 0; c < n; ++c) {
+        if (avoid_storm && engine.storm_hit(c)) continue;
+        if (steer && ((c >= cfg.interrupt_laden_cpus) != want_free)) continue;
+        if (need_fit && head[c] + kEps < util) continue;
+        if (best == global::kInvalidCpu || committed[c] < committed[best]) {
+          best = c;
+        }
+      }
+      return best;
+    };
+    std::uint32_t cpu = global::kInvalidCpu;
+    const bool free_first = !steer || specs[i].is_realtime();
+    for (const bool need_fit : {true, false}) {
+      cpu = scan(free_first, true, need_fit);
+      if (cpu == global::kInvalidCpu) cpu = scan(!free_first, true, need_fit);
+      if (cpu == global::kInvalidCpu) cpu = scan(free_first, false, need_fit);
+      if (cpu == global::kInvalidCpu) cpu = scan(!free_first, false, need_fit);
+      if (cpu != global::kInvalidCpu) break;
+    }
+    out[i] = cpu;
+    if (cpu != global::kInvalidCpu) {
+      head[cpu] -= util;
+      if (head[cpu] < 0.0) head[cpu] = 0.0;
+      committed[cpu] += util;
+    }
+  }
+  return out;
+}
+
+TEST(Placement, PlaceBatchMatchesScanReference) {
+  // place_batch must pick exactly what the full scans picked, on random
+  // batches against hand-fed ledgers: committed loads from a few discrete
+  // levels (ties are common), some capacities lowered as storm degradation
+  // does (headroom not monotone in committed load), storm flags on half the
+  // cases, laden partitions from empty to past the machine, steering on and
+  // off, every policy, and aperiodic, periodic, over-capacity and
+  // zero-period specs.
+  sim::Rng rng(20181018);
+  const global::Policy policies[] = {
+      global::Policy::kFirstFit, global::Policy::kBestFit,
+      global::Policy::kWorstFit, global::Policy::kTopology};
+  for (int round = 0; round < 20000; ++round) {
+    const auto n = static_cast<std::uint32_t>(rng.uniform(0, 300));
+    global::UtilizationLedger ledger(n, 0.8);
+    for (std::uint32_t c = 0; c < n; ++c) {
+      const auto level = rng.uniform(0, 9);
+      if (level > 0) ledger.on_admit(c, 0.1 * static_cast<double>(level));
+      if (rng.uniform(0, 4) == 0) {
+        ledger.set_capacity(c, 0.1 * static_cast<double>(rng.uniform(1, 7)));
+      }
+    }
+    std::vector<std::uint8_t> storm(n);
+    for (auto& f : storm) f = rng.uniform(0, 3) == 0 ? 1 : 0;
+    const std::uint32_t ladens[] = {0, 1, 4, n, n + 3};
+    global::Config cfg;
+    cfg.policy = policies[rng.uniform(0, 3)];
+    cfg.interrupt_laden_cpus = ladens[rng.uniform(0, 4)];
+    cfg.steer_rt_interrupt_free = rng.uniform(0, 1) == 1;
+    global::PlacementEngine engine(ledger, cfg);
+    if (round % 2 == 1) engine.set_storm_flags(&storm);
+
+    std::vector<rt::Constraints> specs(
+        static_cast<std::size_t>(rng.uniform(0, 64)));
+    for (rt::Constraints& s : specs) {
+      const auto kind = rng.uniform(0, 9);
+      if (kind == 0) {
+        s = rt::Constraints::aperiodic();
+      } else if (kind == 1) {
+        s = rt::Constraints::periodic(0, 0, sim::micros(100));
+      } else if (kind == 2) {
+        s = rt::Constraints::periodic(0, sim::millis(1),
+                                      sim::micros(rng.uniform(900, 1500)));
+      } else {
+        s = rt::Constraints::periodic(0, sim::millis(1),
+                                      sim::micros(50 * rng.uniform(1, 10)));
+      }
+    }
+    ASSERT_EQ(engine.place_batch(specs),
+              place_batch_by_scan(ledger, engine, specs))
+        << "round " << round << " n " << n << " policy "
+        << global::policy_name(cfg.policy) << " laden "
+        << cfg.interrupt_laden_cpus << " steer "
+        << cfg.steer_rt_interrupt_free << " specs " << specs.size();
   }
 }
 
