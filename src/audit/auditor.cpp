@@ -18,8 +18,6 @@ const char* invariant_name(Invariant inv) {
       return "group";
     case Invariant::kReplay:
       return "replay";
-    case Invariant::kPlacementLedger:
-      return "placement-ledger";
     case Invariant::kMigration:
       return "migration";
     case Invariant::kShedState:

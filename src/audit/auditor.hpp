@@ -16,8 +16,10 @@
 //     queued thread's State matches its queue.
 //   * budget: an arrival is never charged more than sigma plus the timer
 //     slop (and, when SMIs are enabled, a bounded missing-time allowance).
-//   * utilization: the admitted_periodic/sporadic ledgers equal the sums
-//     recomputed from the live thread set after every admit/exit/change.
+//   * utilization: each CPU's committed word in the placement ledger
+//     (global/ledger.hpp) equals the ceil-rounded quanta of its admitted
+//     periodic and sporadic threads, and its reserved word equals its
+//     reservation list, both exactly, after every scheduling pass.
 //   * edf-order: the eager engine never dispatches a later-deadline open RT
 //     thread while an earlier-deadline one sits in the run queue.
 //   * timer-arm: the one-shot timer is never re-armed at zero delay an
@@ -25,9 +27,6 @@
 //   * group: barrier arrivals/departures never exceed the expected count.
 //   * replay: divergence found by the offline EDF replay oracle
 //     (audit/replay.hpp) against a recorded trace.
-//   * placement-ledger: the global placement subsystem's per-CPU utilization
-//     ledger (global/ledger.hpp) equals the owning scheduler's own
-//     admitted_periodic + sporadic ledgers.
 //   * migration: every thread queued on a scheduler is owned by that CPU
 //     (t->cpu agrees), and job-boundary migration hand-offs never fail
 //     despite holding a reservation on the target.
@@ -68,7 +67,6 @@ enum class Invariant : std::uint8_t {
   kTimerArm,
   kGroup,
   kReplay,
-  kPlacementLedger,
   kMigration,
   kShedState,
   kEffectiveCapacity,
@@ -107,7 +105,6 @@ struct Config {
   bool check_edf_order = true;
   bool check_timer = true;
   bool check_group = true;
-  bool check_placement_ledger = true;
   bool check_migration = true;
   bool check_shed_state = true;
   bool check_effective_capacity = true;
@@ -153,7 +150,7 @@ class Auditor {
   std::vector<Violation> violations_;
   std::uint64_t total_violations_ = 0;
   std::uint64_t checks_run_ = 0;
-  std::uint64_t per_invariant_[13] = {};
+  std::uint64_t per_invariant_[12] = {};
 };
 
 }  // namespace hrt::audit

@@ -13,8 +13,6 @@ void UtilizationLedger::on_admit_raw(std::uint32_t cpu, rt::fp::Raw q) {
 }
 
 void UtilizationLedger::on_release_raw(std::uint32_t cpu, rt::fp::Raw q) {
-  // Clamp exactly like the schedulers' own ledgers do (AdmissionWord clamps
-  // at zero), so the audit cross-check stays drift-free.
   entries_[cpu].committed.release(q);
   releases_.fetch_add(1, std::memory_order_relaxed);
 }

@@ -1,23 +1,17 @@
-// Per-CPU utilization ledger: the global placement subsystem's view of how
-// much real-time utilization each local scheduler has committed.
+// Per-CPU utilization ledger: the one record of how much real-time
+// utilization each CPU has committed.
 //
-// The local schedulers feed the ledger deltas at their three utilization
-// mutation points (admission commit, detach/exit, sporadic tail release), so
-// it tracks the per-CPU admitted_periodic + sporadic ledgers exactly — the
-// kPlacementLedger audit invariant (docs/AUDIT.md) recomputes the
-// correspondence after every scheduling pass.  The placement engine and the
-// rebalancer read headroom from here instead of polling every scheduler.
-//
-// Lock-free representation: each per-CPU entry is a Q32.32 fixed-point
-// rt::fp::AdmissionWord (cache-line padded), updated by CAS with
-// release-publication and read with acquire loads, so PlacementEngine
-// observes a coherent snapshot without locking even when admissions run on
-// other host threads (batch spawn).  The deltas are fed as
-// *raw* fixed-point quanta computed once at the scheduler's mutation point
-// (LocalScheduler::ledger_admit / ledger_release), so this ledger's word and
-// the scheduler's own fast-path word hold bit-identical values — the audit
-// checks them for exact raw equality, and against the scheduler's shadow
-// double ledgers within one ulp (2^-32) per operation.
+// Each entry is a Q32.32 fixed-point rt::fp::AdmissionWord (cache-line
+// padded), updated by CAS with release-publication and read with acquire
+// loads.  The CPU's local scheduler is its only writer: it publishes the
+// ceil-rounded quantum of every admission commit, detach/exit and sporadic
+// tail release (LocalScheduler::ledger_admit / ledger_release), and reads
+// the word back for its admission fast path and admitted_utilization().
+// The placement engine, the rebalancer, the storm controller and the
+// cluster roll-up read headroom from here without locking, even when
+// admissions run on other host threads (batch spawn).  The kUtilization
+// audit invariant (docs/AUDIT.md) recomputes each word from the scheduler's
+// admitted threads after every scheduling pass and requires exact equality.
 //
 // Reservations (two-phase group admission, migration holds) are deliberately
 // *not* in the ledger: they are transient and already protect admission on
@@ -40,8 +34,7 @@ class UtilizationLedger {
   UtilizationLedger(std::uint32_t num_cpus, double capacity);
 
   /// Raw fixed-point feed: the scheduler converts its double delta once
-  /// (demand rounds up) and publishes the same quantum to its own fast-path
-  /// word and to this ledger, keeping the two bit-identical.
+  /// (demand rounds up) and publishes that quantum here.
   void on_admit_raw(std::uint32_t cpu, rt::fp::Raw q);
   void on_release_raw(std::uint32_t cpu, rt::fp::Raw q);
 
@@ -62,11 +55,6 @@ class UtilizationLedger {
   }
   [[nodiscard]] rt::fp::Raw committed_raw(std::uint32_t cpu) const {
     return entries_[cpu].committed.raw();
-  }
-  /// Operations applied to a CPU's word so far; scales the audit tolerance
-  /// (one ulp of double<->fixed divergence allowed per operation).
-  [[nodiscard]] std::uint64_t committed_ops(std::uint32_t cpu) const {
-    return entries_[cpu].committed.ops();
   }
   [[nodiscard]] double capacity(std::uint32_t cpu) const {
     return rt::fp::to_double(capacity_raw(cpu));

@@ -14,7 +14,9 @@ namespace {
 // it sums (rt::LocalScheduler's utilization_fits), so this flat slack is
 // looser by up to 1e-9: placement can pick a CPU whose admission then
 // rejects, which costs a retry, never a deadline.  Tightening it would
-// change placement decisions.
+// change placement decisions: a fit test on the ceil-rounded word alone
+// refuses exactly-full specs (a 0.79 spec on an empty 0.79 CPU) that
+// admission's exact fallback admits (Placement.ExactlyFullSpecsStayPlaceable).
 constexpr double kEps = 1e-9;
 
 }  // namespace

@@ -104,6 +104,23 @@ std::uint32_t Rebalancer::make_room(const rt::Constraints& c,
   const double util = c.utilization();
   const std::uint32_t n = ledger_.num_cpus();
 
+  // Give up before ordering the CPUs when the spec's demand quantum exceeds
+  // every CPU's capacity word by more than one ulp, so util > capacity +
+  // 2^-32 on every CPU.  No single migration can then seat it:
+  //  * on a CPU at or under capacity, the deficit util - headroom exceeds
+  //    the CPU's whole committed word by more than 2^-32; each victim's
+  //    quantum is inside that word, so none covers the deficit, even with
+  //    the 1e-12 slack below;
+  //  * on a CPU over capacity, the deficit is util, so a covering victim
+  //    needs a destination with headroom >= util - 2e-12, and no CPU's
+  //    headroom exceeds its capacity, which is below util - 2^-32.
+  const rt::fp::Raw need = rt::fp::from_double_ceil(util);
+  bool seatable = false;
+  for (std::uint32_t x = 0; x < n && !seatable; ++x) {
+    seatable = need <= rt::fp::sat_add(ledger_.capacity_raw(x), 1);
+  }
+  if (!seatable) return kInvalidCpu;
+
   // Live threads bucketed by CPU, built once the first candidate does not
   // already fit.  Each bucket keeps live_threads() order, so victim ties
   // resolve exactly as a scan of the whole list would.

@@ -63,9 +63,10 @@ class Kernel {
     /// Invariant auditor shared by all schedulers and group collectives
     /// (owned by the caller, typically rt::System); null disables audits.
     audit::Auditor* auditor = nullptr;
-    /// Per-CPU utilization ledger for the global placement subsystem
-    /// (global/ledger.hpp), fed by the local schedulers' admission and
-    /// detach events; owned by the caller, null disables the feed.
+    /// Per-CPU utilization ledger (global/ledger.hpp): the one record of
+    /// each CPU's committed real-time load, fed by the local schedulers'
+    /// admission and detach events and read by global placement.  Owned by
+    /// the caller; rt::LocalScheduler requires it.
     global::UtilizationLedger* placement_ledger = nullptr;
     /// Telemetry hub (telemetry/telemetry.hpp): flight recorder, metrics,
     /// SLO monitor.  Owned by the caller (typically rt::System); null

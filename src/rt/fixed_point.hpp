@@ -1,25 +1,26 @@
 // Q32.32 fixed-point utilization and the lock-free admission word.
 //
-// The admission fast path (docs/API.md "Lock-free admission fast path")
-// needs a per-CPU utilization accumulator that can be read and CAS-updated
-// wait-free from any context, and whose rounding is *provably conservative*:
-// a fast-path admit must imply the slow-path (double-arithmetic) admit, so
-// the fast path may spuriously reject but never spuriously admit.  The
-// sledge admissions-control idiom (one atomic fixed-point word) provides
-// the shape; the rounding discipline here provides the safety argument:
+// Each CPU's committed real-time utilization lives in exactly one such word,
+// its entry in global::UtilizationLedger (docs/API.md "Lock-free admission
+// fast path").  The local scheduler publishes every admit and release there
+// and probes it before running the O(n) analysis; the placement engine and
+// the rebalancer read it without locking.  The sledge admissions-control
+// idiom (one atomic fixed-point word) provides the shape; the rounding
+// discipline here makes the probe *conservative*:
 //
 //   * demand converts with from_double_ceil  (rounds UP, never understates)
 //   * capacity converts with from_double_floor (rounds DOWN, never
 //     overstates)
 //
 // so `sum(ceil(demand_i)) <= floor(capacity)` implies the exact real
-// inequality `sum(demand_i) <= capacity`, which the slow path's
-// compensated-summation test (rt/admission.hpp) accepts by construction.
+// inequality `sum(demand_i) <= capacity`, which the exact set test
+// (rt/admission.hpp) accepts by construction.  A probe may spuriously
+// reject (each conversion adds up to one ulp, 2^-32) but never spuriously
+// admit; a rejected probe falls back to the exact test, which decides.
 //
-// Each conversion introduces at most one ulp (2^-32 ~ 2.3e-10) of error,
-// and integer accumulation is exact, so after N admit/release operations
-// the word differs from the shadow double ledger by at most N ulp — the
-// bound the kPlacementLedger audit invariant enforces (docs/AUDIT.md).
+// Integer accumulation is exact, so the word always equals the sum of the
+// ceil-rounded quanta of the threads it holds; the kUtilization audit
+// (docs/AUDIT.md) recomputes that sum after every scheduling pass.
 //
 // The degenerate-constraint sentinel (rt::kDegenerateUtilization) and any
 // other out-of-range demand saturate to the maximum raw value, which can
@@ -39,8 +40,8 @@ using Raw = std::uint64_t;
 inline constexpr std::uint32_t kFracBits = 32;
 inline constexpr Raw kOne = Raw{1} << kFracBits;
 inline constexpr Raw kMaxRaw = ~Raw{0};
-/// One unit in the last place, as a double: the per-operation conversion
-/// error bound (2^-32).
+/// One unit in the last place, as a double: the per-conversion error bound
+/// (2^-32).
 inline constexpr double kUlp = 1.0 / 4294967296.0;
 
 /// Largest double that still converts without saturating (2^32).
@@ -84,13 +85,8 @@ inline constexpr double kSaturationThreshold = 4294967296.0;
 ///
 /// Memory ordering: mutations publish with release semantics and reads use
 /// acquire, so a placement decision that observes a committed value also
-/// observes every write the admitting CPU made before publishing it (the
-/// satellite-3 ordering requirement; exercised by the TSan concurrency
-/// tests).
-///
-/// The operation counter feeds the audit tolerance: after ops() operations
-/// the word and the shadow double ledger may legitimately differ by up to
-/// ops() * kUlp.
+/// observes every write the admitting CPU made before publishing it
+/// (exercised by the TSan concurrency tests).
 class AdmissionWord {
  public:
   AdmissionWord() = default;
@@ -110,7 +106,6 @@ class AdmissionWord {
       if (committed_.compare_exchange_weak(cur, next,
                                            std::memory_order_acq_rel,
                                            std::memory_order_acquire)) {
-        ops_.fetch_add(1, std::memory_order_relaxed);
         return true;
       }
     }
@@ -124,11 +119,10 @@ class AdmissionWord {
                                              std::memory_order_acq_rel,
                                              std::memory_order_acquire)) {
     }
-    ops_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Release `demand`, clamped at zero — exactly like the shadow double
-  /// ledgers clamp, so the audit cross-check stays drift-free.
+  /// Release `demand`, clamped at zero: an over-release empties the word
+  /// instead of wrapping it to a huge value.
   void release(Raw demand) {
     Raw cur = committed_.load(std::memory_order_acquire);
     for (;;) {
@@ -136,7 +130,6 @@ class AdmissionWord {
       if (committed_.compare_exchange_weak(cur, next,
                                            std::memory_order_acq_rel,
                                            std::memory_order_acquire)) {
-        ops_.fetch_add(1, std::memory_order_relaxed);
         return;
       }
     }
@@ -146,22 +139,9 @@ class AdmissionWord {
     return committed_.load(std::memory_order_acquire);
   }
   [[nodiscard]] double value() const { return to_double(raw()); }
-  [[nodiscard]] std::uint64_t ops() const {
-    return ops_.load(std::memory_order_relaxed);
-  }
-  /// Audit tolerance accumulated so far: one ulp per operation.
-  [[nodiscard]] double ulp_budget() const {
-    return static_cast<double>(ops()) * kUlp;
-  }
-
-  void reset() {
-    committed_.store(0, std::memory_order_release);
-    ops_.store(0, std::memory_order_relaxed);
-  }
 
  private:
   std::atomic<Raw> committed_{0};
-  std::atomic<std::uint64_t> ops_{0};
 };
 
 }  // namespace hrt::rt::fp

@@ -1,7 +1,6 @@
 #include "rt/local_scheduler.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -15,11 +14,24 @@ namespace hrt::rt {
 
 namespace {
 constexpr sim::Nanos kNoTimer = -1;
-// Utilization ledgers accumulate float error across admit/exit cycles; the
-// audit recomputation tolerates this much drift.
-constexpr double kLedgerEps = 1e-6;
 // Zero-delay one-shot re-arms in a row before the auditor calls it a storm.
 constexpr std::uint32_t kZeroArmStormThreshold = 64;
+
+/// A budget must be a fraction of one CPU: NaN, negative or above-1 values
+/// would make the capacity word meaningless.
+void require_fraction(double v, const char* name) {
+  if (!(v >= 0.0 && v <= 1.0)) {
+    throw std::invalid_argument(std::string("LocalScheduler: ") + name +
+                                " must be in [0, 1], got " +
+                                std::to_string(v));
+  }
+}
+
+/// A sporadic constraint as a density task: size over its deadline window,
+/// the same division Constraints::utilization() makes.
+PeriodicTask density_task(const Constraints& c) {
+  return PeriodicTask{c.deadline_offset - c.phase, c.size, 0};
+}
 }  // namespace
 
 LocalScheduler::LocalScheduler(nk::Kernel& kernel, std::uint32_t cpu,
@@ -36,6 +48,26 @@ LocalScheduler::LocalScheduler(nk::Kernel& kernel, std::uint32_t cpu,
       nonrt_(cfg.max_threads),
       sleepers_(cfg.max_threads),
       estimator_(cfg.estimator) {
+  if (ledger_ == nullptr) {
+    throw std::invalid_argument(
+        "LocalScheduler: Kernel::Options::placement_ledger is required");
+  }
+  require_fraction(cfg_.utilization_limit, "utilization_limit");
+  require_fraction(cfg_.sporadic_reservation, "sporadic_reservation");
+  require_fraction(cfg_.aperiodic_reservation, "aperiodic_reservation");
+  // The capacity word would silently floor a negative RT capacity to 0.
+  if (cfg_.sporadic_reservation + cfg_.aperiodic_reservation >
+      cfg_.utilization_limit) {
+    throw std::invalid_argument(
+        "LocalScheduler: sporadic + aperiodic reservations exceed the "
+        "utilization limit");
+  }
+  // A negative reserve would raise the degraded capacity.
+  if (!(cfg_.resilience_reserve >= 0.0)) {
+    throw std::invalid_argument(
+        "LocalScheduler: resilience_reserve must be >= 0, got " +
+        std::to_string(cfg_.resilience_reserve));
+  }
   // Budget-conservation tolerance: timer quantization (arming rounds the
   // enforcement interrupt up, and it can land one pass late) plus, when the
   // machine has SMIs, a bounded missing-time allowance — frozen windows are
@@ -103,8 +135,7 @@ void LocalScheduler::close_arrival(nk::Thread* t, sim::Nanos now) {
     // Sporadic threads continue as aperiodic with their tail priority
     // (section 3.1).  The caller keeps the thread current; it is not queued.
     ledger_release(t->rt.density);
-    sporadic_util_ -= t->rt.density;
-    if (sporadic_util_ < 0) sporadic_util_ = 0;
+    std::erase(sporadic_set_, t);
     t->rt.density = 0.0;
     t->constraints = Constraints::aperiodic(t->constraints.priority);
     if (!cfg_.test_faults.stale_sporadic_tail) {
@@ -449,7 +480,7 @@ bool LocalScheduler::fast_words_fit(fp::Raw need) const {
   // exact real inequality and therefore the slow path's answer.
   const fp::Raw cap = fp::from_double_floor(effective_rt_availability());
   const fp::Raw total = fp::sat_add(
-      fp::sat_add(fast_committed_.raw(), fast_reserved_.raw()), need);
+      fp::sat_add(ledger_->committed_raw(cpu_), fast_reserved_.raw()), need);
   return total <= cap;
 }
 
@@ -492,7 +523,7 @@ bool LocalScheduler::admit_check(const nk::Thread* t, const Constraints& c) {
         return false;
       }
       // Lock-free fast path: one word probe instead of the O(n) set build.
-      // The committed word already counts t's own old utilization and the
+      // The ledger word already counts t's own old utilization and the
       // reserved word its reservation, both of which the slow path would
       // exclude — extra demand only, so a fast admit is still conservative.
       // A matching-class reservation held by t covers (part of) the new
@@ -514,25 +545,28 @@ bool LocalScheduler::admit_check(const nk::Thread* t, const Constraints& c) {
     }
     case ConstraintClass::kSporadic: {
       if (c.size < cfg_.min_slice) return false;
-      const double density = c.utilization();
-      double current = sporadic_util_;
-      if (t != nullptr && t->constraints.cls == ConstraintClass::kSporadic) {
-        current -= t->rt.density;
-      }
-      std::size_t terms = 2;  // the running sum + the new density
-      for (const auto& [rthread, rc] : reservations_) {
-        if (rthread != t && rc.cls == ConstraintClass::kSporadic) {
-          current += rc.utilization();
-          ++terms;
-        }
-      }
-      // Conservative rounding toward reject (docs/API.md): the old blanket
-      // 1e-9 epsilon admitted densities genuinely over the budget.
-      return utilization_fits(current + density, terms,
-                              cfg_.sporadic_reservation);
+      // The exact density test against the sporadic reservation; a
+      // ceil-rounded word would refuse budgets that fill it exactly.
+      auto set = sporadic_tasks_without(t);
+      set.push_back(density_task(c));
+      return edf_admissible(set, cfg_.sporadic_reservation);
     }
   }
   return false;
+}
+
+std::vector<PeriodicTask> LocalScheduler::sporadic_tasks_without(
+    const nk::Thread* exclude) const {
+  std::vector<PeriodicTask> set;
+  for (const nk::Thread* s : sporadic_set_) {
+    if (s != exclude) set.push_back(density_task(s->constraints));
+  }
+  for (const auto& [rt, rc] : reservations_) {
+    if (rt != exclude && rc.cls == ConstraintClass::kSporadic) {
+      set.push_back(density_task(rc));
+    }
+  }
+  return set;
 }
 
 std::vector<PeriodicTask> LocalScheduler::periodic_tasks_with(
@@ -622,26 +656,17 @@ bool LocalScheduler::reserve_batch(
       }
       ok = periodic_ok;
     }
-    // Sporadic demand goes against its own reservation budget; one summed
-    // conservative comparison covers the subset.
-    double sporadic_total = sporadic_util_;
-    std::size_t sporadic_terms = 1;
-    std::size_t sporadic_count = 0;
-    for (const auto& [rthread, rc] : reservations_) {
-      if (rc.cls == ConstraintClass::kSporadic) {
-        sporadic_total += rc.utilization();
-        ++sporadic_terms;
+    // Sporadic demand goes against its own reservation budget; one exact
+    // density test covers the subset.
+    auto sporadic = sporadic_tasks_without(nullptr);
+    const std::size_t held = sporadic.size();
+    for (const auto& [t, c] : items) {
+      if (c.cls == ConstraintClass::kSporadic) {
+        sporadic.push_back(density_task(c));
       }
     }
-    for (const auto& [t, c] : items) {
-      if (c.cls != ConstraintClass::kSporadic) continue;
-      sporadic_total += c.utilization();
-      ++sporadic_terms;
-      ++sporadic_count;
-    }
-    if (sporadic_count > 0) {
-      ok = ok && utilization_fits(sporadic_total, sporadic_terms,
-                                  cfg_.sporadic_reservation);
+    if (sporadic.size() > held) {
+      ok = ok && edf_admissible(sporadic, cfg_.sporadic_reservation);
     }
   }
   const sim::Nanos now = kernel_.machine().cpu(cpu_).tsc().wall_ns();
@@ -696,15 +721,12 @@ void LocalScheduler::detach_bookkeeping(nk::Thread* t) {
     auto it = std::find(periodic_set_.begin(), periodic_set_.end(), t);
     if (it != periodic_set_.end()) {
       ledger_release(t->constraints.utilization());
-      admitted_periodic_util_ -= t->constraints.utilization();
-      if (admitted_periodic_util_ < 0) admitted_periodic_util_ = 0;
       periodic_set_.erase(it);
     }
   }
   if (t->constraints.cls == ConstraintClass::kSporadic && t->rt.density > 0) {
     ledger_release(t->rt.density);
-    sporadic_util_ -= t->rt.density;
-    if (sporadic_util_ < 0) sporadic_util_ = 0;
+    std::erase(sporadic_set_, t);
     // Zero the released density: a second detach (exit after a failed
     // change) must not double-release it.
     t->rt.density = 0.0;
@@ -787,7 +809,6 @@ bool LocalScheduler::change_constraints(nk::Thread& t, const Constraints& req,
     case ConstraintClass::kPeriodic: {
       if (was_sleeping) t.state = nk::Thread::State::kReady;
       ledger_admit(c.utilization());
-      admitted_periodic_util_ += c.utilization();
       periodic_set_.push_back(&t);
       t.rt.arrival = gamma + c.phase;
       t.rt.in_pending = true;
@@ -800,7 +821,7 @@ bool LocalScheduler::change_constraints(nk::Thread& t, const Constraints& req,
       if (was_sleeping) t.state = nk::Thread::State::kReady;
       t.rt.density = c.utilization();
       ledger_admit(t.rt.density);
-      sporadic_util_ += t.rt.density;
+      sporadic_set_.push_back(&t);
       t.rt.arrival = gamma + c.phase;
       t.rt.deadline = gamma + c.deadline_offset;
       t.rt.in_pending = true;
@@ -901,21 +922,18 @@ bool LocalScheduler::detach_for_migration(nk::Thread& t) {
 // --- job-boundary RT migration (docs/GLOBAL.md) ---------------------------
 
 void LocalScheduler::ledger_admit(double util) {
-  // One rounding, two destinations: the same raw quantum feeds this
-  // scheduler's fast-path word and the global placement ledger, so the two
-  // words stay bit-identical (the kPlacementLedger audit checks exact raw
-  // equality) and each differs from the shadow doubles by at most one ulp
-  // per operation.
-  const fp::Raw q = fp::from_double_ceil(util);
-  fast_committed_.add(q);
-  if (ledger_ != nullptr) ledger_->on_admit_raw(cpu_, q);
+  // Demand rounds up, so the word never understates what is committed; a
+  // release subtracts the same quantum its admit added.
+  ledger_->on_admit_raw(cpu_, fp::from_double_ceil(util));
 }
 
 void LocalScheduler::ledger_release(double util) {
-  const fp::Raw q = fp::from_double_ceil(util);
-  fast_committed_.release(q);
-  if (ledger_ == nullptr || cfg_.test_faults.drop_ledger_release) return;
-  ledger_->on_release_raw(cpu_, q);
+  if (cfg_.test_faults.drop_ledger_release) return;
+  ledger_->on_release_raw(cpu_, fp::from_double_ceil(util));
+}
+
+double LocalScheduler::admitted_utilization() const {
+  return ledger_->committed(cpu_);
 }
 
 bool LocalScheduler::request_migration(nk::Thread& t, std::uint32_t to) {
@@ -1110,20 +1128,17 @@ void LocalScheduler::audit_queues(sim::Nanos now) {
 
 void LocalScheduler::audit_utilization(sim::Nanos now) {
   auditor_->count_check();
-  double periodic = 0.0;
+  // Committed-word invariant: the ledger word equals the ceil-rounded
+  // quanta of the admitted threads, recomputed from the periodic set and a
+  // walk of every queue for sporadics.  Integer sums, so equality is exact.
+  fp::Raw committed = 0;
   for (const nk::Thread* t : periodic_set_) {
-    periodic += t->constraints.utilization();
+    committed = fp::sat_add(
+        committed, fp::from_double_ceil(t->constraints.utilization()));
   }
-  if (std::abs(periodic - admitted_periodic_util_) > kLedgerEps) {
-    auditor_->record(
-        audit::Invariant::kUtilization, cpu_, now,
-        "periodic ledger " + std::to_string(admitted_periodic_util_) +
-            " != recomputed " + std::to_string(periodic));
-  }
-  double sporadic = 0.0;
-  auto add = [&sporadic](const nk::Thread* t) {
+  auto add = [&committed](const nk::Thread* t) {
     if (t->constraints.cls == ConstraintClass::kSporadic) {
-      sporadic += t->rt.density;
+      committed = fp::sat_add(committed, fp::from_double_ceil(t->rt.density));
     }
   };
   pending_.for_each(add);
@@ -1132,44 +1147,12 @@ void LocalScheduler::audit_utilization(sim::Nanos now) {
   sleepers_.for_each(add);
   const nk::Thread* cur = exec_ != nullptr ? exec_->current() : nullptr;
   if (cur != nullptr && cur->heap_index.owner == nullptr) add(cur);
-  if (std::abs(sporadic - sporadic_util_) > kLedgerEps) {
+  if (committed != ledger_->committed_raw(cpu_)) {
     auditor_->record(audit::Invariant::kUtilization, cpu_, now,
-                     "sporadic ledger " + std::to_string(sporadic_util_) +
-                         " != recomputed " + std::to_string(sporadic));
-  }
-  // Placement-ledger invariant: the global subsystem's per-CPU view must
-  // track this scheduler's own ledgers exactly (same deltas, same clamping).
-  if (ledger_ != nullptr && auditor_->config().check_placement_ledger) {
-    const double mine = admitted_periodic_util_ + sporadic_util_;
-    if (std::abs(ledger_->committed(cpu_) - mine) > kLedgerEps) {
-      auditor_->record(
-          audit::Invariant::kPlacementLedger, cpu_, now,
-          "placement ledger " + std::to_string(ledger_->committed(cpu_)) +
-              " != scheduler ledgers " + std::to_string(mine));
-    }
-    // Lock-free word cross-checks (docs/AUDIT.md): the global ledger's
-    // Q32.32 word is fed the same raw quanta as the local fast-path word,
-    // so the two must be bit-identical; and the word may diverge from the
-    // shadow doubles by at most one ulp per operation (demand rounds up
-    // once per admit/release, integer accumulation is exact).
-    if (ledger_->committed_raw(cpu_) != fast_committed_.raw()) {
-      auditor_->record(
-          audit::Invariant::kPlacementLedger, cpu_, now,
-          "placement ledger word " +
-              std::to_string(ledger_->committed_raw(cpu_)) +
-              " != scheduler fast-path word " +
-              std::to_string(fast_committed_.raw()));
-    }
-    const double word_drift = std::abs(fast_committed_.value() - mine);
-    if (word_drift > fast_committed_.ulp_budget() + kLedgerEps) {
-      auditor_->record(
-          audit::Invariant::kPlacementLedger, cpu_, now,
-          "fast-path word " + std::to_string(fast_committed_.value()) +
-              " drifted " + std::to_string(word_drift) +
-              " from double ledgers " + std::to_string(mine) + " (budget " +
-              std::to_string(fast_committed_.ulp_budget() + kLedgerEps) +
-              " after " + std::to_string(fast_committed_.ops()) + " ops)");
-    }
+                     "ledger word " +
+                         std::to_string(ledger_->committed_raw(cpu_)) +
+                         " != recomputed admitted sum " +
+                         std::to_string(committed));
   }
   // Reserved-word invariant: the reservation list and its Q32.32 mirror
   // must agree exactly (same ceil rounding on entry and exit).

@@ -17,6 +17,13 @@
 // missing time striking mid-slice rarely pushes completion past the
 // deadline.  The lazy variant is retained behind a config flag for the
 // ablation benchmark.
+//
+// Admission state (section 3.2): committed utilization lives only in this
+// CPU's Q32.32 word of the global::UtilizationLedger (global/ledger.hpp),
+// which the scheduler feeds at every admit and release and probes before
+// the exact set test.  The admitted periodic and sporadic threads are kept
+// as sets; the exact tests run over them when the word probe rejects or
+// does not apply.
 #pragma once
 
 #include <cstdint>
@@ -70,7 +77,7 @@ class LocalScheduler final : public nk::SchedulerBase {
     bool admission_enabled = true;  // figures 6-9 turn this off
     bool eager = true;              // ablation: lazy EDF when false
     /// O(1) lock-free admission fast path (docs/API.md): probe the Q32.32
-    /// committed/reserved words before running the O(n) analysis.  The
+    /// ledger and reserved words before running the O(n) analysis.  The
     /// probe's conservative rounding (rt/fixed_point.hpp) guarantees a fast
     /// admit implies the slow-path admit, so decisions are identical with
     /// the flag on or off; off is the serial-slow ablation baseline
@@ -100,7 +107,7 @@ class LocalScheduler final : public nk::SchedulerBase {
       bool stale_sporadic_tail = false;   // keep rr_seq + reservation on tail
       bool double_count_current = false;  // thread_count() counts cur twice
       bool rearm_past_quantum = false;    // arm quantum target in the past
-      bool drop_ledger_release = false;   // placement ledger misses releases
+      bool drop_ledger_release = false;   // ledger word misses releases
       bool stale_migrate_cpu = false;     // migrate without updating t->cpu
       // Failed admission consumes the caller's two-phase reservation (the
       // pre-fix change_constraints behavior: held utilization silently lost
@@ -133,6 +140,11 @@ class LocalScheduler final : public nk::SchedulerBase {
     std::uint64_t migration_failures = 0;    // hand-off fell back / demoted
   };
 
+  /// Throws std::invalid_argument when the kernel has no placement ledger
+  /// (Kernel::Options::placement_ledger), when a budget in `cfg` is NaN,
+  /// negative or above 1, when the sporadic and aperiodic reservations sum
+  /// to more than the utilization limit, or when resilience_reserve is NaN
+  /// or negative.
   LocalScheduler(nk::Kernel& kernel, std::uint32_t cpu, Config cfg);
 
   // --- nk::SchedulerBase ---
@@ -155,9 +167,8 @@ class LocalScheduler final : public nk::SchedulerBase {
   LocalScheduler* local() override { return this; }
 
   // --- introspection ---
-  [[nodiscard]] double admitted_utilization() const {
-    return admitted_periodic_util_ + sporadic_util_;
-  }
+  /// Committed periodic + sporadic utilization: this CPU's ledger word.
+  [[nodiscard]] double admitted_utilization() const;
   [[nodiscard]] const Config& config() const { return cfg_; }
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] std::size_t pending_count() const { return pending_.size(); }
@@ -210,24 +221,17 @@ class LocalScheduler final : public nk::SchedulerBase {
       const std::vector<std::pair<nk::Thread*, Constraints>>& items);
 
   // --- lock-free admission fast path (docs/API.md) ---
-  // O(1) wait-free probe of the Q32.32 words.  Returns nullopt when the
-  // fast path does not apply (disabled, non-kEdf policy, non-periodic
-  // class); otherwise the conservative decision: true implies the slow
-  // path would also admit, false may be spurious (slow path remains the
-  // authority inside admit_check).
+  // O(1) wait-free probe of the Q32.32 ledger and reserved words.  Returns
+  // nullopt when the fast path does not apply (disabled, non-kEdf policy,
+  // non-periodic class); otherwise the conservative decision: true implies
+  // the slow path would also admit, false may be spurious (slow path
+  // remains the authority inside admit_check).
   [[nodiscard]] std::optional<bool> fast_path_decision(
       const Constraints& c) const;
   /// Full admission answer for a hypothetical brand-new thread (no
   /// exclusions), fast path included; bench/fuzz probe, no state change
   /// beyond stats.
   [[nodiscard]] bool probe_admission(const Constraints& c);
-  /// The committed/reserved fast-path words (diagnostics and audits).
-  [[nodiscard]] const fp::AdmissionWord& fast_committed_word() const {
-    return fast_committed_;
-  }
-  [[nodiscard]] const fp::AdmissionWord& fast_reserved_word() const {
-    return fast_reserved_;
-  }
 
   // --- job-boundary RT migration (global placement, docs/GLOBAL.md) ---
   // Move an admitted periodic thread to another CPU without ever splitting a
@@ -293,6 +297,11 @@ class LocalScheduler final : public nk::SchedulerBase {
                                          ConstraintClass cls) const;
   [[nodiscard]] std::vector<PeriodicTask> periodic_tasks_with(
       const nk::Thread* exclude, const Constraints* extra) const;
+  /// Admitted sporadic threads and sporadic reservations other than
+  /// `exclude`'s, as (window, size) density tasks for the exact EDF test
+  /// against the sporadic reservation.
+  [[nodiscard]] std::vector<PeriodicTask> sporadic_tasks_without(
+      const nk::Thread* exclude) const;
   void audit_queues(sim::Nanos now);
   void audit_utilization(sim::Nanos now);
   void audit_edf_order(const nk::Thread* next, sim::Nanos now);
@@ -304,7 +313,7 @@ class LocalScheduler final : public nk::SchedulerBase {
   nk::CpuExecutor* exec_ = nullptr;
   sim::Nanos slop_;  // timer earliness tolerance (one APIC tick)
   audit::Auditor* auditor_ = nullptr;  // owned by System; may be null
-  global::UtilizationLedger* ledger_ = nullptr;  // placement ledger; may be null
+  global::UtilizationLedger* ledger_;  // committed-utilization words
   telemetry::Telemetry* telemetry_ = nullptr;    // flight recorder; may be null
   sim::Nanos budget_audit_slop_ = 0;   // tolerance for the budget invariant
   std::uint32_t zero_arm_streak_ = 0;  // consecutive zero-delay one-shots
@@ -316,6 +325,7 @@ class LocalScheduler final : public nk::SchedulerBase {
   BoundedHeap<nk::Thread*, AperBefore, MemberIndex<nk::Thread*>> nonrt_;
   BoundedHeap<nk::Thread*, WakeBefore, MemberIndex<nk::Thread*>> sleepers_;
   std::vector<nk::Thread*> periodic_set_;  // admitted periodic threads
+  std::vector<nk::Thread*> sporadic_set_;  // admitted sporadics, before tail
 
   std::deque<nk::Task> sized_tasks_;
   std::deque<nk::Task> unsized_tasks_;
@@ -335,16 +345,10 @@ class LocalScheduler final : public nk::SchedulerBase {
   sim::Nanos pass_entry_ = -1;     // start of the handler span being timed
   sim::Nanos expected_span_ = 0;   // predicted cost of that span
 
-  double admitted_periodic_util_ = 0.0;
-  double sporadic_util_ = 0.0;
-  // Lock-free admission fast path: Q32.32 mirrors of the double ledgers
-  // above (committed = periodic + sporadic, fed with the same deltas at
-  // ledger_admit/ledger_release) and of the reservation list.  Demand
-  // rounds up on entry, so the words upper-bound the true sums and a word
-  // probe can admit without the O(n) analysis (docs/API.md); the
-  // kPlacementLedger audit bounds their divergence from the doubles by one
-  // ulp per operation.
-  fp::AdmissionWord fast_committed_;
+  // Q32.32 sum of the reservation list (committed load is the ledger's
+  // word).  Demand rounds up on entry, so ledger + reserved upper-bounds the
+  // true sum and a word probe can admit without the O(n) analysis
+  // (docs/API.md).
   fp::AdmissionWord fast_reserved_;
   std::uint64_t rr_seq_counter_ = 0;
   sim::Nanos quantum_start_ = 0;

@@ -241,7 +241,9 @@ TEST(NumaEdge, TwoZoneKernelSplitsAllocations) {
   hw::MachineSpec spec = hw::MachineSpec::phi_small(8);
   spec.smi.enabled = false;
   hw::Machine m(spec, 42);
+  global::UtilizationLedger ledger(8, 0.79);
   nk::Kernel::Options ko;
+  ko.placement_ledger = &ledger;
   ko.scheduler_factory =
       rt::make_scheduler_factory(rt::LocalScheduler::Config{});
   ko.numa_zones = 2;

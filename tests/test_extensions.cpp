@@ -205,7 +205,9 @@ TEST(Kernel, LocalSchedulerAccessor) {
   hw::MachineSpec spec = hw::MachineSpec::phi_small(3);
   spec.smi.enabled = false;
   hw::Machine machine(spec, 42);
+  global::UtilizationLedger ledger(3, 0.79);
   nk::Kernel::Options ko;
+  ko.placement_ledger = &ledger;
   ko.scheduler_factory =
       [ce_factory = rt::CyclicExecutiveScheduler::factory(*ce, tasks),
        rt_factory = rt::make_scheduler_factory(rt::LocalScheduler::Config{})](

@@ -142,7 +142,7 @@ TEST(Ledger, AuditCatchesDroppedRelease) {
   const auto c =
       rt::Constraints::periodic(sim::millis(1), sim::millis(1), sim::micros(300));
   const std::uint64_t n =
-      run_counting(sys, audit::Invariant::kPlacementLedger, [&] {
+      run_counting(sys, audit::Invariant::kUtilization, [&] {
         sys.spawn_auto("leaky", finite_worker(4, sim::micros(250)), c);
         sys.run_for(sim::millis(30));
       });
@@ -578,6 +578,35 @@ TEST(Rebalance, MakeRoomWalksPastVictimlessCandidates) {
   EXPECT_EQ(sys.auditor().total_violations(), 0u);
 }
 
+TEST(Rebalance, MakeRoomOverCapacitySpecMigratesNothing) {
+  // A movable 0.75 thread sits on CPU 0; then every CPU's capacity word
+  // drops to 0.5, below it.  A 0.7 spec exceeds every capacity: the 0.75
+  // thread covers CPU 0's deficit, but no CPU has room to take it, so
+  // make_room gives up and proposes nothing.
+  System sys(placed(2, 0));
+  sys.boot();
+  auto util = [](sim::Nanos slice) {
+    return rt::Constraints::periodic(sim::millis(1), sim::millis(1), slice);
+  };
+  nk::Thread* big = sys.spawn("big", rt_worker(util(sim::micros(750))), 0);
+  sys.run_for(sim::millis(5));
+  ASSERT_TRUE(admitted_rt(big));
+  ASSERT_TRUE(sys.placement().rebalancer().movable(big));
+  auto& ledger = sys.placement().ledger();
+  for (std::uint32_t c = 0; c < 2; ++c) ledger.set_capacity(c, 0.5);
+
+  const auto& stats = sys.placement().rebalancer().stats();
+  EXPECT_EQ(sys.placement().rebalancer().make_room(util(sim::micros(700)),
+                                                   nullptr),
+            global::kInvalidCpu);
+  EXPECT_EQ(stats.make_room_calls, 1u);
+  EXPECT_EQ(stats.make_room_migrations, 0u);
+  EXPECT_EQ(stats.migrations_proposed, 0u);
+  sys.run_for(sim::millis(5));
+  EXPECT_EQ(big->cpu, 0u);
+  EXPECT_EQ(big->migrate_to, nk::kNoMigrateTarget);
+}
+
 /// place_batch as it was before its CPUs were kept in a heap: for every
 /// spec, in worst-fit-decreasing order, up to eight full scans of the
 /// scratch ledger (partition, storm flag, fit), each taking the least
@@ -718,6 +747,40 @@ TEST(Placement, TopologySteersRtOffLadenCpu) {
   EXPECT_EQ(sys.auditor().total_violations(), 0u);
 }
 
+TEST(Placement, ExactlyFullSpecsStayPlaceable) {
+  // A 0.79 spec fills the 0.79 RT capacity exactly.  Its demand quantum is
+  // one above the floored capacity word, so a fit test on the word alone
+  // would refuse what admission's exact fallback admits.
+  const auto spec = [](sim::Nanos slice) {
+    return rt::Constraints::periodic(0, sim::millis(1), slice);
+  };
+  {
+    System sys(placed(4, 0));
+    sys.boot();
+    const auto full = spec(sim::micros(790));
+    ASSERT_GT(rt::fp::from_double_ceil(full.utilization()),
+              sys.placement().ledger().capacity_raw(0));
+    EXPECT_NE(sys.placement().engine().choose_cpu(full), global::kInvalidCpu);
+    EXPECT_EQ(sys.placement().engine().choose_group(3, full).size(), 3u);
+    const auto members = sys.spawn_group_auto(
+        "full", 3, full, [](std::uint32_t) { return busy(); });
+    ASSERT_EQ(members.size(), 3u);
+    sys.run_for(sim::millis(40));
+    for (nk::Thread* t : members) EXPECT_TRUE(admitted_rt(t)) << t->name;
+  }
+  {
+    // 0.29 beside an admitted 0.5 on the only CPU: an exact fit.
+    System sys(placed(1, 0));
+    sys.boot();
+    nk::Thread* half = sys.spawn("half", rt_worker(spec(sim::micros(500))), 0);
+    sys.run_for(sim::millis(3));
+    ASSERT_TRUE(admitted_rt(half));
+    const auto rest = spec(sim::micros(290));
+    EXPECT_EQ(sys.placement().engine().choose_cpu(rest), 0u);
+    EXPECT_TRUE(sys.sched(0).probe_admission(rest));
+  }
+}
+
 TEST(Group, AutoPlacementCoLocates) {
   System sys(placed(4, 1));
   sys.boot();
@@ -841,33 +904,49 @@ TEST(Placement, ChurnKeepsLedgerInvariants) {
   auto periodic = [](sim::Nanos slice) {
     return rt::Constraints::periodic(sim::millis(1), sim::millis(1), slice);
   };
+  // Each CPU's word must equal the ceil-rounded quanta of the RT threads
+  // living on it, summed here apart from the scheduler's own bookkeeping.
+  const auto& ledger = sys.placement().ledger();
+  auto expect_ledger_matches_threads = [&] {
+    std::vector<rt::fp::Raw> held(4, 0);
+    for (const nk::Thread* t : sys.kernel().live_threads()) {
+      if (t->state == nk::Thread::State::kExited) continue;
+      if (t->constraints.cls == rt::ConstraintClass::kPeriodic) {
+        held[t->cpu] += rt::fp::from_double_ceil(t->constraints.utilization());
+      } else if (t->constraints.cls == rt::ConstraintClass::kSporadic) {
+        held[t->cpu] += rt::fp::from_double_ceil(t->rt.density);
+      }
+    }
+    for (std::uint32_t cpu = 0; cpu < 4; ++cpu) {
+      EXPECT_EQ(ledger.committed_raw(cpu), held[cpu]) << "cpu " << cpu;
+    }
+  };
   // Waves of transient RT threads plus one sporadic: admissions, exits, and
   // rebalance migrations all feed the ledger; every scheduler pass
-  // cross-checks it against the per-CPU ledgers (kPlacementLedger).
+  // recomputes it from the scheduler's admitted sets (kUtilization).
   for (int wave = 0; wave < 3; ++wave) {
     for (int i = 0; i < 4; ++i) {
       sys.spawn_auto("w" + std::to_string(wave) + "." + std::to_string(i),
                      finite_worker(12, sim::micros(120)),
                      periodic(sim::micros(150)));
       sys.run_for(sim::millis(2));
+      expect_ledger_matches_threads();
     }
-    sys.spawn_auto("s" + std::to_string(wave),
-                   finite_worker(3, sim::micros(80)),
-                   rt::Constraints::sporadic(sim::micros(500), sim::micros(200),
-                                             sim::millis(2)));
+    // Density 100 us / 1.5 ms fits the 0.10 sporadic reservation; the
+    // 240 us of work outlasts the budget, so the thread's tail release
+    // feeds the ledger too.
+    nk::Thread* s = sys.spawn_auto(
+        "s" + std::to_string(wave), finite_worker(3, sim::micros(80)),
+        rt::Constraints::sporadic(sim::micros(500), sim::micros(100),
+                                  sim::millis(2)));
     sys.run_for(sim::millis(25));
+    EXPECT_EQ(s->rt.completions, 1u) << "sporadic not admitted";
+    expect_ledger_matches_threads();
   }
   sys.run_for(sim::millis(50));
+  expect_ledger_matches_threads();
 
   EXPECT_EQ(sys.auditor().total_violations(), 0u);
-  const auto& ledger = sys.placement().ledger();
-  double sched_total = 0.0;
-  for (std::uint32_t cpu = 0; cpu < 4; ++cpu) {
-    EXPECT_NEAR(ledger.committed(cpu), sys.sched(cpu).admitted_utilization(),
-                1e-9);
-    sched_total += sys.sched(cpu).admitted_utilization();
-  }
-  EXPECT_NEAR(ledger.total_committed(), sched_total, 1e-9);
   EXPECT_GE(ledger.admits(), 12u);
   EXPECT_GE(ledger.releases(), 12u);
 }

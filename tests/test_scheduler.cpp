@@ -4,6 +4,8 @@
 // lightweight tasks, work stealing, and the lazy-EDF variant.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "rt/system.hpp"
 
 namespace hrt {
@@ -300,6 +302,100 @@ TEST(Sporadic, CompletionReleasesReservationForNext) {
   sys.run_for(sim::millis(5));
   EXPECT_TRUE(b->last_admit_ok);
   EXPECT_EQ(b->rt.completions, 1u);
+}
+
+TEST(Sporadic, DecimalBudgetFillsExactly) {
+  // Two 50 us / 1 ms sporadics (density 0.05) fill the 0.10 reservation
+  // exactly, so both admit; nothing more fits.  A ceil-rounded word test
+  // would refuse the second: 2 x 214748365 > floor(0.1 * 2^32) = 429496729.
+  System sys(quiet());
+  sys.boot();
+  const auto twentieth =
+      rt::Constraints::sporadic(0, sim::micros(50), sim::millis(1));
+  const auto sliver =
+      rt::Constraints::sporadic(0, sim::micros(1), sim::millis(100));
+  auto parked = [&sys](std::uint32_t cpu) {
+    return sys.spawn("s", std::make_unique<nk::BusyLoopBehavior>(
+                              sim::micros(10)), cpu);
+  };
+
+  rt::LocalScheduler& one = sys.sched(1);
+  nk::Thread* a = parked(1);
+  nk::Thread* b = parked(1);
+  nk::Thread* c = parked(1);
+  EXPECT_TRUE(one.reserve_constraints(*a, twentieth));
+  EXPECT_TRUE(one.reserve_constraints(*b, twentieth));
+  EXPECT_FALSE(one.reserve_constraints(*c, sliver));
+
+  rt::LocalScheduler& two = sys.sched(2);
+  nk::Thread* d = parked(2);
+  nk::Thread* e = parked(2);
+  nk::Thread* f = parked(2);
+  EXPECT_FALSE(two.reserve_batch({{d, twentieth}, {e, twentieth}, {f, sliver}}));
+  EXPECT_TRUE(two.reserve_batch({{d, twentieth}, {e, twentieth}}));
+  EXPECT_FALSE(two.reserve_batch({{f, sliver}}));
+}
+
+// ---------- Malformed admission budgets ----------
+
+TEST(SchedulerConfig, RejectsBudgetOutsideUnitInterval) {
+  using Config = rt::LocalScheduler::Config;
+  for (double Config::*field :
+       {&Config::utilization_limit, &Config::sporadic_reservation,
+        &Config::aperiodic_reservation}) {
+    for (const double v : {std::numeric_limits<double>::quiet_NaN(), -0.01,
+                           1.01}) {
+      System::Options o = quiet(2);
+      o.sched.*field = v;
+      System sys(o);
+      EXPECT_THROW(sys.boot(), std::invalid_argument) << v;
+    }
+  }
+  System::Options o = quiet(2);
+  o.sched.utilization_limit = 1.0;
+  o.sched.sporadic_reservation = 0.0;
+  o.sched.aperiodic_reservation = 0.0;
+  System sys(o);
+  EXPECT_NO_THROW(sys.boot());
+}
+
+TEST(SchedulerConfig, RejectsReservationsAboveLimit) {
+  // 0.3 + 0.3 > 0.5 would leave a negative RT capacity.
+  System::Options o = quiet(2);
+  o.sched.utilization_limit = 0.5;
+  o.sched.sporadic_reservation = 0.3;
+  o.sched.aperiodic_reservation = 0.3;
+  System over(o);
+  EXPECT_THROW(over.boot(), std::invalid_argument);
+  o.sched.aperiodic_reservation = 0.2;  // exactly the limit: capacity 0
+  System full(o);
+  EXPECT_NO_THROW(full.boot());
+}
+
+TEST(SchedulerConfig, RejectsNanOrNegativeResilienceReserve) {
+  for (const double v : {std::numeric_limits<double>::quiet_NaN(), -0.01}) {
+    System::Options o = quiet(2);
+    o.sched.resilience_reserve = v;
+    System sys(o);
+    EXPECT_THROW(sys.boot(), std::invalid_argument) << v;
+  }
+  // The resilience knob System copies into every scheduler's config.
+  System::Options o = quiet(2);
+  o.resilience.enabled = true;
+  o.resilience.capacity_reserve = -0.05;
+  System sys(o);
+  EXPECT_THROW(sys.boot(), std::invalid_argument);
+}
+
+TEST(SchedulerConfig, RequiresPlacementLedger) {
+  hw::MachineSpec spec = hw::MachineSpec::phi_small(2);
+  spec.smi.enabled = false;
+  hw::Machine m(spec, 42);
+  nk::Kernel::Options ko;
+  ko.scheduler_factory =
+      rt::make_scheduler_factory(rt::LocalScheduler::Config{});
+  nk::Kernel k(m, std::move(ko));
+  EXPECT_THROW(k.boot(), std::invalid_argument);
 }
 
 // ---------- Aperiodic scheduling ----------
