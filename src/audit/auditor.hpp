@@ -99,17 +99,6 @@ struct Config {
   /// Throw AuditError at the violation site (tests) instead of accumulating
   /// into the report (benches).
   bool throw_on_violation = false;
-  bool check_queues = true;
-  bool check_budget = true;
-  bool check_utilization = true;
-  bool check_edf_order = true;
-  bool check_timer = true;
-  bool check_group = true;
-  bool check_migration = true;
-  bool check_shed_state = true;
-  bool check_effective_capacity = true;
-  bool check_slo = true;
-  bool check_cluster_ledger = true;
   /// Violations recorded verbatim; beyond this only the counter grows.
   std::size_t max_recorded = 64;
   /// Extra tolerance for the budget-conservation check, on top of the

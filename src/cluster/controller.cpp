@@ -198,8 +198,8 @@ void ClusterController::tick(sim::Nanos dt) {
   update_job_states();
   coordinate_overload();
   place_pending_rt();
-  if (opt_.preemption) enforce_best_effort_slots();
-  if (opt_.backfill) backfill_best_effort();
+  enforce_best_effort_slots();
+  backfill_best_effort();
   account_availability(dt);
   audit_ledger();
 }
@@ -344,7 +344,7 @@ void ClusterController::coordinate_overload() {
   for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
     Node& n = nodes_[i];
     if (n.state != NodeState::kUp) continue;
-    const double over = ledger_.committed(i) - node_effective_capacity(i) -
+    const double over = ledger_.committed(i) - ledger_.capacity(i) -
                         n.shed_credit;
     if (over <= 1e-9) continue;
     Job* victim = nullptr;
@@ -471,7 +471,7 @@ void ClusterController::account_availability(sim::Nanos dt) {
 }
 
 void ClusterController::audit_ledger() {
-  if (!auditor_->enabled() || !auditor_->config().check_cluster_ledger) return;
+  if (!auditor_->enabled()) return;
   for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
     ledger_.audit_node(*auditor_, now_, i, nodes_[i].sys->placement().ledger(),
                        &nodes_[i].sys->resilience());
@@ -498,14 +498,8 @@ bool ClusterController::node_placeable(std::uint32_t node) const {
   return nodes_[node].state == NodeState::kUp;
 }
 
-double ClusterController::node_effective_capacity(std::uint32_t node) const {
-  double cap = ledger_.capacity(node);
-  if (ledger_.storm_flagged(node)) cap *= opt_.storm_derate;
-  return cap;
-}
-
 double ClusterController::node_headroom(std::uint32_t node) const {
-  const double h = node_effective_capacity(node) - ledger_.committed(node) -
+  const double h = ledger_.capacity(node) - ledger_.committed(node) -
                    nodes_[node].inflight;
   return h > 0.0 ? h : 0.0;
 }
@@ -598,7 +592,7 @@ bool ClusterController::place_job(Job& j, std::uint32_t exclude) {
   if (!could_ever_fit) {
     const double demand = job_demand(j);
     for (std::uint32_t node : candidates) {
-      if (node_effective_capacity(node) >= demand) {
+      if (ledger_.capacity(node) >= demand) {
         could_ever_fit = true;
         break;
       }
@@ -806,7 +800,7 @@ double ClusterController::fair_share(std::size_t tenant) const {
   if (weights <= 0.0) return 0.0;
   double cap = 0.0;
   for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
-    if (node_placeable(i)) cap += node_effective_capacity(i);
+    if (node_placeable(i)) cap += ledger_.capacity(i);
   }
   return std::max(0.0, tenants_[tenant].weight) / weights * cap;
 }

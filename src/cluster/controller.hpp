@@ -64,18 +64,12 @@ class ClusterController {
     /// Cluster-level fit policy across nodes (kTopology behaves as
     /// worst-fit here; node-internal topology steering is the node's job).
     global::Policy placement = global::Policy::kWorstFit;
-    bool failover = true;    // off = the no-failover baseline for the bench
-    bool preemption = true;  // enforce BE slot budgets
-    bool backfill = true;    // re-place pending/preempted BE jobs
+    bool failover = true;  // off = the no-failover baseline for the bench
     /// Slack utilization one best-effort worker slot represents: a node
     /// offers floor(headroom / best_effort_slot_util) BE slots.
     double best_effort_slot_util = 0.25;
     /// Spawn/admission failures before a job is marked kFailed.
     std::uint32_t max_place_attempts = 8;
-    /// Extra cluster-side derate applied to a storm-flagged node's rolled-up
-    /// capacity (the node's own publication is already degraded; < 1.0 adds
-    /// cluster-level caution).
-    double storm_derate = 1.0;
     /// Controller-level audits (kClusterLedger) and telemetry.  The
     /// telemetry hub's rings are indexed by NODE id, not CPU id.
     audit::Config audit{};
@@ -242,7 +236,6 @@ class ClusterController {
 
   [[nodiscard]] double job_demand(const Job& j) const;
   [[nodiscard]] bool node_placeable(std::uint32_t node) const;
-  [[nodiscard]] double node_effective_capacity(std::uint32_t node) const;
   [[nodiscard]] double node_headroom(std::uint32_t node) const;
   [[nodiscard]] bool node_fits(std::uint32_t node, const Job& j) const;
   [[nodiscard]] std::vector<std::uint32_t> candidate_nodes(

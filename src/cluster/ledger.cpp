@@ -61,9 +61,7 @@ bool ClusterLedger::audit_node(audit::Auditor& auditor, sim::Nanos now,
                                std::uint32_t node,
                                const global::UtilizationLedger& src,
                                const resilience::StormController* storm) const {
-  if (!auditor.enabled() || !auditor.config().check_cluster_ledger) {
-    return true;
-  }
+  if (!auditor.enabled()) return true;
   auditor.count_check();
   const Entry& cached = entries_[node];
   const Entry live = recompute(src, storm, cached.state);

@@ -14,6 +14,11 @@ namespace hrt::global {
 
 namespace {
 
+// Auto-admit attempts after the first rejection before a thread gives up.
+constexpr std::uint32_t kAdmitRetries = 3;
+// Overflow splitting: cap on pipeline chunks per task.
+constexpr std::uint32_t kMaxSplitChunks = 8;
+
 /// The auto-admission wrapper (GlobalScheduler::auto_admit).  State machine:
 ///   kAdmit -> kCheck -> kRun (admitted)
 ///                    -> make room + sleep -> kAdmit (rejected, retries left)
@@ -34,7 +39,7 @@ class AutoAdmitBehavior final : public nk::Behavior {
           phase_ = Phase::kRun;
           return run_inner(ctx);
         }
-        if (attempts_ >= gs_.config().admit_retries) {
+        if (attempts_ >= kAdmitRetries) {
           gs_.note_give_up();
           return nk::Action::exit();
         }
@@ -131,7 +136,7 @@ SplitPlan GlobalScheduler::plan_split(const rt::Constraints& c,
   // uncommitted.  The windowed *peak* missing-time fraction is the right
   // degradation here — a split plan is a long-lived commitment, so it must
   // survive the worst recent window, not the average.
-  if (kernel_ != nullptr && cfg_.split_degrade_missing_time) {
+  if (kernel_ != nullptr) {
     for (std::uint32_t i = 0; i < n && i < kernel_->num_cpus(); ++i) {
       const rt::LocalScheduler* ls = kernel_->local_scheduler(i);
       if (ls == nullptr) continue;
@@ -141,19 +146,14 @@ SplitPlan GlobalScheduler::plan_split(const rt::Constraints& c,
   }
 
   SplitPlan plan;
-  const bool steer = cfg_.policy == Policy::kTopology &&
-                     cfg_.steer_rt_interrupt_free &&
-                     cfg_.interrupt_laden_cpus < n;
-  if (steer) {
+  if (engine_.steers_rt()) {
     std::vector<double> steered = headroom;
     for (std::uint32_t i = 0; i < cfg_.interrupt_laden_cpus; ++i) {
       steered[i] = 0.0;
     }
-    plan = split_task(task, steered, min_slice, cfg_.max_split_chunks);
+    plan = split_task(task, steered, min_slice, kMaxSplitChunks);
   }
-  if (!plan.ok) {
-    plan = split_task(task, headroom, min_slice, cfg_.max_split_chunks);
-  }
+  if (!plan.ok) plan = split_task(task, headroom, min_slice, kMaxSplitChunks);
   if (plan.ok) {
     ++stats_.split_plans;
     stats_.split_chunks += plan.chunks.size();

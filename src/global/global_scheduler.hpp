@@ -91,9 +91,9 @@ class GlobalScheduler {
   /// Wrap `inner` with the auto-admission protocol: request `c`, and on
   /// rejection ask the rebalancer to make room (possibly re-homing this
   /// still-aperiodic thread to the CPU where room was made), sleep two
-  /// periods, retry — up to config().admit_retries times, then exit.  Once
-  /// admitted, `inner` runs unmodified except that its exit also triggers
-  /// an exit-rebalance pass.
+  /// periods, retry — up to three times, then exit.  Once admitted, `inner`
+  /// runs unmodified except that its exit also triggers an exit-rebalance
+  /// pass.
   [[nodiscard]] std::unique_ptr<nk::Behavior> auto_admit(
       const rt::Constraints& c, std::unique_ptr<nk::Behavior> inner);
 

@@ -31,6 +31,11 @@ const char* policy_name(Policy p) {
   return "?";
 }
 
+bool PlacementEngine::steers_rt() const {
+  return cfg_.policy == Policy::kTopology &&
+         cfg_.interrupt_laden_cpus < ledger_.num_cpus();
+}
+
 bool PlacementEngine::fits(std::uint32_t cpu, double util) const {
   return ledger_.headroom(cpu) + kEps >= util;
 }
@@ -71,10 +76,7 @@ std::uint32_t PlacementEngine::choose_cpu(double util, bool realtime) const {
     case Policy::kWorstFit:
       return pick(any, least_loaded);
     case Policy::kTopology: {
-      if (!cfg_.steer_rt_interrupt_free ||
-          cfg_.interrupt_laden_cpus >= n) {
-        return pick(any, least_loaded);
-      }
+      if (!steers_rt()) return pick(any, least_loaded);
       const std::uint32_t laden = cfg_.interrupt_laden_cpus;
       if (realtime) {
         // RT work belongs in the interrupt-free partition (section 3.5);
@@ -97,9 +99,7 @@ std::uint32_t PlacementEngine::choose_cpu(double util, bool realtime) const {
 std::uint32_t PlacementEngine::fallback_cpu(bool realtime) const {
   const std::uint32_t n = ledger_.num_cpus();
   if (n == 0) return kInvalidCpu;
-  const bool steer = realtime && cfg_.policy == Policy::kTopology &&
-                     cfg_.steer_rt_interrupt_free &&
-                     cfg_.interrupt_laden_cpus < n;
+  const bool steer = realtime && steers_rt();
   std::uint32_t best = kInvalidCpu;
   std::uint32_t best_quiet = kInvalidCpu;
   for (std::uint32_t c = steer ? cfg_.interrupt_laden_cpus : 0; c < n; ++c) {
@@ -118,10 +118,7 @@ std::uint32_t PlacementEngine::fallback_cpu(bool realtime) const {
 
 std::vector<std::uint32_t> PlacementEngine::rt_cpu_order() const {
   const std::uint32_t n = ledger_.num_cpus();
-  const bool steer = cfg_.policy == Policy::kTopology &&
-                     cfg_.steer_rt_interrupt_free &&
-                     cfg_.interrupt_laden_cpus < n;
-  const std::uint32_t laden = steer ? cfg_.interrupt_laden_cpus : 0;
+  const std::uint32_t laden = steers_rt() ? cfg_.interrupt_laden_cpus : 0;
   // Read each CPU's sort inputs once; the comparator only compares keys.
   struct Key {
     bool storm;
@@ -181,9 +178,7 @@ std::vector<std::uint32_t> PlacementEngine::place_batch(
                      return specs[a].utilization() > specs[b].utilization();
                    });
 
-  const bool steer = cfg_.policy == Policy::kTopology &&
-                     cfg_.steer_rt_interrupt_free &&
-                     cfg_.interrupt_laden_cpus < n;
+  const bool steer = steers_rt();
   constexpr std::size_t kNone = ~std::size_t{0};
   for (std::size_t i : order) {
     const double util = specs[i].utilization();

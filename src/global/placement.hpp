@@ -52,26 +52,8 @@ struct Config {
   /// device interrupts (section 3.5's partition), so kTopology places RT
   /// threads on CPUs >= n whenever they fit there.
   std::uint32_t interrupt_laden_cpus = 1;
-  bool steer_rt_interrupt_free = true;
-  /// Overflow splitting: cap on pipeline chunks per task, and the smallest
-  /// slice a chunk may be given (mirrors LocalScheduler::Config::min_slice).
-  std::uint32_t max_split_chunks = 8;
-  sim::Nanos min_split_slice = sim::micros(10);
-  /// Degrade each CPU's split headroom by its scheduler's windowed peak
-  /// missing-time fraction (docs/RESILIENCE.md): a chunk sized to the
-  /// ledger's headroom on an SMI-hit CPU would overcommit the capacity the
-  /// CPU can actually deliver.  No-op while the estimator reads zero.
-  bool split_degrade_missing_time = true;
-  /// Aligned split release (docs/GLOBAL.md): spawn_split stamps every chunk
-  /// with an anchored release grid (rt::Constraints::align_release), so the
-  /// chunks' release grids coincide exactly even though each chunk's
-  /// admission runs — and may retry — at its own time.  Off restores the
-  /// historical behavior where grids were aligned only to within the
-  /// admission-time skew.
-  bool split_aligned_release = true;
   /// Rebalancer knobs (rebalancer.hpp).
   double rebalance_threshold = 0.25;  // act when max-min committed gap >= this
-  std::uint32_t admit_retries = 3;    // auto-admit attempts before giving up
   sim::Nanos rebalance_task_size = sim::micros(5);
 };
 
@@ -82,6 +64,11 @@ class PlacementEngine {
       : ledger_(ledger), cfg_(cfg) {}
 
   [[nodiscard]] const Config& config() const { return cfg_; }
+
+  /// Does placement steer RT work off the interrupt-laden CPUs [0, laden)?
+  /// True under kTopology when the machine has interrupt-free CPUs; when
+  /// false, kTopology places exactly as kWorstFit.
+  [[nodiscard]] bool steers_rt() const;
 
   /// Pick a CPU for a thread demanding `util` of a CPU.  Real-time requests
   /// under kTopology prefer the interrupt-free partition.  Returns

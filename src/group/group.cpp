@@ -56,7 +56,7 @@ nk::Action GroupBarrier::arrive_action() {
       }
     }
     audit::Auditor* aud = kernel_.auditor();
-    if (aud != nullptr && aud->enabled() && aud->config().check_group) {
+    if (aud != nullptr && aud->enabled()) {
       aud->count_check();
       if (arrivals_ > expected_) {
         aud->record(audit::Invariant::kGroup, ctx.self.cpu, ctx.wall_now,
@@ -77,7 +77,7 @@ nk::Action GroupBarrier::depart_action(
       &line_, transfer_ns_, [this, fx = std::move(fx)](nk::ThreadCtx& ctx) {
         const int order = static_cast<int>(departures_++);
         audit::Auditor* aud = kernel_.auditor();
-        if (aud != nullptr && aud->enabled() && aud->config().check_group) {
+        if (aud != nullptr && aud->enabled()) {
           aud->count_check();
           if (departures_ > arrivals_) {
             aud->record(audit::Invariant::kGroup, ctx.self.cpu, ctx.wall_now,

@@ -9,6 +9,14 @@ namespace hrt::nk {
 
 namespace {
 
+// Idle-thread pause between work-stealing probes that found nothing.
+constexpr sim::Nanos kStealPollInterval = sim::millis(1);
+// Per-zone buddy arena: 4 KiB blocks, 64 MiB per zone; each thread's stack
+// + TCB takes 16 KiB of it.
+constexpr std::uint32_t kZoneArenaMinOrder = 12;
+constexpr std::uint32_t kZoneArenaMaxOrder = 26;
+constexpr std::uint64_t kThreadStateBytes = 16384;
+
 /// The per-CPU idle thread: optionally runs the work stealer, otherwise
 /// halts until the next interrupt (section 3.4: "the work stealer ...
 /// operates as part of the idle thread that each CPU runs").
@@ -33,7 +41,7 @@ class IdleBehavior final : public Behavior {
       return Action::yield();
     }
     // Nothing to steal: pause for the poll interval before probing again.
-    return Action::compute(ctx.kernel.options().steal_poll_interval);
+    return Action::compute(kStealPollInterval);
   }
 
   [[nodiscard]] std::string describe() const override { return "idle"; }
@@ -67,11 +75,11 @@ Kernel::Kernel(hw::Machine& machine, Options options)
   }
   device_handlers_.resize(256);
   // One buddy arena per NUMA zone, at disjoint simulated physical bases.
-  const std::uint64_t arena_span = 1ull << (options_.zone_arena_max_order + 1);
+  const std::uint64_t arena_span = 1ull << (kZoneArenaMaxOrder + 1);
   for (std::uint32_t z = 0; z < topology_.num_zones(); ++z) {
     zone_arenas_.push_back(std::make_unique<BuddyAllocator>(
-        0x1000'0000ull + z * arena_span, options_.zone_arena_min_order,
-        options_.zone_arena_max_order));
+        0x1000'0000ull + z * arena_span, kZoneArenaMinOrder,
+        kZoneArenaMaxOrder));
   }
 }
 
@@ -80,9 +88,7 @@ Kernel::~Kernel() = default;
 void Kernel::boot() {
   if (booted_) throw std::logic_error("Kernel::boot called twice");
 
-  if (options_.calibrate_tsc) {
-    calibration_ = timesync::calibrate(machine_);
-  }
+  calibration_ = timesync::calibrate(machine_);
 
   machine_.set_freeze_hooks(hw::Machine::FreezeHooks{
       .on_freeze =
@@ -125,9 +131,7 @@ void Kernel::boot() {
   }
 
   apply_interrupt_partition();
-  if (options_.start_smi_source) {
-    machine_.smi().start();
-  }
+  machine_.smi().start();  // a no-op when the spec disables SMIs
   booted_ = true;
 }
 
@@ -138,7 +142,7 @@ void Kernel::place_thread_state(Thread* t) {
     zone_arenas_[t->state_zone]->free(t->state_addr);
     t->state_addr = 0;
   }
-  auto addr = zone_arenas_[zone]->alloc(options_.thread_state_bytes);
+  auto addr = zone_arenas_[zone]->alloc(kThreadStateBytes);
   if (!addr) {
     throw std::runtime_error("Kernel: zone arena exhausted");
   }

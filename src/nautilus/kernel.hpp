@@ -48,18 +48,12 @@ class Kernel {
   struct Options {
     SchedulerFactory scheduler_factory;  // required
     bool work_stealing = false;
-    sim::Nanos steal_poll_interval = sim::millis(1);
     std::uint32_t interrupt_laden_cpus = 1;  // section 3.5 default partition
     bool tpr_steering = true;  // raise TPR while an RT thread runs (3.5)
-    bool calibrate_tsc = true;
-    bool start_smi_source = true;
+    /// One buddy arena per zone: thread stacks + scheduler state are
+    /// allocated from the owning CPU's zone (section 2: state "is
+    /// guaranteed to always be in the most desirable zone").
     std::uint32_t numa_zones = 1;
-    /// Per-zone buddy arena: thread stacks + scheduler state are allocated
-    /// from the owning CPU's zone (section 2: state "is guaranteed to
-    /// always be in the most desirable zone").
-    std::uint32_t zone_arena_min_order = 12;  // 4 KiB blocks
-    std::uint32_t zone_arena_max_order = 26;  // 64 MiB per zone
-    std::uint64_t thread_state_bytes = 16384; // stack + TCB per thread
     /// Invariant auditor shared by all schedulers and group collectives
     /// (owned by the caller, typically rt::System); null disables audits.
     audit::Auditor* auditor = nullptr;
@@ -183,14 +177,6 @@ class Kernel {
 
   /// WaitFlag wake path.
   void notify_flag(Thread* t, WaitFlag* f);
-
-  /// Wake a sleeping thread early and kick its CPU.  Returns false if it
-  /// was not sleeping.
-  bool wake_thread(Thread* t) {
-    if (!schedulers_[t->cpu]->try_wake(*t)) return false;
-    machine_.cpu(t->cpu).raise(hw::kKickVector);
-    return true;
-  }
 
   /// Power-of-two-random-choices work stealing (section 3.4).  Returns the
   /// stolen thread (now enqueued at `thief`) or nullptr.

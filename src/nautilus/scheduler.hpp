@@ -84,10 +84,6 @@ class SchedulerBase {
   virtual void on_sleep(Thread& t, sim::Nanos wake_local) = 0;
   virtual void on_exit(Thread& t) = 0;
 
-  /// Wake a sleeping thread early (interrupt-thread signalling).  Returns
-  /// false if the thread was not sleeping here.
-  virtual bool try_wake(Thread& t) = 0;
-
   /// Lightweight tasks.
   virtual void submit_task(Task task) = 0;
 

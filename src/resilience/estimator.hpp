@@ -45,19 +45,17 @@ struct EstimatorConfig {
   std::uint32_t windows_tracked = 8;
   // EWMA smoothing over completed windows (higher = more reactive).
   double ewma_alpha = 0.25;
-  // Lateness below this is attributed to handler/masking jitter, not SMIs.
-  sim::Nanos lateness_floor_ns = sim::micros(1);
-  // Cap on the A/2 arming-gap credit charged per caught episode.
-  sim::Nanos episode_credit_cap_ns = sim::micros(50);
-  // Watchdog timer cadence: quiet normally, alert once elevated.
-  sim::Nanos watchdog_quiet_ns = sim::micros(200);
-  sim::Nanos watchdog_alert_ns = sim::micros(20);
-  // EWMA fraction above which the watchdog switches to the alert cadence.
-  double alert_fraction = 0.01;
 };
 
 class MissingTimeEstimator {
  public:
+  // Cap on the A/2 arming-gap credit charged per caught episode.
+  static constexpr sim::Nanos kEpisodeCreditCapNs = sim::micros(50);
+  // Watchdog timer cadence: quiet normally, alert once the EWMA fraction
+  // exceeds kAlertFraction.
+  static constexpr sim::Nanos kWatchdogQuietNs = sim::micros(200);
+  static constexpr sim::Nanos kWatchdogAlertNs = sim::micros(20);
+
   explicit MissingTimeEstimator(EstimatorConfig cfg = {}) : cfg_(cfg) {
     if (cfg_.window_ns <= 0) cfg_.window_ns = sim::millis(2);
     if (cfg_.windows_tracked == 0) cfg_.windows_tracked = 1;
@@ -85,11 +83,11 @@ class MissingTimeEstimator {
   // armed with (the sampling gap A).
   void note_episode(sim::Nanos lateness, sim::Nanos armed_delay,
                     sim::Nanos now) {
-    if (!cfg_.enabled || lateness < cfg_.lateness_floor_ns) return;
+    if (!cfg_.enabled || lateness < kLatenessFloorNs) return;
     advance(now);
     const sim::Nanos gap = std::max<sim::Nanos>(armed_delay, 0);
     const sim::Nanos credit =
-        std::min<sim::Nanos>(gap, cfg_.episode_credit_cap_ns) / 2;
+        std::min<sim::Nanos>(gap, kEpisodeCreditCapNs) / 2;
     window_stolen_ += lateness + credit;
     stolen_total_ += lateness + credit;
     ++episodes_;
@@ -111,7 +109,7 @@ class MissingTimeEstimator {
       min_span_valid_ = true;
     }
     const sim::Nanos excess = residual - min_span_;
-    if (excess < cfg_.lateness_floor_ns) return;
+    if (excess < kLatenessFloorNs) return;
     window_stolen_ += excess;
     stolen_total_ += excess;
     ++span_episodes_;
@@ -134,11 +132,14 @@ class MissingTimeEstimator {
 
   // Cadence the scheduler should use for its watchdog timer right now.
   sim::Nanos watchdog_period() const {
-    return ewma_ > cfg_.alert_fraction ? cfg_.watchdog_alert_ns
-                                       : cfg_.watchdog_quiet_ns;
+    return ewma_ > kAlertFraction ? kWatchdogAlertNs : kWatchdogQuietNs;
   }
 
  private:
+  // Lateness below this is attributed to handler/masking jitter, not SMIs.
+  static constexpr sim::Nanos kLatenessFloorNs = sim::micros(1);
+  static constexpr double kAlertFraction = 0.01;
+
   void close_window() {
     const double frac = std::clamp(
         static_cast<double>(window_stolen_) /

@@ -19,6 +19,16 @@ namespace {
 constexpr double kEps = 1e-9;
 constexpr double kCapacityAuditEps = 1e-9;
 
+constexpr sim::Nanos kSampleInterval = sim::millis(1);
+// Storm hysteresis over the estimator's windowed-max fraction: enter after
+// kStormEnterSamples consecutive samples at or above kStormEnterFraction,
+// exit after kStormExitSamples consecutive samples at or below
+// kStormExitFraction.
+constexpr double kStormEnterFraction = 0.05;
+constexpr double kStormExitFraction = 0.02;
+constexpr std::uint32_t kStormEnterSamples = 2;
+constexpr std::uint32_t kStormExitSamples = 4;
+
 bool thread_dead(const nk::Thread* t) {
   return t->state == nk::Thread::State::kExited ||
          t->state == nk::Thread::State::kPooled;
@@ -58,7 +68,7 @@ void StormController::start() {
   storm_flags_.assign(n, 0);
   global_->engine_mut().set_storm_flags(&storm_flags_);
   sample_event_ = engine().schedule_after(
-      cfg_.sample_interval_ns, [this] { sample(); }, sim::EventBand::kObserver);
+      kSampleInterval, [this] { sample(); }, sim::EventBand::kObserver);
 }
 
 std::size_t StormController::shed_count() const {
@@ -139,14 +149,12 @@ void StormController::sample() {
     MissingTimeEstimator& est = ls->missing_time();
     est.advance(now);
     classify(c, est.windowed_max_fraction(), now);
-    if (cfg_.degrade_capacity) {
-      double eff = base_capacity_ - est.ewma_fraction() - cfg_.capacity_reserve;
-      eff = std::clamp(eff, 0.0, base_capacity_);
-      cpus_[c].published = eff;
-      ledger.set_capacity(c, eff);
-      if (auto* tel = kernel_->telemetry()) {
-        tel->set_effective_capacity(c, eff);
-      }
+    double eff = base_capacity_ - est.ewma_fraction() - cfg_.capacity_reserve;
+    eff = std::clamp(eff, 0.0, base_capacity_);
+    cpus_[c].published = eff;
+    ledger.set_capacity(c, eff);
+    if (auto* tel = kernel_->telemetry()) {
+      tel->set_effective_capacity(c, eff);
     }
     storm_flags_[c] = cpus_[c].storm ? 1 : 0;
   }
@@ -156,15 +164,15 @@ void StormController::sample() {
   try_restores(now);
   audit(now);
   sample_event_ = engine().schedule_after(
-      cfg_.sample_interval_ns, [this] { sample(); }, sim::EventBand::kObserver);
+      kSampleInterval, [this] { sample(); }, sim::EventBand::kObserver);
 }
 
 void StormController::classify(std::uint32_t cpu, double frac,
                                sim::Nanos now) {
   CpuState& cs = cpus_[cpu];
   if (!cs.storm) {
-    cs.hot_streak = frac >= cfg_.storm_enter_fraction ? cs.hot_streak + 1 : 0;
-    if (cs.hot_streak >= cfg_.storm_enter_samples) {
+    cs.hot_streak = frac >= kStormEnterFraction ? cs.hot_streak + 1 : 0;
+    if (cs.hot_streak >= kStormEnterSamples) {
       cs.storm = true;
       cs.hot_streak = 0;
       cs.calm_streak = 0;
@@ -172,8 +180,8 @@ void StormController::classify(std::uint32_t cpu, double frac,
       log(Transition::Kind::kStormEnter, cpu, now, 0, frac);
     }
   } else {
-    cs.calm_streak = frac <= cfg_.storm_exit_fraction ? cs.calm_streak + 1 : 0;
-    if (cs.calm_streak >= cfg_.storm_exit_samples) {
+    cs.calm_streak = frac <= kStormExitFraction ? cs.calm_streak + 1 : 0;
+    if (cs.calm_streak >= kStormExitSamples) {
       cs.storm = false;
       cs.hot_streak = 0;
       cs.calm_streak = 0;
@@ -241,36 +249,33 @@ void StormController::respond(std::uint32_t cpu, sim::Nanos now) {
   // *degraded* capacity there (the ledger headroom is already computed
   // against the published effective capacity); rt_cpu_order still ranks any
   // quiet CPUs first.
-  if (cfg_.drain) {
-    std::sort(periodics.begin(), periodics.end(),
-              [&](const nk::Thread* a, const nk::Thread* b) {
-                if (util_of(a) != util_of(b)) return util_of(a) > util_of(b);
-                return a->id < b->id;
-              });
-    for (auto it = periodics.begin();
-         it != periodics.end() && over > kEps;) {
-      nk::Thread* t = *it;
-      if (!global_->rebalancer().movable(t)) {
-        ++it;
-        continue;
-      }
-      const double u = util_of(t);
-      bool moved = false;
-      for (std::uint32_t c : global_->engine().rt_cpu_order()) {
-        if (c == cpu) continue;
-        if (ledger.headroom(c) + kEps < u) continue;
-        if (kernel_->local_scheduler(cpu)->request_migration(*t, c)) {
-          over -= u;
-          log(Transition::Kind::kDrain, cpu, now, t->id, u);
-          ++stats_.drains;
-          moved = true;
-          break;
-        }
-      }
-      it = moved ? periodics.erase(it) : std::next(it);
+  std::sort(periodics.begin(), periodics.end(),
+            [&](const nk::Thread* a, const nk::Thread* b) {
+              if (util_of(a) != util_of(b)) return util_of(a) > util_of(b);
+              return a->id < b->id;
+            });
+  for (auto it = periodics.begin(); it != periodics.end() && over > kEps;) {
+    nk::Thread* t = *it;
+    if (!global_->rebalancer().movable(t)) {
+      ++it;
+      continue;
     }
+    const double u = util_of(t);
+    bool moved = false;
+    for (std::uint32_t c : global_->engine().rt_cpu_order()) {
+      if (c == cpu) continue;
+      if (ledger.headroom(c) + kEps < u) continue;
+      if (kernel_->local_scheduler(cpu)->request_migration(*t, c)) {
+        over -= u;
+        log(Transition::Kind::kDrain, cpu, now, t->id, u);
+        ++stats_.drains;
+        moved = true;
+        break;
+      }
+    }
+    it = moved ? periodics.erase(it) : std::next(it);
   }
-  if (!cfg_.shed || over <= kEps) return;
+  if (over <= kEps) return;
 
   // Shedding: aperiodics stop contending for the shrunken slack first (they
   // hold no reservation, but every cycle they take is one the surviving RT
@@ -346,23 +351,20 @@ void StormController::try_restores(sim::Nanos now) {
 
 void StormController::audit(sim::Nanos now) {
   if (auditor_ == nullptr || !auditor_->enabled() || !cfg_.enabled) return;
-  const audit::Config& acfg = auditor_->config();
-  if (acfg.check_shed_state) {
-    auditor_->count_check();
-    for (const ShedRecord& r : sheds_) {
-      if (!r.applied || r.restoring) continue;
-      const nk::Thread* t = r.thread;
-      if (t->id != r.id || thread_dead(t)) continue;  // gc territory
-      if (t->constraints.cls != rt::ConstraintClass::kAperiodic ||
-          t->constraints.priority != rt::kIdlePriority) {
-        auditor_->record(audit::Invariant::kShedState, t->cpu, now,
-                         "thread " + std::to_string(t->id) +
-                             " has a live shed record but runs with class/" +
-                             "priority inconsistent with the demotion");
-      }
+  auditor_->count_check();
+  for (const ShedRecord& r : sheds_) {
+    if (!r.applied || r.restoring) continue;
+    const nk::Thread* t = r.thread;
+    if (t->id != r.id || thread_dead(t)) continue;  // gc territory
+    if (t->constraints.cls != rt::ConstraintClass::kAperiodic ||
+        t->constraints.priority != rt::kIdlePriority) {
+      auditor_->record(audit::Invariant::kShedState, t->cpu, now,
+                       "thread " + std::to_string(t->id) +
+                           " has a live shed record but runs with class/" +
+                           "priority inconsistent with the demotion");
     }
   }
-  if (acfg.check_effective_capacity && !cpus_.empty()) {
+  if (!cpus_.empty()) {
     auditor_->count_check();
     const auto& ledger = global_->ledger();
     for (std::uint32_t c = 0; c < cpus_.size(); ++c) {

@@ -58,21 +58,10 @@ struct Config {
   bool enabled = false;
   /// Copied into every LocalScheduler (estimator.enabled follows `enabled`).
   EstimatorConfig estimator;
-  /// Local admission subtracts the estimated missing fraction + reserve.
-  bool degrade_admission = true;
-  /// Publish degraded effective capacities to the placement ledger.
-  bool degrade_capacity = true;
-  bool drain = true;
-  bool shed = true;
-  /// Safety margin subtracted from effective capacity on top of the
-  /// estimate, absorbing estimator lag at storm onset.
+  /// Safety margin subtracted from effective capacity (both the local
+  /// admission test's and the one published to the placement ledger) on
+  /// top of the estimate, absorbing estimator lag at storm onset.
   double capacity_reserve = 0.02;
-  sim::Nanos sample_interval_ns = sim::millis(1);
-  /// Storm hysteresis over the estimator's windowed-max fraction.
-  double storm_enter_fraction = 0.05;
-  double storm_exit_fraction = 0.02;
-  std::uint32_t storm_enter_samples = 2;
-  std::uint32_t storm_exit_samples = 4;
 };
 
 struct Transition {

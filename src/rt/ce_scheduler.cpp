@@ -202,15 +202,6 @@ void CyclicExecutiveScheduler::on_exit(nk::Thread& t) {
   if (it != aperiodic_.end()) aperiodic_.erase(it);
 }
 
-bool CyclicExecutiveScheduler::try_wake(nk::Thread& t) {
-  auto it = std::find(sleepers_.begin(), sleepers_.end(), &t);
-  if (it == sleepers_.end()) return false;
-  sleepers_.erase(it);
-  t.state = nk::Thread::State::kReady;
-  aperiodic_.push_back(&t);
-  return true;
-}
-
 void CyclicExecutiveScheduler::submit_task(nk::Task task) {
   tasks_queue_.push_back(std::move(task));
 }

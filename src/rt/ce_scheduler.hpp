@@ -40,7 +40,6 @@ class CyclicExecutiveScheduler final : public nk::SchedulerBase {
   void enqueue(nk::Thread* t) override;
   void on_sleep(nk::Thread& t, sim::Nanos wake_local) override;
   void on_exit(nk::Thread& t) override;
-  bool try_wake(nk::Thread& t) override;
   void submit_task(nk::Task task) override;
   [[nodiscard]] std::size_t stealable_count() const override { return 0; }
   nk::Thread* try_steal() override { return nullptr; }

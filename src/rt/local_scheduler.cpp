@@ -16,6 +16,8 @@ namespace {
 constexpr sim::Nanos kNoTimer = -1;
 // Zero-delay one-shot re-arms in a row before the auditor calls it a storm.
 constexpr std::uint32_t kZeroArmStormThreshold = 64;
+// Queued lightweight tasks per CPU (sized and unsized queues each).
+constexpr std::size_t kMaxTasks = 4096;
 
 /// A budget must be a fraction of one CPU: NaN, negative or above-1 values
 /// would make the capacity word meaningless.
@@ -429,8 +431,7 @@ void LocalScheduler::arm_timer(sim::Nanos now) {
     ++zero_arm_streak_;
     if (zero_arm_streak_ >= kZeroArmStormThreshold) {
       zero_arm_streak_ = 0;
-      if (auditor_ != nullptr && auditor_->enabled() &&
-          auditor_->config().check_timer) {
+      if (auditor_ != nullptr && auditor_->enabled()) {
         auditor_->record(audit::Invariant::kTimerArm, cpu_, now,
                          "one-shot timer re-armed at zero delay " +
                              std::to_string(kZeroArmStormThreshold) +
@@ -865,26 +866,9 @@ void LocalScheduler::on_sleep(nk::Thread& t, sim::Nanos wake_local) {
 
 void LocalScheduler::on_exit(nk::Thread& t) { detach_bookkeeping(&t); }
 
-bool LocalScheduler::try_wake(nk::Thread& t) {
-  if (t.state != nk::Thread::State::kSleeping) return false;
-  if (!sleepers_.remove(&t)) return false;
-  t.state = nk::Thread::State::kReady;
-  if (t.is_realtime() && t.rt.arrival_open) {
-    if (!rt_run_.push(&t)) {
-      throw std::runtime_error("LocalScheduler: rt run queue full");
-    }
-  } else {
-    t.rr_seq = ++rr_seq_counter_;
-    if (!nonrt_.push(&t)) {
-      throw std::runtime_error("LocalScheduler: nonrt queue full");
-    }
-  }
-  return true;
-}
-
 void LocalScheduler::submit_task(nk::Task task) {
   auto& q = task.size >= 0 ? sized_tasks_ : unsized_tasks_;
-  if (q.size() >= cfg_.max_tasks) {
+  if (q.size() >= kMaxTasks) {
     throw std::runtime_error("LocalScheduler: task queue full");
   }
   q.push_back(std::move(task));
@@ -1012,8 +996,7 @@ void LocalScheduler::complete_migration(nk::Thread& t, sim::Nanos now) {
     }
     t.cpu = cpu_;
     ok = change_constraints(t, c, now);
-    if (auditor_ != nullptr && auditor_->enabled() &&
-        auditor_->config().check_migration) {
+    if (auditor_ != nullptr && auditor_->enabled()) {
       auditor_->record(audit::Invariant::kMigration, cpu_, now,
                        "thread " + std::to_string(t.id) + " hand-off to cpu " +
                            std::to_string(to) +
@@ -1057,8 +1040,8 @@ std::size_t LocalScheduler::thread_count() const {
 
 void LocalScheduler::audit_state(sim::Nanos now) {
   if (auditor_ == nullptr || !auditor_->enabled()) return;
-  if (auditor_->config().check_queues) audit_queues(now);
-  if (auditor_->config().check_utilization) audit_utilization(now);
+  audit_queues(now);
+  audit_utilization(now);
 }
 
 void LocalScheduler::audit_queues(sim::Nanos now) {
@@ -1079,9 +1062,8 @@ void LocalScheduler::audit_queues(sim::Nanos now) {
   // Migration invariant: everything queued here is owned by this CPU.  A
   // mismatch means a hand-off (steal, migrate) queued a thread without
   // re-homing it.
-  const bool check_owner = auditor_->config().check_migration;
   auto owned = [&](const nk::Thread* t) {
-    if (check_owner && t->cpu != cpu_) {
+    if (t->cpu != cpu_) {
       auditor_->record(audit::Invariant::kMigration, cpu_, now,
                        who(t) + " queued on cpu " + std::to_string(cpu_) +
                            " but owned by cpu " + std::to_string(t->cpu));
@@ -1173,22 +1155,19 @@ void LocalScheduler::audit_utilization(sim::Nanos now) {
   // this CPU nor targets it is a rollback leak (the migration hand-off
   // failure path released the wrong CPU's hold) and would depress this
   // CPU's admission capacity forever.
-  if (auditor_->config().check_migration) {
-    for (const auto& [rthread, rc] : reservations_) {
-      if (rthread->cpu != cpu_ && rthread->migrate_to != cpu_) {
-        auditor_->record(
-            audit::Invariant::kMigration, cpu_, now,
-            "reservation held for thread " + std::to_string(rthread->id) +
-                " which is homed on cpu " + std::to_string(rthread->cpu) +
-                " and not migrating here (leaked rollback hold)");
-      }
+  for (const auto& [rthread, rc] : reservations_) {
+    if (rthread->cpu != cpu_ && rthread->migrate_to != cpu_) {
+      auditor_->record(
+          audit::Invariant::kMigration, cpu_, now,
+          "reservation held for thread " + std::to_string(rthread->id) +
+              " which is homed on cpu " + std::to_string(rthread->cpu) +
+              " and not migrating here (leaked rollback hold)");
     }
   }
 }
 
 void LocalScheduler::audit_edf_order(const nk::Thread* next, sim::Nanos now) {
-  if (auditor_ == nullptr || !auditor_->enabled() ||
-      !auditor_->config().check_edf_order || !cfg_.eager) {
+  if (auditor_ == nullptr || !auditor_->enabled() || !cfg_.eager) {
     return;  // the lazy ablation delays RT dispatch by design
   }
   auditor_->count_check();
@@ -1211,10 +1190,7 @@ void LocalScheduler::audit_edf_order(const nk::Thread* next, sim::Nanos now) {
 }
 
 void LocalScheduler::audit_budget(const nk::Thread* t, sim::Nanos now) {
-  if (auditor_ == nullptr || !auditor_->enabled() ||
-      !auditor_->config().check_budget) {
-    return;
-  }
+  if (auditor_ == nullptr || !auditor_->enabled()) return;
   auditor_->count_check();
   const sim::Nanos overrun = -t->rt.budget_left;
   if (overrun > budget_audit_slop_) {

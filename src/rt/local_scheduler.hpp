@@ -84,7 +84,6 @@ class LocalScheduler final : public nk::SchedulerBase {
     /// (bench/ablate_spawn).  kEdf only; other policies always fall back.
     bool fast_admission = true;
     std::size_t max_threads = 1024;
-    std::size_t max_tasks = 4096;
     // Bounds on requestable constraints (section 3.3: "Bounds are also
     // placed on the granularity and minimum size of the timing
     // constraints"), enforced only when admission is enabled.
@@ -158,7 +157,6 @@ class LocalScheduler final : public nk::SchedulerBase {
   void enqueue(nk::Thread* t) override;
   void on_sleep(nk::Thread& t, sim::Nanos wake_local) override;
   void on_exit(nk::Thread& t) override;
-  bool try_wake(nk::Thread& t) override;
   void submit_task(nk::Task task) override;
   [[nodiscard]] std::size_t stealable_count() const override;
   nk::Thread* try_steal() override;

@@ -61,7 +61,7 @@ System::System(Options options) : options_(std::move(options)) {
   if (options_.resilience.enabled) {
     options_.sched.estimator = options_.resilience.estimator;
     options_.sched.estimator.enabled = true;
-    options_.sched.degraded_admission = options_.resilience.degrade_admission;
+    options_.sched.degraded_admission = true;
     options_.sched.resilience_reserve = options_.resilience.capacity_reserve;
   }
 
@@ -83,8 +83,6 @@ System::System(Options options) : options_(std::move(options)) {
   ko.work_stealing = options_.work_stealing;
   ko.interrupt_laden_cpus = options_.interrupt_laden_cpus;
   ko.tpr_steering = options_.tpr_steering;
-  ko.calibrate_tsc = options_.calibrate_tsc;
-  ko.start_smi_source = true;  // no-op when the spec disables SMIs
   kernel_ = std::make_unique<nk::Kernel>(*machine_, std::move(ko));
   groups_ = std::make_unique<grp::GroupRegistry>(*kernel_);
   global_->attach(kernel_.get(), groups_.get());
@@ -209,14 +207,12 @@ std::vector<nk::Thread*> System::spawn_split(
     std::unique_ptr<nk::Behavior> inner =
         make_inner ? make_inner(i)
                    : std::make_unique<nk::BusyLoopBehavior>(sim::millis(2));
+    // Anchored release grid: all chunks share anchor 0, so their admitted
+    // grids coincide exactly even though each chunk's admission (with its
+    // own gamma, possibly after retries) runs at a different time.
     rt::Constraints cc = sc.constraints;
-    if (global_->config().split_aligned_release) {
-      // Anchored release grid: all chunks share anchor 0, so their admitted
-      // grids coincide exactly even though each chunk's admission (with its
-      // own gamma, possibly after retries) runs at a different time.
-      cc.align_release = true;
-      cc.release_anchor = 0;
-    }
+    cc.align_release = true;
+    cc.release_anchor = 0;
     out.push_back(kernel_->create_thread(
         name + "." + std::to_string(i), global_->auto_admit(cc, std::move(inner)),
         sc.cpu));

@@ -10,6 +10,10 @@
 namespace hrt::telemetry {
 
 namespace {
+// Distinct threads tracked with full histograms; beyond this only the
+// per-CPU counters grow (overflow is counted, never silent).
+constexpr std::size_t kMaxThreadMetrics = 4096;
+
 // Clamp a double utilization/fraction into a ppm payload.
 std::int64_t to_ppm(double x) {
   if (!(x > 0.0)) return 0;
@@ -25,14 +29,12 @@ Telemetry::Telemetry(std::uint32_t num_cpus, Config cfg)
       // rings (256 CPUs x 4096 slots would be 32 MB).
       recorder_(std::make_unique<FlightRecorder>(cfg_.enabled ? num_cpus : 0,
                                                  cfg_.recorder)),
-      metrics_(std::make_unique<MetricsRegistry>(num_cpus,
-                                                 cfg_.max_thread_metrics)),
+      metrics_(std::make_unique<MetricsRegistry>(num_cpus, kMaxThreadMetrics)),
       slo_(std::make_unique<SloMonitor>(cfg_.slos)) {
   slo_->set_alert_fn([this](std::size_t spec, sim::Nanos now, double burn) {
     // Alerts are machine-wide; attribute them to CPU 0's ring.
     recorder_->record(0, EventKind::kSloAlert, now, 0, to_ppm(burn));
-    if (cfg_.slo_audit && auditor_ != nullptr && auditor_->enabled() &&
-        auditor_->config().check_slo) {
+    if (cfg_.slo_audit && auditor_ != nullptr && auditor_->enabled()) {
       const SloSpec& s = slo_->spec(spec);
       auditor_->record(audit::Invariant::kSloBudget, 0, now,
                        "slo '" + s.name + "' burn rate " +
@@ -139,9 +141,7 @@ void Telemetry::set_effective_capacity(std::uint32_t cpu, double cap) {
 
 void Telemetry::derive_group_slo(std::string_view group_name,
                                  const rt::Constraints& admitted) {
-  if (!cfg_.enabled || !cfg_.auto_group_slos || !admitted.is_realtime()) {
-    return;
-  }
+  if (!cfg_.enabled || !admitted.is_realtime()) return;
   SloSpec s;
   s.name = "group:" + std::string(group_name);
   if (slo_->has(s.name)) return;

@@ -33,20 +33,14 @@ struct Config {
   /// valid.
   bool enabled = false;
   RecorderConfig recorder{};
-  /// Distinct threads tracked with full histograms; beyond this only the
-  /// per-CPU counters grow (overflow is counted, never silent).
-  std::size_t max_thread_metrics = 4096;
   std::vector<SloSpec> slos;
   /// Raise an audit kSloBudget violation when an SLO alert fires (requires
-  /// an attached auditor with check_slo set).
+  /// an attached, enabled auditor).
   bool slo_audit = true;
-  /// Auto-derive one SLO spec per admitted thread group from the group's
-  /// admitted constraints (docs/OBSERVABILITY.md): spec "group:<name>"
-  /// matching "<name>." threads, window = group_slo_windows periods (or
-  /// deadline windows for sporadic groups), budget group_slo_budget.  The
-  /// group admission protocol's commit step calls derive_group_slo; specs
-  /// are deduplicated by name, so re-admission is idempotent.
-  bool auto_group_slos = true;
+  /// Every admitted real-time thread group gets a derived SLO spec
+  /// (derive_group_slo, docs/OBSERVABILITY.md): window = group_slo_windows
+  /// periods (or deadline windows for sporadic groups), budget
+  /// group_slo_budget.
   double group_slo_budget = 0.01;
   std::uint64_t group_slo_windows = 100;
 };
@@ -91,9 +85,12 @@ class Telemetry {
   /// Gauge: effective RT capacity published for a CPU.
   void set_effective_capacity(std::uint32_t cpu, double cap);
 
-  /// Auto-derive a burn-rate SLO for an admitted thread group (see
-  /// Config::auto_group_slos).  No-op when disabled or when "group:<name>"
-  /// already exists.
+  /// Auto-derive a burn-rate SLO for an admitted thread group from its
+  /// admitted constraints: spec "group:<name>" matching "<name>." threads.
+  /// The group admission protocol's commit step calls this; specs are
+  /// deduplicated by name, so re-admission is idempotent.  No-op when
+  /// disabled, for a non-real-time group, or when "group:<name>" already
+  /// exists.
   void derive_group_slo(std::string_view group_name,
                         const rt::Constraints& admitted);
 

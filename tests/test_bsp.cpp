@@ -138,6 +138,13 @@ struct SweepParam {
   bool barrier;
 };
 
+// Names the ctest cases (e.g. ".../ne16_nc2_nw2_barrier"); without it gtest
+// prints the struct's raw bytes, uninitialized padding included.
+void PrintTo(const SweepParam& p, std::ostream* os) {
+  *os << "ne" << p.ne << "_nc" << p.nc << "_nw" << p.nw
+      << (p.barrier ? "_barrier" : "_free");
+}
+
 class BspSweep : public ::testing::TestWithParam<SweepParam> {};
 
 TEST_P(BspSweep, AperiodicRunsCompleteCorrectly) {

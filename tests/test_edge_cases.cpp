@@ -1,9 +1,8 @@
 // Edge cases across the stack: engine pathologies, scheduler class
-// transitions, sporadic deadline misses, RT thread exit cleanup, interrupt
-// thread overload, APIC re-arm patterns, machine-spec sanity.
+// transitions, sporadic deadline misses, RT thread exit cleanup, APIC re-arm
+// patterns, machine-spec sanity.
 #include <gtest/gtest.h>
 
-#include "nautilus/interrupt_thread.hpp"
 #include "rt/system.hpp"
 
 namespace hrt {
@@ -177,25 +176,6 @@ TEST(SchedEdge, ThreadLimitEnforced) {
       sys.spawn("overflow",
                 std::make_unique<nk::BusyLoopBehavior>(sim::micros(50)), 1),
       std::runtime_error);
-}
-
-// ---------- Interrupt thread overload ----------
-
-TEST(InterruptThreadEdge, BacklogGrowsWhenBottomHalfCannotKeepUp) {
-  System sys(quiet());
-  auto& dev = sys.machine().add_device(0x48, hw::Device::Arrival::kPeriodic,
-                                       sim::micros(50));
-  sys.boot();
-  // Bottom half costs 100 us per interrupt but they arrive every 50 us.
-  nk::InterruptThread it(sys.kernel(), 0, 130'000);
-  it.attach_vector(0x48, 800);
-  sys.kernel().apply_interrupt_partition();
-  dev.start();
-  sys.run_for(sim::millis(20));
-  EXPECT_GT(it.backlog(), 50u);  // overload is visible, not silent
-  dev.stop();
-  sys.run_for(sim::millis(60));
-  EXPECT_EQ(it.backlog(), 0u);  // and drains once the storm stops
 }
 
 // ---------- Machine spec sanity ----------

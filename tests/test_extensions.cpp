@@ -1,14 +1,11 @@
-// Tests for the extension modules: the interrupt thread (section 3.5's
-// second steering mechanism), the cyclic-executive scheduler (section 8
-// future work, running on the simulated machine) beside the RT scheduler
-// in one kernel, and trace export and sim::Trace's per-CPU record
-// positions.
+// Tests for the extension modules: the cyclic-executive scheduler (section 8
+// future work, running on the simulated machine) beside the RT scheduler in
+// one kernel, and trace export and sim::Trace's per-CPU record positions.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <vector>
 
-#include "nautilus/interrupt_thread.hpp"
 #include "rt/ce_scheduler.hpp"
 #include "rt/system.hpp"
 #include "sim/rng.hpp"
@@ -17,64 +14,11 @@
 namespace hrt {
 namespace {
 
-// ---------- InterruptThread ----------
-
 System::Options quiet(std::uint32_t cpus = 4) {
   System::Options o;
   o.spec = hw::MachineSpec::phi_small(cpus);
   o.smi_enabled = false;
   return o;
-}
-
-TEST(InterruptThread, ProcessesBacklogAndSleeps) {
-  System sys(quiet());
-  auto& dev = sys.machine().add_device(0x48, hw::Device::Arrival::kPeriodic,
-                                       sim::micros(200));
-  sys.boot();
-  nk::InterruptThread it(sys.kernel(), 0, /*bottom_half=*/8000);
-  it.attach_vector(0x48, /*top_half=*/800);
-  sys.kernel().apply_interrupt_partition();
-  dev.start();
-  sys.run_for(sim::millis(20));
-  EXPECT_GT(it.interrupts_queued(), 90u);
-  EXPECT_EQ(it.backlog(), 0u);  // the bottom half keeps up
-  EXPECT_EQ(it.interrupts_processed(), it.interrupts_queued());
-}
-
-TEST(InterruptThread, BottomHalfYieldsToRtThread) {
-  System sys(quiet());
-  auto& dev = sys.machine().add_device(0x48, hw::Device::Arrival::kPoisson,
-                                       sim::micros(100));
-  sys.boot();
-  nk::InterruptThread it(sys.kernel(), 0, 20000);
-  it.attach_vector(0x48, 800);
-  sys.kernel().apply_interrupt_partition();
-  dev.start();
-  // RT thread on the SAME interrupt-laden CPU: TPR steering defers the top
-  // halves and the bottom half is just an aperiodic thread, so deadlines
-  // hold.
-  auto b = std::make_unique<nk::FnBehavior>(
-      [](nk::ThreadCtx&, std::uint64_t step) {
-        if (step == 0) {
-          return nk::Action::change_constraints(rt::Constraints::periodic(
-              sim::millis(1), sim::micros(200), sim::micros(80)));
-        }
-        return nk::Action::compute(sim::micros(40));
-      });
-  nk::Thread* t = sys.spawn("rt", std::move(b), 0, 10);
-  sys.run_for(sim::millis(100));
-  ASSERT_TRUE(t->last_admit_ok);
-  EXPECT_EQ(t->rt.misses, 0u);
-  EXPECT_GT(it.interrupts_processed(), 500u);
-}
-
-TEST(InterruptThread, WakeThreadOnNonSleepingIsFalse) {
-  System sys(quiet());
-  sys.boot();
-  nk::Thread* t = sys.spawn(
-      "w", std::make_unique<nk::BusyLoopBehavior>(sim::micros(10)), 1);
-  sys.run_for(sim::millis(1));
-  EXPECT_FALSE(sys.kernel().wake_thread(t));
 }
 
 // ---------- CyclicExecutiveScheduler ----------

@@ -371,6 +371,12 @@ struct FeasiblePoint {
   int slice_pct;
 };
 
+// Names the ctest cases (e.g. ".../period1000000ns_slice70pct"); without it
+// gtest prints the struct's raw bytes, uninitialized padding included.
+void PrintTo(const FeasiblePoint& p, std::ostream* os) {
+  *os << "period" << p.period << "ns_slice" << p.slice_pct << "pct";
+}
+
 class FeasibleSweep : public ::testing::TestWithParam<FeasiblePoint> {};
 
 TEST_P(FeasibleSweep, AdmittedConstraintsNeverMissOnPhi) {

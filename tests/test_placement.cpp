@@ -291,18 +291,6 @@ TEST(Placement, SplitPlanDegradesByMissingTime) {
   sim::Nanos total = 0;
   for (const auto& c : degraded.chunks) total += c.constraints.slice;
   EXPECT_EQ(total, wide.slice);  // work conserved either way
-
-  // The config gate restores the old (ledger-only) sizing.
-  System::Options o2 = placed(2, 0);
-  o2.sched.estimator.enabled = true;
-  o2.placement_config.split_degrade_missing_time = false;
-  System gated(std::move(o2));
-  gated.boot();
-  degrade_cpu0(gated);
-  const auto ungated = gated.placement().plan_split(wide, min_slice);
-  ASSERT_TRUE(ungated.ok);
-  EXPECT_EQ(slice_on(ungated, 0), slice_on(clean, 0));
-  EXPECT_EQ(slice_on(ungated, 1), slice_on(clean, 1));
 }
 
 // ---------- job-boundary RT migration ----------
@@ -471,9 +459,9 @@ TEST(Rebalance, MakeRoomTiesPickEarlierVictimAndLowerDestination) {
 TEST(Placement, RtCpuOrderMatchesStableSortReference) {
   // rt_cpu_order over a hand-fed ledger must equal a std::stable_sort of
   // 0..n-1 with the comparator it has always meant: quiet before
-  // storm-hit, interrupt-free before laden (when steering), then more
-  // headroom first, ties in CPU order.  Headrooms come from a few discrete
-  // levels, so ties are common.
+  // storm-hit, interrupt-free before laden (kTopology with an interrupt-free
+  // CPU), then more headroom first, ties in CPU order.  Headrooms come from
+  // a few discrete levels, so ties are common.
   sim::Rng rng(20260417);
   for (int round = 0; round < 200; ++round) {
     const auto n = static_cast<std::uint32_t>(rng.uniform(1, 24));
@@ -485,17 +473,18 @@ TEST(Placement, RtCpuOrderMatchesStableSortReference) {
     std::vector<std::uint8_t> storm(n);
     for (auto& f : storm) f = rng.uniform(0, 3) == 0 ? 1 : 0;
     for (const std::uint32_t laden : {0u, 1u, 4u}) {
-      for (const bool steer : {true, false}) {
+      for (const global::Policy policy :
+           {global::Policy::kTopology, global::Policy::kWorstFit}) {
         global::Config cfg;
-        cfg.policy = global::Policy::kTopology;
+        cfg.policy = policy;
         cfg.interrupt_laden_cpus = laden;
-        cfg.steer_rt_interrupt_free = steer;
         global::PlacementEngine engine(ledger, cfg);
         if (round % 2 == 0) engine.set_storm_flags(&storm);
 
         std::vector<std::uint32_t> want(n);
         std::iota(want.begin(), want.end(), 0u);
-        const std::uint32_t free_from = steer && laden < n ? laden : 0;
+        const std::uint32_t free_from =
+            policy == global::Policy::kTopology && laden < n ? laden : 0;
         std::stable_sort(want.begin(), want.end(),
                          [&](std::uint32_t a, std::uint32_t b) {
                            const bool sa = engine.storm_hit(a);
@@ -507,7 +496,7 @@ TEST(Placement, RtCpuOrderMatchesStableSortReference) {
                          });
         EXPECT_EQ(engine.rt_cpu_order(), want)
             << "round " << round << " n " << n << " laden " << laden
-            << " steer " << steer;
+            << " policy " << global::policy_name(policy);
       }
     }
   }
@@ -633,7 +622,6 @@ std::vector<std::uint32_t> place_batch_by_scan(
                      return specs[a].utilization() > specs[b].utilization();
                    });
   const bool steer = cfg.policy == global::Policy::kTopology &&
-                     cfg.steer_rt_interrupt_free &&
                      cfg.interrupt_laden_cpus < n;
   for (const std::size_t i : order) {
     const double util = specs[i].utilization();
@@ -673,9 +661,9 @@ TEST(Placement, PlaceBatchMatchesScanReference) {
   // batches against hand-fed ledgers: committed loads from a few discrete
   // levels (ties are common), some capacities lowered as storm degradation
   // does (headroom not monotone in committed load), storm flags on half the
-  // cases, laden partitions from empty to past the machine, steering on and
-  // off, every policy, and aperiodic, periodic, over-capacity and
-  // zero-period specs.
+  // cases, laden partitions from empty to past the machine, every policy
+  // (kTopology on half its draws, kWorstFit on the other half), and
+  // aperiodic, periodic, over-capacity and zero-period specs.
   sim::Rng rng(20181018);
   const global::Policy policies[] = {
       global::Policy::kFirstFit, global::Policy::kBestFit,
@@ -696,7 +684,11 @@ TEST(Placement, PlaceBatchMatchesScanReference) {
     global::Config cfg;
     cfg.policy = policies[rng.uniform(0, 3)];
     cfg.interrupt_laden_cpus = ladens[rng.uniform(0, 4)];
-    cfg.steer_rt_interrupt_free = rng.uniform(0, 1) == 1;
+    // kTopology without steering is kWorstFit.
+    const bool steer = rng.uniform(0, 1) == 1;
+    if (!steer && cfg.policy == global::Policy::kTopology) {
+      cfg.policy = global::Policy::kWorstFit;
+    }
     global::PlacementEngine engine(ledger, cfg);
     if (round % 2 == 1) engine.set_storm_flags(&storm);
 
@@ -720,8 +712,7 @@ TEST(Placement, PlaceBatchMatchesScanReference) {
               place_batch_by_scan(ledger, engine, specs))
         << "round " << round << " n " << n << " policy "
         << global::policy_name(cfg.policy) << " laden "
-        << cfg.interrupt_laden_cpus << " steer "
-        << cfg.steer_rt_interrupt_free << " specs " << specs.size();
+        << cfg.interrupt_laden_cpus << " specs " << specs.size();
   }
 }
 
@@ -839,63 +830,84 @@ TEST(Overflow, SpawnSplitAdmitsOversizedTask) {
   EXPECT_EQ(sys.auditor().total_violations(), 0u);
 }
 
-// Regression for the docs/GLOBAL.md caveat this PR closes: chunks admitting
-// at skewed gammas used to carry grids offset by the skew.  With aligned
-// release (the default) the commit-time rewrite lands every chunk on the
-// shared anchor grid exactly; with it disabled the historical misalignment
-// is reproduced, proving the fix is load-bearing.
-TEST(Overflow, SplitChunksShareExactReleaseGridUnderSkew) {
-  for (const bool aligned : {true, false}) {
-    System::Options o = placed(2, 0);
-    o.placement_config.split_aligned_release = aligned;
-    System sys(std::move(o));
-    sys.machine().trace().enable();
-    sys.boot();
-    // One-shot aperiodic hogs of different lengths delay each chunk's first
-    // run — and therefore its admission gamma — by different amounts.
-    sys.spawn("hog0", finite_worker(1, sim::micros(70)), 0, 5);
-    sys.spawn("hog1", finite_worker(1, sim::micros(130)), 1, 5);
-    const auto c = rt::Constraints::periodic(sim::millis(1), sim::millis(1),
-                                             sim::micros(900));
-    const auto chunks = sys.spawn_split("wide", c);
-    ASSERT_EQ(chunks.size(), 2u);
-    sys.run_for(sim::millis(40));
-    for (nk::Thread* t : chunks) ASSERT_TRUE(admitted_rt(t));
-    const sim::Nanos skew = chunks[1]->rt.gamma - chunks[0]->rt.gamma;
-    ASSERT_NE(skew % c.period, 0) << "scenario must produce admission skew";
+TEST(Overflow, SpawnSplitChunksHonorSchedulerMinSlice) {
+  // spawn_split sizes its chunks with Options::sched.min_slice, the floor
+  // the local schedulers enforce at admission.  With the default floor this
+  // u = 0.9 spec splits 790 + 110 us over two 0.79 CPUs; a floor above that
+  // tail moves the tail up to the floor.
+  const sim::Nanos floor = sim::micros(200);
+  System::Options o = placed(2, 0);
+  o.sched.min_slice = floor;
+  System sys(std::move(o));
+  sys.boot();
+  const auto c =
+      rt::Constraints::periodic(sim::millis(1), sim::millis(1), sim::micros(900));
+  const auto by_default =
+      sys.placement().plan_split(c, rt::LocalScheduler::Config{}.min_slice);
+  ASSERT_TRUE(by_default.ok);
+  ASSERT_LT(by_default.chunks.back().constraints.slice, floor);
 
-    const sim::Nanos a0 = chunks[0]->rt.gamma + chunks[0]->constraints.phase;
-    const sim::Nanos a1 = chunks[1]->rt.gamma + chunks[1]->constraints.phase;
-    const sim::Nanos grid_offset = ((a1 - a0) % c.period + c.period) % c.period;
-    if (!aligned) {
-      EXPECT_NE(grid_offset, 0) << "pre-fix behavior: grids offset by skew";
-      continue;
-    }
-    EXPECT_EQ(grid_offset, 0) << "chunks must share one release grid";
-    EXPECT_EQ(chunks[1]->constraints.phase / c.period -
-                  chunks[0]->constraints.phase / c.period,
-              1)
-        << "pipeline offset preserved";
-    // The previously-misaligned split now passes the replay oracle with
-    // zero misses on both CPUs.
-    const audit::ReplayConfig cfg =
-        audit::replay_config_for(sys.machine().spec());
-    for (nk::Thread* t : chunks) {
-      EXPECT_EQ(t->rt.misses, 0u);
-      const std::vector<audit::ReplayTask> tasks = {
-          {t->id, t->constraints, t->rt.gamma}};
-      audit::ReplayResult r = audit::replay_edf(
-          sys.machine().trace(), t->cpu, tasks, cfg, sys.engine().now());
-      for (const auto& d : r.divergences) {
-        ADD_FAILURE() << "cpu " << t->cpu << " t=" << d.time << "ns: "
-                      << d.detail;
-      }
-      audit::verify_stats(r, t->id, t->rt.arrivals, t->rt.completions,
-                          t->rt.misses, 2);
-      EXPECT_TRUE(r.ok());
-    }
-    EXPECT_EQ(sys.auditor().total_violations(), 0u);
+  const auto chunks = sys.spawn_split("wide", c);
+  ASSERT_EQ(chunks.size(), 2u);
+  sys.run_for(sim::millis(40));
+  sim::Nanos total_slice = 0;
+  for (nk::Thread* t : chunks) {
+    EXPECT_TRUE(admitted_rt(t));
+    EXPECT_EQ(t->rt.misses, 0u);
+    EXPECT_GE(t->constraints.slice, floor);
+    total_slice += t->constraints.slice;
   }
+  EXPECT_EQ(total_slice, c.slice);
+}
+
+// Regression for the docs/GLOBAL.md caveat: chunks admitting at skewed
+// gammas used to carry grids offset by the skew.  Aligned release's
+// commit-time rewrite lands every chunk on the shared anchor grid exactly,
+// even though the scenario produces admission skew.
+TEST(Overflow, SplitChunksShareExactReleaseGridUnderSkew) {
+  System sys(placed(2, 0));
+  sys.machine().trace().enable();
+  sys.boot();
+  // One-shot aperiodic hogs of different lengths delay each chunk's first
+  // run — and therefore its admission gamma — by different amounts.
+  sys.spawn("hog0", finite_worker(1, sim::micros(70)), 0, 5);
+  sys.spawn("hog1", finite_worker(1, sim::micros(130)), 1, 5);
+  const auto c = rt::Constraints::periodic(sim::millis(1), sim::millis(1),
+                                           sim::micros(900));
+  const auto chunks = sys.spawn_split("wide", c);
+  ASSERT_EQ(chunks.size(), 2u);
+  sys.run_for(sim::millis(40));
+  for (nk::Thread* t : chunks) ASSERT_TRUE(admitted_rt(t));
+  const sim::Nanos skew = chunks[1]->rt.gamma - chunks[0]->rt.gamma;
+  ASSERT_NE(skew % c.period, 0) << "scenario must produce admission skew";
+
+  const sim::Nanos a0 = chunks[0]->rt.gamma + chunks[0]->constraints.phase;
+  const sim::Nanos a1 = chunks[1]->rt.gamma + chunks[1]->constraints.phase;
+  const sim::Nanos grid_offset = ((a1 - a0) % c.period + c.period) % c.period;
+  EXPECT_EQ(grid_offset, 0) << "chunks must share one release grid";
+  EXPECT_EQ(chunks[1]->constraints.phase / c.period -
+                chunks[0]->constraints.phase / c.period,
+            1)
+      << "pipeline offset preserved";
+  // The skewed split passes the replay oracle with zero misses on both
+  // CPUs.
+  const audit::ReplayConfig cfg =
+      audit::replay_config_for(sys.machine().spec());
+  for (nk::Thread* t : chunks) {
+    EXPECT_EQ(t->rt.misses, 0u);
+    const std::vector<audit::ReplayTask> tasks = {
+        {t->id, t->constraints, t->rt.gamma}};
+    audit::ReplayResult r = audit::replay_edf(
+        sys.machine().trace(), t->cpu, tasks, cfg, sys.engine().now());
+    for (const auto& d : r.divergences) {
+      ADD_FAILURE() << "cpu " << t->cpu << " t=" << d.time << "ns: "
+                    << d.detail;
+    }
+    audit::verify_stats(r, t->id, t->rt.arrivals, t->rt.completions,
+                        t->rt.misses, 2);
+    EXPECT_TRUE(r.ok());
+  }
+  EXPECT_EQ(sys.auditor().total_violations(), 0u);
 }
 
 TEST(Placement, ChurnKeepsLedgerInvariants) {

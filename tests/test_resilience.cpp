@@ -74,7 +74,8 @@ TEST(Estimator, UnbiasedEpisodeChargingAndWindowing) {
   // The arming-gap credit is capped.
   est.note_episode(sim::micros(10), sim::millis(1), sim::micros(300));
   EXPECT_EQ(est.stolen_total_ns(),
-            25000u + 10000u + cfg.episode_credit_cap_ns / 2);
+            25000u + 10000u +
+                resilience::MissingTimeEstimator::kEpisodeCreditCapNs / 2);
 
   // Nothing closed yet: fractions still zero.
   EXPECT_EQ(est.ewma_fraction(), 0.0);
@@ -83,12 +84,14 @@ TEST(Estimator, UnbiasedEpisodeChargingAndWindowing) {
   EXPECT_NEAR(est.windowed_max_fraction(), 0.06, 1e-9);
   EXPECT_NEAR(est.ewma_fraction(), 0.03, 1e-9);  // alpha 0.5 from 0
   // The elevated estimate switches the watchdog to the alert cadence.
-  EXPECT_EQ(est.watchdog_period(), cfg.watchdog_alert_ns);
+  EXPECT_EQ(est.watchdog_period(),
+            resilience::MissingTimeEstimator::kWatchdogAlertNs);
   // Quiet windows decay the EWMA but the ring remembers the worst window.
   est.advance(sim::millis(3) + 1);
   EXPECT_NEAR(est.windowed_max_fraction(), 0.06, 1e-9);
   EXPECT_LT(est.ewma_fraction(), 0.01);
-  EXPECT_EQ(est.watchdog_period(), cfg.watchdog_quiet_ns);
+  EXPECT_EQ(est.watchdog_period(),
+            resilience::MissingTimeEstimator::kWatchdogQuietNs);
   // Once the hot window ages out of the ring, the max drops too.
   est.advance(sim::millis(6));
   EXPECT_EQ(est.windowed_max_fraction(), 0.0);

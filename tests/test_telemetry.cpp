@@ -961,19 +961,5 @@ TEST(TelemetrySloSystem, GroupAdmissionDerivesSloSpec) {
   EXPECT_EQ(team_specs, 1u);
 }
 
-TEST(TelemetrySloSystem, GroupSloDerivationCanBeDisabled) {
-  System::Options o = observed(4);
-  o.telemetry.auto_group_slos = false;
-  System sys(std::move(o));
-  sys.boot();
-  const auto c = rt::Constraints::periodic(sim::millis(2), sim::millis(1),
-                                           sim::micros(150));
-  sys.spawn_group_auto("quiet", 2, c, [](std::uint32_t) {
-    return std::make_unique<nk::BusyLoopBehavior>(sim::micros(100));
-  });
-  sys.run_for(sim::millis(20));
-  EXPECT_FALSE(sys.telemetry().slo().has("group:quiet"));
-}
-
 }  // namespace
 }  // namespace hrt
