@@ -548,39 +548,27 @@ bool ClusterController::node_fits(std::uint32_t node, const Job& j) const {
 }
 
 std::vector<std::uint32_t> ClusterController::candidate_nodes(
-    const Job& j, std::uint32_t exclude) const {
+    std::uint32_t exclude) const {
   std::vector<std::uint32_t> out;
   for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
     if (i != exclude && node_placeable(i)) out.push_back(i);
   }
-  switch (opt_.placement) {
-    case global::Policy::kFirstFit:
-      break;  // node id order
-    case global::Policy::kBestFit:
-      std::stable_sort(out.begin(), out.end(),
-                       [this](std::uint32_t a, std::uint32_t b) {
-                         return node_headroom(a) < node_headroom(b);
-                       });
-      break;
-    case global::Policy::kWorstFit:
-    case global::Policy::kTopology:
-      std::stable_sort(out.begin(), out.end(),
-                       [this](std::uint32_t a, std::uint32_t b) {
-                         return node_headroom(a) > node_headroom(b);
-                       });
-      break;
-  }
-  // Storm-flagged nodes last: their published capacity is already degraded,
-  // but quiet nodes are still the better first choice.
-  std::stable_partition(out.begin(), out.end(), [this](std::uint32_t n) {
-    return !ledger_.storm_flagged(n);
-  });
-  (void)j;
+  // Placement's CPU ranking (docs/GLOBAL.md) at node granularity:
+  // storm-flagged nodes last (their published capacity is already degraded,
+  // but quiet nodes are still the better first choice), then more headroom
+  // first, then node id.
+  std::stable_sort(out.begin(), out.end(),
+                   [this](std::uint32_t a, std::uint32_t b) {
+                     const bool sa = ledger_.storm_flagged(a);
+                     const bool sb = ledger_.storm_flagged(b);
+                     if (sa != sb) return !sa;
+                     return node_headroom(a) > node_headroom(b);
+                   });
   return out;
 }
 
 bool ClusterController::place_job(Job& j, std::uint32_t exclude) {
-  const std::vector<std::uint32_t> candidates = candidate_nodes(j, exclude);
+  const std::vector<std::uint32_t> candidates = candidate_nodes(exclude);
   // The cluster fit gate is advisory: it keeps jobs that merely need room
   // waiting (no attempt burned) until capacity frees up.  A job whose demand
   // exceeds every candidate's FULL effective capacity — or whose per-thread
@@ -729,7 +717,7 @@ bool ClusterController::try_shed_for(const Job& j) {
     }
   }
   // Find a node where evicting strictly-less-critical jobs frees enough.
-  for (std::uint32_t i : candidate_nodes(j, kInvalidNode)) {
+  for (std::uint32_t i : candidate_nodes(kInvalidNode)) {
     double have = node_headroom(i) + nodes_[i].shed_credit;
     std::vector<Job*> victims;
     for (Job& v : jobs_) {

@@ -43,7 +43,6 @@
 #include "audit/auditor.hpp"
 #include "cluster/ledger.hpp"
 #include "cluster/tenant.hpp"
-#include "global/placement.hpp"
 #include "rt/system.hpp"
 #include "sim/stats.hpp"
 #include "sim/time.hpp"
@@ -61,9 +60,6 @@ class ClusterController {
     /// Cluster heartbeat/control tick.  Failure detection latency is
     /// bounded by one period.
     sim::Nanos control_period = sim::micros(500);
-    /// Cluster-level fit policy across nodes (kTopology behaves as
-    /// worst-fit here; node-internal topology steering is the node's job).
-    global::Policy placement = global::Policy::kWorstFit;
     bool failover = true;  // off = the no-failover baseline for the bench
     /// Slack utilization one best-effort worker slot represents: a node
     /// offers floor(headroom / best_effort_slot_util) BE slots.
@@ -239,7 +235,7 @@ class ClusterController {
   [[nodiscard]] double node_headroom(std::uint32_t node) const;
   [[nodiscard]] bool node_fits(std::uint32_t node, const Job& j) const;
   [[nodiscard]] std::vector<std::uint32_t> candidate_nodes(
-      const Job& j, std::uint32_t exclude) const;
+      std::uint32_t exclude) const;
   bool place_job(Job& j, std::uint32_t exclude);
   bool move_job(Job& j, std::uint32_t exclude);
   bool try_shed_for(const Job& j);

@@ -36,7 +36,7 @@ class GlobalScheduler {
  public:
   struct Stats {
     std::uint64_t auto_placements = 0;      // place() calls
-    std::uint64_t fallback_placements = 0;  // nothing fit; least-loaded used
+    std::uint64_t fallback_placements = 0;  // place() found no CPU fitting
     std::uint64_t split_plans = 0;          // successful plan_split calls
     std::uint64_t split_chunks = 0;         // chunks across those plans
     std::uint64_t admit_give_ups = 0;       // auto-admit exhausted retries
@@ -64,15 +64,16 @@ class GlobalScheduler {
   [[nodiscard]] const Config& config() const { return cfg_; }
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
-  /// Choose a CPU for a new thread with constraints `c`.  Always returns a
-  /// valid CPU: when nothing fits, the least-committed (interrupt-free
-  /// preferred for RT) CPU is used so the admission failure lands where a
-  /// rebalance is most likely to help.
+  /// Choose a CPU for a new thread with constraints `c`: place_batch's
+  /// scan on the one spec.  Always returns a valid CPU: when nothing fits,
+  /// the first CPU in the ranking (the roomiest of the spec's partition) is
+  /// used so the admission failure lands where a rebalance is most likely
+  /// to help.
   [[nodiscard]] std::uint32_t place(const rt::Constraints& c) {
     ++stats_.auto_placements;
-    std::uint32_t cpu = engine_.choose_cpu(c);
-    if (cpu == kInvalidCpu) {
-      cpu = engine_.fallback_cpu(c.is_realtime());
+    const std::uint32_t cpu = engine_.place_batch({c}).front();
+    // The scan falls back only when no CPU fits, so also not the one taken.
+    if (cpu == kInvalidCpu || !engine_.fits(cpu, c.utilization())) {
       ++stats_.fallback_placements;
     }
     return cpu;

@@ -19,6 +19,8 @@ namespace {
 // admission's exact fallback admits (Placement.ExactlyFullSpecsStayPlaceable).
 constexpr double kEps = 1e-9;
 
+bool room_for(double headroom, double util) { return headroom + kEps >= util; }
+
 }  // namespace
 
 const char* policy_name(Policy p) {
@@ -32,88 +34,11 @@ const char* policy_name(Policy p) {
 }
 
 bool PlacementEngine::steers_rt() const {
-  return cfg_.policy == Policy::kTopology &&
-         cfg_.interrupt_laden_cpus < ledger_.num_cpus();
+  return cfg_.interrupt_laden_cpus < ledger_.num_cpus();
 }
 
 bool PlacementEngine::fits(std::uint32_t cpu, double util) const {
-  return ledger_.headroom(cpu) + kEps >= util;
-}
-
-std::uint32_t PlacementEngine::choose_cpu(double util, bool realtime) const {
-  const std::uint32_t n = ledger_.num_cpus();
-  if (n == 0) return kInvalidCpu;
-
-  // Storm-hit CPUs (resilience controller) are considered only when no
-  // quiet CPU in the candidate set fits.
-  auto pick = [&](auto&& eligible, auto&& better) {
-    auto scan = [&](bool avoid_storm) {
-      std::uint32_t best = kInvalidCpu;
-      for (std::uint32_t c = 0; c < n; ++c) {
-        if (avoid_storm && storm_hit(c)) continue;
-        if (!eligible(c) || !fits(c, util)) continue;
-        if (best == kInvalidCpu || better(c, best)) best = c;
-      }
-      return best;
-    };
-    const std::uint32_t quiet = scan(true);
-    return quiet != kInvalidCpu ? quiet : scan(false);
-  };
-  auto any = [](std::uint32_t) { return true; };
-  auto lowest = [](std::uint32_t, std::uint32_t) { return false; };
-  auto least_loaded = [&](std::uint32_t a, std::uint32_t b) {
-    return ledger_.committed(a) < ledger_.committed(b);
-  };
-  auto most_loaded = [&](std::uint32_t a, std::uint32_t b) {
-    return ledger_.committed(a) > ledger_.committed(b);
-  };
-
-  switch (cfg_.policy) {
-    case Policy::kFirstFit:
-      return pick(any, lowest);
-    case Policy::kBestFit:
-      return pick(any, most_loaded);
-    case Policy::kWorstFit:
-      return pick(any, least_loaded);
-    case Policy::kTopology: {
-      if (!steers_rt()) return pick(any, least_loaded);
-      const std::uint32_t laden = cfg_.interrupt_laden_cpus;
-      if (realtime) {
-        // RT work belongs in the interrupt-free partition (section 3.5);
-        // spill into the laden partition only when it must.
-        const std::uint32_t c =
-            pick([&](std::uint32_t x) { return x >= laden; }, least_loaded);
-        if (c != kInvalidCpu) return c;
-        return pick([&](std::uint32_t x) { return x < laden; }, least_loaded);
-      }
-      // Non-RT work goes the other way, keeping the quiet partition quiet.
-      const std::uint32_t c =
-          pick([&](std::uint32_t x) { return x < laden; }, least_loaded);
-      if (c != kInvalidCpu) return c;
-      return pick([&](std::uint32_t x) { return x >= laden; }, least_loaded);
-    }
-  }
-  return kInvalidCpu;
-}
-
-std::uint32_t PlacementEngine::fallback_cpu(bool realtime) const {
-  const std::uint32_t n = ledger_.num_cpus();
-  if (n == 0) return kInvalidCpu;
-  const bool steer = realtime && steers_rt();
-  std::uint32_t best = kInvalidCpu;
-  std::uint32_t best_quiet = kInvalidCpu;
-  for (std::uint32_t c = steer ? cfg_.interrupt_laden_cpus : 0; c < n; ++c) {
-    if (best == kInvalidCpu ||
-        ledger_.committed(c) < ledger_.committed(best)) {
-      best = c;
-    }
-    if (!storm_hit(c) &&
-        (best_quiet == kInvalidCpu ||
-         ledger_.committed(c) < ledger_.committed(best_quiet))) {
-      best_quiet = c;
-    }
-  }
-  return best_quiet != kInvalidCpu ? best_quiet : best;
+  return room_for(ledger_.headroom(cpu), util);
 }
 
 std::vector<std::uint32_t> PlacementEngine::rt_cpu_order() const {
@@ -147,22 +72,21 @@ std::vector<std::uint32_t> PlacementEngine::place_batch(
   if (n == 0 || specs.empty()) return out;
 
   // ONE ledger snapshot for the whole batch; every placement debits the
-  // scratch copy so later specs see earlier ones.  The copy is a min-heap
-  // on (committed, CPU index): every scan below takes the first CPU in that
-  // order that passes its filters, which is the least-committed passing
+  // scratch copy so later specs see earlier ones.  The copy is a heap on
+  // (headroom descending, CPU index): every scan below takes the first CPU
+  // in that order that passes its filters, which is the roomiest passing
   // CPU, lowest index on ties.
   struct Slot {
-    double committed;
     double head;
     std::uint32_t cpu;
   };
   auto later = [](const Slot& a, const Slot& b) {
-    if (a.committed != b.committed) return a.committed > b.committed;
+    if (a.head != b.head) return a.head < b.head;
     return a.cpu > b.cpu;
   };
   std::vector<Slot> heap(n);
   for (std::uint32_t c = 0; c < n; ++c) {
-    heap[c] = Slot{ledger_.committed(c), ledger_.headroom(c), c};
+    heap[c] = Slot{ledger_.headroom(c), c};
   }
   std::make_heap(heap.begin(), heap.end(), later);
   // The entries popped for the current spec, in heap order.
@@ -189,7 +113,7 @@ std::vector<std::uint32_t> PlacementEngine::place_batch(
       if (steer && ((s.cpu >= cfg_.interrupt_laden_cpus) != want_free)) {
         return false;
       }
-      return !need_fit || s.head + kEps >= util;
+      return !need_fit || room_for(s.head, util);
     };
     // Index into `popped` of the first passing CPU.  A later scan of the
     // same spec re-walks the popped prefix before popping further.
@@ -208,9 +132,9 @@ std::vector<std::uint32_t> PlacementEngine::place_batch(
       return kNone;
     };
     std::size_t k = kNone;
-    // Same preference order as choose_cpu/fallback_cpu: quiet before
-    // stormy, the right partition before the wrong one, fitting before
-    // fallback-least-committed.
+    // The ranking's classes: quiet before stormy, then the spec's own
+    // partition before the other; the first class holding a fitting CPU
+    // wins, and with no fit anywhere the first CPU of the ranking does.
     const bool free_first = !steer || realtime;
     for (const bool need_fit : {true, false}) {
       k = scan(free_first, true, need_fit);
@@ -224,7 +148,6 @@ std::vector<std::uint32_t> PlacementEngine::place_batch(
       out[i] = s.cpu;
       s.head -= util;
       if (s.head < 0.0) s.head = 0.0;
-      s.committed += util;
     }
     for (const Slot& s : popped) {
       heap.push_back(s);

@@ -8,11 +8,13 @@
 // throughput, never a deadline.
 //
 // Three layers:
-//   * PlacementEngine — online single-thread placement with pluggable
-//     policies (first-fit, best-fit, worst-fit, topology-aware), plus
-//     group co-placement.
+//   * PlacementEngine — online placement.  It owns one ranking of the CPUs
+//     and one fit test, and every live decision (single spawns, batches,
+//     group co-placement, the rebalancer's and the storm drain's
+//     destinations) takes the first CPU in that ranking passing its filter.
 //   * pack_decreasing / pack_semi_partitioned — offline set packing used by
-//     the ablation bench and by spawn-time overflow splitting.  The
+//     the ablation bench and by spawn-time overflow splitting, under the
+//     first/best/worst-fit and topology candidate orders (Policy).  The
 //     semi-partitioned packer splits tasks that fit no single CPU into
 //     restricted-migration pipeline chunks (split_task) and by construction
 //     admits at least as much utilization as the best pure partitioning.
@@ -37,6 +39,7 @@ class UtilizationLedger;
 
 inline constexpr std::uint32_t kInvalidCpu = 0xFFFFFFFFu;
 
+/// Candidate orders of the offline packers (pack_decreasing).
 enum class Policy : std::uint8_t {
   kFirstFit,   // lowest-numbered CPU with headroom
   kBestFit,    // most-loaded CPU that still fits (minimum residual)
@@ -47,9 +50,8 @@ enum class Policy : std::uint8_t {
 [[nodiscard]] const char* policy_name(Policy p);
 
 struct Config {
-  Policy policy = Policy::kTopology;
   /// Mirror of nk::Kernel::Options::interrupt_laden_cpus: CPUs [0, n) take
-  /// device interrupts (section 3.5's partition), so kTopology places RT
+  /// device interrupts (section 3.5's partition), so placement puts RT
   /// threads on CPUs >= n whenever they fit there.
   std::uint32_t interrupt_laden_cpus = 1;
   /// Rebalancer knobs (rebalancer.hpp).
@@ -66,51 +68,44 @@ class PlacementEngine {
   [[nodiscard]] const Config& config() const { return cfg_; }
 
   /// Does placement steer RT work off the interrupt-laden CPUs [0, laden)?
-  /// True under kTopology when the machine has interrupt-free CPUs; when
-  /// false, kTopology places exactly as kWorstFit.
+  /// True when the machine has interrupt-free CPUs.
   [[nodiscard]] bool steers_rt() const;
 
-  /// Pick a CPU for a thread demanding `util` of a CPU.  Real-time requests
-  /// under kTopology prefer the interrupt-free partition.  Returns
-  /// kInvalidCpu when no CPU has the headroom.
-  [[nodiscard]] std::uint32_t choose_cpu(double util, bool realtime) const;
-  [[nodiscard]] std::uint32_t choose_cpu(const rt::Constraints& c) const {
-    return choose_cpu(c.utilization(), c.is_realtime());
-  }
+  /// The one fit test: `cpu`'s ledger headroom takes `util`, within a flat
+  /// 1e-9 slack (placement.cpp).
+  [[nodiscard]] bool fits(std::uint32_t cpu, double util) const;
 
-  /// Placement of last resort when nothing fits: the least-committed CPU
-  /// (interrupt-free preferred for RT), so the inevitable admission
-  /// rejection lands where a rebalance is most likely to make room.
-  [[nodiscard]] std::uint32_t fallback_cpu(bool realtime) const;
-
-  /// Co-place `n` group members, each demanding `c`'s utilization: distinct
-  /// CPUs in headroom order (group collectives gain nothing from sharing a
-  /// CPU; distinct CPUs let all members run concurrently).  Empty result if
-  /// fewer than `n` CPUs fit.
+  /// Co-place `n` group members, each demanding `c`'s utilization: the
+  /// first `n` CPUs of rt_cpu_order() that fit (group collectives gain
+  /// nothing from sharing a CPU; distinct CPUs let all members run
+  /// concurrently).  Empty result if fewer than `n` CPUs fit.
   [[nodiscard]] std::vector<std::uint32_t> choose_group(
       std::uint32_t n, const rt::Constraints& c) const;
 
-  /// One placement pass for a whole batch (System::spawn_batch): the ledger
-  /// is snapshotted once into a scratch min-heap on (committed, CPU index),
-  /// then the specs are packed worst-fit-decreasing against the scratch —
-  /// each placement debits it, so later specs see earlier ones without
-  /// another ledger read.  A spec costs O(log CPUs) when its least-committed
-  /// CPU passes the filters.  Specs that fit nowhere get the fallback CPU,
-  /// exactly like place(); result[i] is the CPU for specs[i].
+  /// One placement pass for a whole batch (System::spawn_batch, and
+  /// GlobalScheduler::place for one spec): the ledger is snapshotted once
+  /// into a scratch max-heap on (headroom, lower CPU index), then the specs
+  /// are packed worst-fit-decreasing against the scratch — each placement
+  /// debits it, so later specs see earlier ones without another ledger
+  /// read.  Each spec takes the first CPU in the ranking (quiet before
+  /// storm-hit, then its partition first when steering: interrupt-free for
+  /// RT demand, interrupt-laden for the rest, then the heap order) that
+  /// fits it; a spec that fits nowhere takes the first CPU in the ranking.
+  /// A spec costs O(log CPUs) when the first CPU it pops passes.
+  /// result[i] is the CPU for specs[i].
   [[nodiscard]] std::vector<std::uint32_t> place_batch(
       const std::vector<rt::Constraints>& specs) const;
 
-  /// All CPUs ordered by how attractive they are for RT work: quiet
-  /// (not storm-hit) first, then interrupt-free (when steering), then by
-  /// descending headroom; ties keep CPU order.  Used by choose_group, the
-  /// rebalancer (make-room victims and re-leveling destinations) and the
-  /// storm drain.
+  /// All CPUs in the ranking for RT demand: quiet (not storm-hit) first,
+  /// then interrupt-free (when steering), then by descending headroom;
+  /// ties keep CPU order.  choose_group, the rebalancer (make-room victims,
+  /// every migration destination) and the storm drain walk it.
   [[nodiscard]] std::vector<std::uint32_t> rt_cpu_order() const;
 
   /// Storm deprioritization (docs/RESILIENCE.md): the resilience controller
-  /// marks CPUs it has classified as storm-hit; choose_cpu and rt_cpu_order
-  /// then prefer quiet CPUs, falling back to stormy ones only when nothing
-  /// else fits.  SMIs freeze the whole machine, but per-CPU marks matter
+  /// marks CPUs it has classified as storm-hit; the ranking then puts
+  /// quiet CPUs first, so stormy ones are used only when nothing else
+  /// fits.  SMIs freeze the whole machine, but per-CPU marks matter
   /// because storm-hit CPUs are the ones whose *committed* load no longer
   /// fits their degraded capacity.
   void set_storm_flags(const std::vector<std::uint8_t>* flags) {
@@ -122,8 +117,6 @@ class PlacementEngine {
   }
 
  private:
-  [[nodiscard]] bool fits(std::uint32_t cpu, double util) const;
-
   const UtilizationLedger& ledger_;
   Config cfg_;
   const std::vector<std::uint8_t>* storm_flags_ = nullptr;  // by CPU; unowned

@@ -11,6 +11,22 @@
 
 namespace hrt::global {
 
+namespace {
+
+// The first CPU of `order` other than `skip` whose headroom takes `util`
+// within `slack`.  The rebalancer keeps its own slacks, 0 and 1e-12, not
+// placement's 1e-9: make_room's early exit needs one below a Q32.32 ulp.
+std::uint32_t first_with_room(const std::vector<std::uint32_t>& order,
+                              const UtilizationLedger& ledger,
+                              std::uint32_t skip, double util, double slack) {
+  for (std::uint32_t c : order) {
+    if (c != skip && ledger.headroom(c) + slack >= util) return c;
+  }
+  return kInvalidCpu;
+}
+
+}  // namespace
+
 bool Rebalancer::movable(const nk::Thread* t) const {
   if (t == nullptr || t->is_idle) return false;
   if (t->state == nk::Thread::State::kExited ||
@@ -27,10 +43,9 @@ bool Rebalancer::rebalance_once() {
   const std::uint32_t n = ledger_.num_cpus();
   if (n < 2) return false;
 
-  // The gap test needs only the least committed load among the CPUs other
-  // than `hi`, which is the least of all: `hi` holds the most, so it is
-  // also least only when every CPU holds the same.  The destination is
-  // ordered only once the gap passes.
+  // No destination sits further below the most-committed CPU `hi` than
+  // the least-committed CPU, so give up in O(CPUs) unless their gap passes
+  // the threshold; only then are the CPUs ranked.
   std::uint32_t hi = 0;
   double most = ledger_.committed(0);
   double least = most;
@@ -43,38 +58,33 @@ bool Rebalancer::rebalance_once() {
     if (u < least) least = u;
   }
   if (most - least < cfg_.rebalance_threshold) return false;
-  // The destination is picked the same way placement is: interrupt-free
-  // partition first when steering is on.
-  std::uint32_t lo = kInvalidCpu;
-  for (std::uint32_t c : engine_.rt_cpu_order()) {
-    if (c == hi) continue;
-    if (lo == kInvalidCpu || ledger_.committed(c) < ledger_.committed(lo)) {
-      lo = c;
-    }
-  }
-  if (lo == kInvalidCpu) return false;
 
-  // Largest movable periodic thread on `hi` that both fits in the gap
-  // (moving it must not just flip the imbalance) and fits in `lo`'s
-  // headroom.  The does-it-flip test compares in the ledger's own Q32.32
+  // Largest movable periodic thread on `hi` whose destination, the first
+  // CPU of rt_cpu_order() other than `hi` with room for it, sits further
+  // below `hi` than the thread's demand (moving it must not just flip the
+  // imbalance).  The does-it-flip test compares in the ledger's own Q32.32
   // quantization: the candidate's demand quantum is exactly what its admit
   // added to `hi`'s word, so the boundary case (u == true gap) resolves
   // identically to exact real arithmetic instead of inheriting the ulp the
   // per-admit ceil rounding adds to the committed words.
-  const rt::fp::Raw gap_raw =
-      ledger_.committed_raw(hi) - ledger_.committed_raw(lo);
+  const std::vector<std::uint32_t> order = engine_.rt_cpu_order();
   nk::Thread* victim = nullptr;
   double victim_util = 0.0;
+  std::uint32_t lo = kInvalidCpu;
   for (nk::Thread* t : kernel_->live_threads()) {
     if (t->cpu != hi || !movable(t)) continue;
     if (t->constraints.cls != rt::ConstraintClass::kPeriodic) continue;
     const double u = t->constraints.utilization();
-    if (rt::fp::from_double_ceil(u) >= gap_raw || u > ledger_.headroom(lo))
+    if (victim != nullptr && u <= victim_util) continue;
+    const std::uint32_t dest = first_with_room(order, ledger_, hi, u, 0.0);
+    if (dest == kInvalidCpu ||
+        rt::fp::from_double_ceil(u) >=
+            ledger_.committed_raw(hi) - ledger_.committed_raw(dest)) {
       continue;
-    if (victim == nullptr || u > victim_util) {
-      victim = t;
-      victim_util = u;
     }
+    victim = t;
+    victim_util = u;
+    lo = dest;
   }
   if (victim == nullptr) return false;
 
@@ -125,7 +135,8 @@ std::uint32_t Rebalancer::make_room(const rt::Constraints& c,
   // already fit.  Each bucket keeps live_threads() order, so victim ties
   // resolve exactly as a scan of the whole list would.
   std::vector<std::vector<nk::Thread*>> on_cpu;
-  for (std::uint32_t x : engine_.rt_cpu_order()) {
+  const std::vector<std::uint32_t> order = engine_.rt_cpu_order();
+  for (std::uint32_t x : order) {
     const double deficit = util - ledger_.headroom(x);
     if (deficit <= 0) return x;  // already fits; caller just retries here
     if (on_cpu.empty()) {
@@ -136,7 +147,7 @@ std::uint32_t Rebalancer::make_room(const rt::Constraints& c,
     }
 
     // Smallest movable periodic thread on x whose departure covers the
-    // deficit, paired with the roomiest destination that can absorb it.
+    // deficit, moved to the first CPU of the ranking that can absorb it.
     nk::Thread* victim = nullptr;
     double victim_util = 0.0;
     for (nk::Thread* t : on_cpu[x]) {
@@ -150,15 +161,8 @@ std::uint32_t Rebalancer::make_room(const rt::Constraints& c,
       }
     }
     if (victim == nullptr) continue;
-    std::uint32_t dest = kInvalidCpu;
-    for (std::uint32_t y = 0; y < n; ++y) {
-      if (y == x) continue;
-      if (ledger_.headroom(y) + 1e-12 < victim_util) continue;
-      if (dest == kInvalidCpu ||
-          ledger_.headroom(y) > ledger_.headroom(dest)) {
-        dest = y;
-      }
-    }
+    const std::uint32_t dest =
+        first_with_room(order, ledger_, x, victim_util, 1e-12);
     if (dest == kInvalidCpu) continue;
     rt::LocalScheduler* src = kernel_->local_scheduler(x);
     if (src == nullptr || !src->request_migration(*victim, dest)) continue;

@@ -58,7 +58,9 @@ class Rebalancer {
 
   /// One re-leveling step: if the most- and least-committed CPUs differ by
   /// at least the configured threshold, propose migrating the largest
-  /// movable periodic thread that fits in the gap.  Returns true if a
+  /// movable periodic thread off the most-committed CPU to the first CPU of
+  /// the ranking (PlacementEngine::rt_cpu_order) with room for it, provided
+  /// the gap to that CPU exceeds the thread's demand.  Returns true if a
   /// migration was accepted.
   bool rebalance_once();
 
@@ -70,9 +72,10 @@ class Rebalancer {
   /// actually released.
   void on_thread_exit(std::uint32_t cpu);
 
-  /// Admission of `c` failed everywhere it was tried.  Walk the attractive
-  /// CPUs; on the first where migrating one committed thread away would
-  /// create enough headroom, propose that migration and return the CPU (the
+  /// Admission of `c` failed everywhere it was tried.  Walk the CPUs in
+  /// ranking order; on the first where migrating one committed thread to
+  /// the first other CPU of the ranking with room for it would create
+  /// enough headroom, propose that migration and return the CPU (the
   /// caller should retry admission there after the hand-off completes).
   /// `for_thread` is excluded as a victim.  kInvalidCpu when no single
   /// migration helps.

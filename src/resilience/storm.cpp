@@ -15,7 +15,7 @@
 namespace hrt::resilience {
 
 namespace {
-// Matches the admission/ledger tolerance used across src/global/.
+// Tolerance of the overload bookkeeping below (`over`).
 constexpr double kEps = 1e-9;
 constexpr double kCapacityAuditEps = 1e-9;
 
@@ -243,12 +243,12 @@ void StormController::respond(std::uint32_t cpu, sim::Nanos now) {
     return t->constraints.utilization();
   };
 
-  // Drain first: job-boundary migrations to CPUs with headroom, largest
-  // load first so the fewest threads move.  SMIs are machine-wide, so a
-  // storm flag on the target is no veto by itself — what matters is spare
-  // *degraded* capacity there (the ledger headroom is already computed
-  // against the published effective capacity); rt_cpu_order still ranks any
-  // quiet CPUs first.
+  // Drain first: job-boundary migrations, largest load first so the fewest
+  // threads move, each to the first CPU of the ranking that fits it.  SMIs
+  // are machine-wide, so a storm flag on the target is no veto by itself —
+  // what matters is spare *degraded* capacity there (the ledger headroom is
+  // already computed against the published effective capacity); the
+  // ranking still puts any quiet CPUs first.
   std::sort(periodics.begin(), periodics.end(),
             [&](const nk::Thread* a, const nk::Thread* b) {
               if (util_of(a) != util_of(b)) return util_of(a) > util_of(b);
@@ -264,7 +264,7 @@ void StormController::respond(std::uint32_t cpu, sim::Nanos now) {
     bool moved = false;
     for (std::uint32_t c : global_->engine().rt_cpu_order()) {
       if (c == cpu) continue;
-      if (ledger.headroom(c) + kEps < u) continue;
+      if (!global_->engine().fits(c, u)) continue;
       if (kernel_->local_scheduler(cpu)->request_migration(*t, c)) {
         over -= u;
         log(Transition::Kind::kDrain, cpu, now, t->id, u);
@@ -304,7 +304,6 @@ void StormController::respond(std::uint32_t cpu, sim::Nanos now) {
 void StormController::try_restores(sim::Nanos now) {
   (void)now;  // transitions stamp the apply time, not the request time
   if (sheds_.empty()) return;
-  auto& ledger = global_->ledger();
   // Most critical first: restoration is the reverse of shed order.
   std::vector<std::size_t> order(sheds_.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
@@ -322,7 +321,7 @@ void StormController::try_restores(sim::Nanos now) {
     // Hysteresis guard: restore only once both the shed CPU and the thread's
     // current home have left the storm state.
     if (in_storm(r.home_cpu) || in_storm(t->cpu)) continue;
-    if (r.util > 0 && ledger.headroom(t->cpu) + kEps < r.util) {
+    if (r.util > 0 && !global_->engine().fits(t->cpu, r.util)) {
       ++stats_.restore_retries;
       continue;
     }

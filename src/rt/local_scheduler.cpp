@@ -453,28 +453,6 @@ void LocalScheduler::defer_constraint_change(
   deferred_changes_.push_back(DeferredChange{&t, t.id, c, std::move(done)});
 }
 
-bool LocalScheduler::periodic_set_admissible(
-    const std::vector<PeriodicTask>& set) const {
-  const double avail = effective_rt_availability();
-  switch (cfg_.policy) {
-    case AdmissionPolicy::kEdf:
-      return edf_admissible(set, avail);
-    case AdmissionPolicy::kRmLl:
-      return rm_ll_admissible(set, avail);
-    case AdmissionPolicy::kRmRta:
-      return rm_rta_admissible(set, avail);
-    case AdmissionPolicy::kSimulation: {
-      SimAdmissionConfig sc;
-      const auto& spec = kernel_.machine().spec();
-      sc.per_invocation_overhead = spec.freq.cycles_to_ns_ceil(
-          spec.cost.irq_dispatch + spec.cost.sched_pass_base +
-          spec.cost.context_switch + spec.cost.sched_other);
-      return simulate_edf_admission(set, sc).admissible;
-    }
-  }
-  return false;
-}
-
 bool LocalScheduler::fast_words_fit(fp::Raw need) const {
   // Conservative by construction: demand (committed + reserved + need) was
   // rounded up on entry, capacity rounds down here, so `fit` implies the
@@ -498,7 +476,6 @@ fp::Raw LocalScheduler::reserved_quantum(const nk::Thread& t,
 std::optional<bool> LocalScheduler::fast_path_decision(
     const Constraints& c) const {
   if (!cfg_.admission_enabled || !cfg_.fast_admission) return std::nullopt;
-  if (cfg_.policy != AdmissionPolicy::kEdf) return std::nullopt;
   if (c.cls != ConstraintClass::kPeriodic) return std::nullopt;
   if (!c.well_formed() || c.period < cfg_.min_period ||
       c.slice < cfg_.min_slice) {
@@ -530,7 +507,7 @@ bool LocalScheduler::admit_check(const nk::Thread* t, const Constraints& c) {
       // A matching-class reservation held by t covers (part of) the new
       // demand: committing it releases the held quantum, so only the
       // difference is genuinely new.
-      if (cfg_.fast_admission && cfg_.policy == AdmissionPolicy::kEdf) {
+      if (cfg_.fast_admission) {
         fp::Raw need = fp::from_double_ceil(c.utilization());
         if (t != nullptr) {
           const fp::Raw held = reserved_quantum(*t, c.cls);
@@ -542,7 +519,8 @@ bool LocalScheduler::admit_check(const nk::Thread* t, const Constraints& c) {
         }
         ++stats_.fast_fallbacks;
       }
-      return periodic_set_admissible(periodic_tasks_with(t, &c));
+      return edf_admissible(periodic_tasks_with(t, &c),
+                            effective_rt_availability());
     }
     case ConstraintClass::kSporadic: {
       if (c.size < cfg_.min_slice) return false;
@@ -639,21 +617,18 @@ bool LocalScheduler::reserve_batch(
     }
     if (periodic_count > 0) {
       bool periodic_ok = false;
-      if (cfg_.fast_admission && cfg_.policy == AdmissionPolicy::kEdf &&
-          fast_words_fit(periodic_need)) {
+      if (cfg_.fast_admission && fast_words_fit(periodic_need)) {
         ++stats_.fast_admits;
         periodic_ok = true;
       } else {
-        if (cfg_.fast_admission && cfg_.policy == AdmissionPolicy::kEdf) {
-          ++stats_.fast_fallbacks;
-        }
+        if (cfg_.fast_admission) ++stats_.fast_fallbacks;
         auto set = periodic_tasks_with(nullptr, nullptr);
         for (const auto& [t, c] : items) {
           if (c.cls == ConstraintClass::kPeriodic) {
             set.push_back(PeriodicTask{c.period, c.slice, c.phase});
           }
         }
-        periodic_ok = periodic_set_admissible(set);
+        periodic_ok = edf_admissible(set, effective_rt_availability());
       }
       ok = periodic_ok;
     }

@@ -56,13 +56,6 @@ class Telemetry;
 
 namespace hrt::rt {
 
-enum class AdmissionPolicy : std::uint8_t {
-  kEdf,         // utilization test against the configured limit
-  kRmLl,        // Liu-Layland rate-monotonic bound
-  kRmRta,       // exact response-time analysis
-  kSimulation,  // hyperperiod simulation prototype (section 3.2)
-};
-
 class LocalScheduler final : public nk::SchedulerBase {
  public:
   struct Config {
@@ -73,7 +66,6 @@ class LocalScheduler final : public nk::SchedulerBase {
     double sporadic_reservation = 0.10;
     double aperiodic_reservation = 0.10;
     sim::Nanos aperiodic_quantum = sim::millis(100);
-    AdmissionPolicy policy = AdmissionPolicy::kEdf;
     bool admission_enabled = true;  // figures 6-9 turn this off
     bool eager = true;              // ablation: lazy EDF when false
     /// O(1) lock-free admission fast path (docs/API.md): probe the Q32.32
@@ -81,7 +73,7 @@ class LocalScheduler final : public nk::SchedulerBase {
     /// probe's conservative rounding (rt/fixed_point.hpp) guarantees a fast
     /// admit implies the slow-path admit, so decisions are identical with
     /// the flag on or off; off is the serial-slow ablation baseline
-    /// (bench/ablate_spawn).  kEdf only; other policies always fall back.
+    /// (bench/ablate_spawn).
     bool fast_admission = true;
     std::size_t max_threads = 1024;
     // Bounds on requestable constraints (section 3.3: "Bounds are also
@@ -220,8 +212,8 @@ class LocalScheduler final : public nk::SchedulerBase {
 
   // --- lock-free admission fast path (docs/API.md) ---
   // O(1) wait-free probe of the Q32.32 ledger and reserved words.  Returns
-  // nullopt when the fast path does not apply (disabled, non-kEdf policy,
-  // non-periodic class); otherwise the conservative decision: true implies
+  // nullopt when the fast path does not apply (disabled, non-periodic
+  // class); otherwise the conservative decision: true implies
   // the slow path would also admit, false may be spurious (slow path
   // remains the authority inside admit_check).
   [[nodiscard]] std::optional<bool> fast_path_decision(
@@ -286,8 +278,6 @@ class LocalScheduler final : public nk::SchedulerBase {
   [[nodiscard]] std::size_t thread_count() const;
   void detach_bookkeeping(nk::Thread* t);
   [[nodiscard]] bool admit_check(const nk::Thread* t, const Constraints& c);
-  [[nodiscard]] bool periodic_set_admissible(
-      const std::vector<PeriodicTask>& set) const;
   [[nodiscard]] bool fast_words_fit(fp::Raw need) const;
   /// Fixed-point quantum already held by `t`'s reservation of class `cls`
   /// (0 if none): a commit consuming it adds only the difference.

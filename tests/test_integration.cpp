@@ -358,9 +358,13 @@ TEST(DeterminismFingerprint, BspStyleMatchesGolden) {
   EXPECT_EQ(fp, run_bsp_style()) << "two runs differ";
 }
 
+// Re-pinned from 0x05e34e398189ae72 when the rebalancer's destinations
+// started following placement's CPU ranking: at 3.496 ms an exit rebalance
+// moved ll.2.0 (0.24) from CPU 2 to the idle interrupt-laden CPU 0; it now
+// goes to interrupt-free CPU 10, and the run diverges from there.
 TEST(DeterminismFingerprint, ChurnStyleMatchesGolden) {
   const std::uint64_t fp = run_churn_style();
-  EXPECT_EQ(fp, 0x05e34e398189ae72ULL) << std::hex << "got 0x" << fp;
+  EXPECT_EQ(fp, 0x729e2bcbba48d29bULL) << std::hex << "got 0x" << fp;
   EXPECT_EQ(fp, run_churn_style()) << "two runs differ";
 }
 

@@ -459,9 +459,9 @@ TEST(Rebalance, MakeRoomTiesPickEarlierVictimAndLowerDestination) {
 TEST(Placement, RtCpuOrderMatchesStableSortReference) {
   // rt_cpu_order over a hand-fed ledger must equal a std::stable_sort of
   // 0..n-1 with the comparator it has always meant: quiet before
-  // storm-hit, interrupt-free before laden (kTopology with an interrupt-free
-  // CPU), then more headroom first, ties in CPU order.  Headrooms come from
-  // a few discrete levels, so ties are common.
+  // storm-hit, interrupt-free before laden (when the machine has an
+  // interrupt-free CPU), then more headroom first, ties in CPU order.
+  // Headrooms come from a few discrete levels, so ties are common.
   sim::Rng rng(20260417);
   for (int round = 0; round < 200; ++round) {
     const auto n = static_cast<std::uint32_t>(rng.uniform(1, 24));
@@ -473,41 +473,35 @@ TEST(Placement, RtCpuOrderMatchesStableSortReference) {
     std::vector<std::uint8_t> storm(n);
     for (auto& f : storm) f = rng.uniform(0, 3) == 0 ? 1 : 0;
     for (const std::uint32_t laden : {0u, 1u, 4u}) {
-      for (const global::Policy policy :
-           {global::Policy::kTopology, global::Policy::kWorstFit}) {
-        global::Config cfg;
-        cfg.policy = policy;
-        cfg.interrupt_laden_cpus = laden;
-        global::PlacementEngine engine(ledger, cfg);
-        if (round % 2 == 0) engine.set_storm_flags(&storm);
+      global::Config cfg;
+      cfg.interrupt_laden_cpus = laden;
+      global::PlacementEngine engine(ledger, cfg);
+      if (round % 2 == 0) engine.set_storm_flags(&storm);
 
-        std::vector<std::uint32_t> want(n);
-        std::iota(want.begin(), want.end(), 0u);
-        const std::uint32_t free_from =
-            policy == global::Policy::kTopology && laden < n ? laden : 0;
-        std::stable_sort(want.begin(), want.end(),
-                         [&](std::uint32_t a, std::uint32_t b) {
-                           const bool sa = engine.storm_hit(a);
-                           const bool sb = engine.storm_hit(b);
-                           if (sa != sb) return !sa;
-                           const bool fa = a >= free_from, fb = b >= free_from;
-                           if (fa != fb) return fa;
-                           return ledger.headroom(a) > ledger.headroom(b);
-                         });
-        EXPECT_EQ(engine.rt_cpu_order(), want)
-            << "round " << round << " n " << n << " laden " << laden
-            << " policy " << global::policy_name(policy);
-      }
+      std::vector<std::uint32_t> want(n);
+      std::iota(want.begin(), want.end(), 0u);
+      const std::uint32_t free_from = laden < n ? laden : 0;
+      std::stable_sort(want.begin(), want.end(),
+                       [&](std::uint32_t a, std::uint32_t b) {
+                         const bool sa = engine.storm_hit(a);
+                         const bool sb = engine.storm_hit(b);
+                         if (sa != sb) return !sa;
+                         const bool fa = a >= free_from, fb = b >= free_from;
+                         if (fa != fb) return fa;
+                         return ledger.headroom(a) > ledger.headroom(b);
+                       });
+      EXPECT_EQ(engine.rt_cpu_order(), want)
+          << "round " << round << " n " << n << " laden " << laden;
     }
   }
 }
 
-TEST(Rebalance, DestinationIsFirstLeastCommittedInRtOrder) {
-  // rebalance_once migrates to the first least-committed CPU of
-  // rt_cpu_order() other than the most-committed one.  CPU 1 holds 0.6 and
-  // every other CPU is idle, so committed load and headroom tie on CPUs 0,
-  // 2, 3 and 4.  CPU 0 is interrupt-laden and CPU 2 storm-hit, which puts
-  // CPU 3 first among them in rt_cpu_order().
+TEST(Rebalance, DestinationIsFirstFittingCpuInRtOrder) {
+  // rebalance_once migrates to the first CPU of rt_cpu_order() other than
+  // the most-committed one that has room for the moved thread.  CPU 1 holds
+  // 0.6 and every other CPU is idle, so CPUs 0, 2, 3 and 4 all fit a 0.3
+  // thread.  CPU 0 is interrupt-laden and CPU 2 storm-hit, which puts CPU 3
+  // first among them in rt_cpu_order().
   const std::vector<std::uint8_t> flags = {0, 0, 1, 0, 0};
   System sys(placed(5, 1));
   sys.boot();
@@ -521,10 +515,9 @@ TEST(Rebalance, DestinationIsFirstLeastCommittedInRtOrder) {
   const auto& ledger = sys.placement().ledger();
   std::uint32_t want = global::kInvalidCpu;
   for (const std::uint32_t cpu : sys.placement().engine().rt_cpu_order()) {
-    if (cpu == 1) continue;
-    if (want == global::kInvalidCpu ||
-        ledger.committed(cpu) < ledger.committed(want)) {
+    if (cpu != 1 && ledger.headroom(cpu) >= c.utilization()) {
       want = cpu;
+      break;
     }
   }
   ASSERT_EQ(want, 3u);
@@ -535,12 +528,71 @@ TEST(Rebalance, DestinationIsFirstLeastCommittedInRtOrder) {
   EXPECT_EQ(sys.auditor().total_violations(), 0u);
 }
 
+TEST(Rebalance, ExitRebalanceKeepsRtOffLadenCpu) {
+  // Section 3.5: CPU 0 takes the device interrupts.  CPU 1 holds two 0.3
+  // threads and CPUs 2-4 hold 0.1 each, so the idle laden CPU 0 is the
+  // least committed.  The re-leveling move still lands where placement
+  // would put the same spec: interrupt-free CPU 2.
+  System sys(placed(5, 1));
+  sys.boot();
+  auto util = [](sim::Nanos slice) {
+    return rt::Constraints::periodic(sim::millis(1), sim::millis(1), slice);
+  };
+  nk::Thread* a = sys.spawn("a", rt_worker(util(sim::micros(300))), 1);
+  nk::Thread* b = sys.spawn("b", rt_worker(util(sim::micros(300))), 1);
+  sys.spawn("s2", rt_worker(util(sim::micros(100))), 2);
+  sys.spawn("s3", rt_worker(util(sim::micros(100))), 3);
+  sys.spawn("s4", rt_worker(util(sim::micros(100))), 4);
+  sys.run_for(sim::millis(5));
+  ASSERT_TRUE(admitted_rt(a) && admitted_rt(b));
+  ASSERT_NEAR(sys.placement().ledger().committed(4), 0.1, 1e-9);
+  ASSERT_EQ(sys.placement().place(util(sim::micros(300))), 2u);
+
+  ASSERT_TRUE(sys.placement().rebalancer().rebalance_once());
+  sys.run_for(sim::millis(5));
+  EXPECT_EQ(a->cpu, 2u);
+  EXPECT_EQ(b->cpu, 1u);
+  EXPECT_NEAR(sys.placement().ledger().committed(0), 0.0, 1e-9);
+  EXPECT_EQ(sys.auditor().total_violations(), 0u);
+}
+
+TEST(Rebalance, MakeRoomKeepsRtOffLadenCpu) {
+  // Section 3.5: CPU 0 takes the device interrupts.  A 0.5 request fits no
+  // CPU; make_room's first candidate is CPU 2 (headroom 0.49), whose 0.3
+  // thread covers the 0.01 deficit.  The thread moves to the first other
+  // CPU of the ranking with room for it, interrupt-free CPU 3 (headroom
+  // 0.39), not to the roomier laden CPU 0.
+  System sys(placed(5, 1));
+  sys.boot();
+  auto util = [](sim::Nanos slice) {
+    return rt::Constraints::periodic(sim::millis(1), sim::millis(1), slice);
+  };
+  sys.spawn("c1a", rt_worker(util(sim::micros(200))), 1);
+  sys.spawn("c1b", rt_worker(util(sim::micros(500))), 1);
+  nk::Thread* mover = sys.spawn("c2", rt_worker(util(sim::micros(300))), 2);
+  sys.spawn("c3", rt_worker(util(sim::micros(400))), 3);
+  sys.spawn("c4", rt_worker(util(sim::micros(600))), 4);
+  sys.run_for(sim::millis(5));
+  ASSERT_TRUE(admitted_rt(mover));
+  ASSERT_NEAR(sys.placement().ledger().committed(1), 0.7, 1e-9);
+  ASSERT_NEAR(sys.placement().ledger().committed(4), 0.6, 1e-9);
+
+  EXPECT_EQ(sys.placement().rebalancer().make_room(util(sim::micros(500)),
+                                                   nullptr),
+            2u);
+  EXPECT_EQ(sys.placement().rebalancer().stats().make_room_migrations, 1u);
+  sys.run_for(sim::millis(5));
+  EXPECT_EQ(mover->cpu, 3u);
+  EXPECT_NEAR(sys.placement().ledger().committed(0), 0.0, 1e-9);
+  EXPECT_EQ(sys.auditor().total_violations(), 0u);
+}
+
 TEST(Rebalance, MakeRoomWalksPastVictimlessCandidates) {
   // A 0.7 request fits no CPU (capacity 0.79).  In rt_cpu_order() CPU 2
   // (headroom 0.59) and CPU 0 (0.54) come first, but every thread on them
   // is smaller than their deficit; CPU 3 (0.49) is the first candidate
-  // whose thread covers it, and CPU 2 is the roomiest place to move that
-  // thread.
+  // whose thread covers it, and CPU 2 is the first other CPU of the
+  // ranking with room for that thread.
   System sys(placed(4, 0));
   sys.boot();
   auto util = [](sim::Nanos slice) {
@@ -598,31 +650,29 @@ TEST(Rebalance, MakeRoomOverCapacitySpecMigratesNothing) {
 
 /// place_batch as it was before its CPUs were kept in a heap: for every
 /// spec, in worst-fit-decreasing order, up to eight full scans of the
-/// scratch ledger (partition, storm flag, fit), each taking the least
-/// committed CPU that passes, lowest index on ties.
+/// scratch ledger (partition, storm flag, fit), each taking the roomiest
+/// CPU that passes, lowest index on ties.  fell_back[i], when asked for, is
+/// whether specs[i] fit no CPU.
 std::vector<std::uint32_t> place_batch_by_scan(
     const global::UtilizationLedger& ledger,
     const global::PlacementEngine& engine,
-    const std::vector<rt::Constraints>& specs) {
+    const std::vector<rt::Constraints>& specs,
+    std::vector<bool>* fell_back = nullptr) {
   constexpr double kEps = 1e-9;
   const global::Config& cfg = engine.config();
   const std::uint32_t n = ledger.num_cpus();
   std::vector<std::uint32_t> out(specs.size(), global::kInvalidCpu);
+  if (fell_back != nullptr) fell_back->assign(specs.size(), true);
   if (n == 0 || specs.empty()) return out;
   std::vector<double> head(n);
-  std::vector<double> committed(n);
-  for (std::uint32_t c = 0; c < n; ++c) {
-    head[c] = ledger.headroom(c);
-    committed[c] = ledger.committed(c);
-  }
+  for (std::uint32_t c = 0; c < n; ++c) head[c] = ledger.headroom(c);
   std::vector<std::size_t> order(specs.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_sort(order.begin(), order.end(),
                    [&](std::size_t a, std::size_t b) {
                      return specs[a].utilization() > specs[b].utilization();
                    });
-  const bool steer = cfg.policy == global::Policy::kTopology &&
-                     cfg.interrupt_laden_cpus < n;
+  const bool steer = cfg.interrupt_laden_cpus < n;
   for (const std::size_t i : order) {
     const double util = specs[i].utilization();
     auto scan = [&](bool want_free, bool avoid_storm, bool need_fit) {
@@ -631,9 +681,7 @@ std::vector<std::uint32_t> place_batch_by_scan(
         if (avoid_storm && engine.storm_hit(c)) continue;
         if (steer && ((c >= cfg.interrupt_laden_cpus) != want_free)) continue;
         if (need_fit && head[c] + kEps < util) continue;
-        if (best == global::kInvalidCpu || committed[c] < committed[best]) {
-          best = c;
-        }
+        if (best == global::kInvalidCpu || head[c] > head[best]) best = c;
       }
       return best;
     };
@@ -644,13 +692,15 @@ std::vector<std::uint32_t> place_batch_by_scan(
       if (cpu == global::kInvalidCpu) cpu = scan(!free_first, true, need_fit);
       if (cpu == global::kInvalidCpu) cpu = scan(free_first, false, need_fit);
       if (cpu == global::kInvalidCpu) cpu = scan(!free_first, false, need_fit);
-      if (cpu != global::kInvalidCpu) break;
+      if (cpu != global::kInvalidCpu) {
+        if (fell_back != nullptr) (*fell_back)[i] = !need_fit;
+        break;
+      }
     }
     out[i] = cpu;
     if (cpu != global::kInvalidCpu) {
       head[cpu] -= util;
       if (head[cpu] < 0.0) head[cpu] = 0.0;
-      committed[cpu] += util;
     }
   }
   return out;
@@ -661,16 +711,19 @@ TEST(Placement, PlaceBatchMatchesScanReference) {
   // batches against hand-fed ledgers: committed loads from a few discrete
   // levels (ties are common), some capacities lowered as storm degradation
   // does (headroom not monotone in committed load), storm flags on half the
-  // cases, laden partitions from empty to past the machine, every policy
-  // (kTopology on half its draws, kWorstFit on the other half), and
-  // aperiodic, periodic, over-capacity and zero-period specs.
+  // cases, laden partitions from empty to past the machine (steering on
+  // and off), and aperiodic, periodic, over-capacity and zero-period specs.
+  // Single-spec placement (GlobalScheduler::place) must pick what the scans
+  // pick for each of a batch's first four specs alone, counting a fallback
+  // exactly when the spec fits no CPU.
   sim::Rng rng(20181018);
-  const global::Policy policies[] = {
-      global::Policy::kFirstFit, global::Policy::kBestFit,
-      global::Policy::kWorstFit, global::Policy::kTopology};
   for (int round = 0; round < 20000; ++round) {
     const auto n = static_cast<std::uint32_t>(rng.uniform(0, 300));
-    global::UtilizationLedger ledger(n, 0.8);
+    const std::uint32_t ladens[] = {0, 1, 4, n, n + 3};
+    global::Config cfg;
+    cfg.interrupt_laden_cpus = ladens[rng.uniform(0, 4)];
+    global::GlobalScheduler gs(n, 0.8, cfg);
+    global::UtilizationLedger& ledger = gs.ledger();
     for (std::uint32_t c = 0; c < n; ++c) {
       const auto level = rng.uniform(0, 9);
       if (level > 0) ledger.on_admit(c, 0.1 * static_cast<double>(level));
@@ -680,17 +733,8 @@ TEST(Placement, PlaceBatchMatchesScanReference) {
     }
     std::vector<std::uint8_t> storm(n);
     for (auto& f : storm) f = rng.uniform(0, 3) == 0 ? 1 : 0;
-    const std::uint32_t ladens[] = {0, 1, 4, n, n + 3};
-    global::Config cfg;
-    cfg.policy = policies[rng.uniform(0, 3)];
-    cfg.interrupt_laden_cpus = ladens[rng.uniform(0, 4)];
-    // kTopology without steering is kWorstFit.
-    const bool steer = rng.uniform(0, 1) == 1;
-    if (!steer && cfg.policy == global::Policy::kTopology) {
-      cfg.policy = global::Policy::kWorstFit;
-    }
-    global::PlacementEngine engine(ledger, cfg);
-    if (round % 2 == 1) engine.set_storm_flags(&storm);
+    if (round % 2 == 1) gs.engine_mut().set_storm_flags(&storm);
+    const global::PlacementEngine& engine = gs.engine();
 
     std::vector<rt::Constraints> specs(
         static_cast<std::size_t>(rng.uniform(0, 64)));
@@ -710,9 +754,19 @@ TEST(Placement, PlaceBatchMatchesScanReference) {
     }
     ASSERT_EQ(engine.place_batch(specs),
               place_batch_by_scan(ledger, engine, specs))
-        << "round " << round << " n " << n << " policy "
-        << global::policy_name(cfg.policy) << " laden "
+        << "round " << round << " n " << n << " laden "
         << cfg.interrupt_laden_cpus << " specs " << specs.size();
+    for (std::size_t i = 0; i < std::min<std::size_t>(specs.size(), 4); ++i) {
+      std::vector<bool> fell_back;
+      const std::uint32_t want =
+          place_batch_by_scan(ledger, engine, {specs[i]}, &fell_back).front();
+      const std::uint64_t before = gs.stats().fallback_placements;
+      ASSERT_EQ(gs.place(specs[i]), want)
+          << "round " << round << " spec " << i;
+      ASSERT_EQ(gs.stats().fallback_placements - before,
+                fell_back.front() ? 1u : 0u)
+          << "round " << round << " spec " << i;
+    }
   }
 }
 
@@ -751,7 +805,8 @@ TEST(Placement, ExactlyFullSpecsStayPlaceable) {
     const auto full = spec(sim::micros(790));
     ASSERT_GT(rt::fp::from_double_ceil(full.utilization()),
               sys.placement().ledger().capacity_raw(0));
-    EXPECT_NE(sys.placement().engine().choose_cpu(full), global::kInvalidCpu);
+    EXPECT_EQ(sys.placement().place(full), 0u);
+    EXPECT_EQ(sys.placement().stats().fallback_placements, 0u);
     EXPECT_EQ(sys.placement().engine().choose_group(3, full).size(), 3u);
     const auto members = sys.spawn_group_auto(
         "full", 3, full, [](std::uint32_t) { return busy(); });
@@ -767,7 +822,8 @@ TEST(Placement, ExactlyFullSpecsStayPlaceable) {
     sys.run_for(sim::millis(3));
     ASSERT_TRUE(admitted_rt(half));
     const auto rest = spec(sim::micros(290));
-    EXPECT_EQ(sys.placement().engine().choose_cpu(rest), 0u);
+    EXPECT_EQ(sys.placement().place(rest), 0u);
+    EXPECT_EQ(sys.placement().stats().fallback_placements, 0u);
     EXPECT_TRUE(sys.sched(0).probe_admission(rest));
   }
 }

@@ -111,45 +111,6 @@ TEST(Admission, MalformedConstraintsRejected) {
   EXPECT_FALSE(t->last_admit_ok);  // slice > period
 }
 
-TEST(Admission, RmPolicyMoreConservativeThanEdf) {
-  System::Options o = quiet();
-  o.sched.policy = rt::AdmissionPolicy::kRmLl;
-  System sys(std::move(o));
-  sys.boot();
-  // Two tasks at combined U = 0.70 < 0.79 (EDF ok) but > 0.828 * 0.79 =
-  // 0.654 (LL bound on the available fraction).
-  nk::Thread* a = spawn_rt(sys, 1,
-                           rt::Constraints::periodic(sim::millis(1),
-                                                     sim::micros(100),
-                                                     sim::micros(35)));
-  sys.run_for(sim::millis(2));
-  nk::Thread* b = spawn_rt(sys, 1,
-                           rt::Constraints::periodic(sim::millis(1),
-                                                     sim::micros(130),
-                                                     sim::micros(45)));
-  sys.run_for(sim::millis(2));
-  EXPECT_TRUE(a->last_admit_ok);
-  EXPECT_FALSE(b->last_admit_ok);
-}
-
-TEST(Admission, SimulationPolicyAdmitsFeasibleSets) {
-  System::Options o = quiet();
-  o.sched.policy = rt::AdmissionPolicy::kSimulation;
-  System sys(std::move(o));
-  sys.boot();
-  nk::Thread* a = spawn_rt(sys, 1,
-                           rt::Constraints::periodic(sim::millis(1),
-                                                     sim::micros(200),
-                                                     sim::micros(80)));
-  sys.run_for(sim::millis(2));
-  EXPECT_TRUE(a->last_admit_ok);
-  nk::Thread* t = spawn_rt(sys, 1, rt::Constraints::periodic(
-                                       sim::millis(1), sim::micros(400),
-                                       sim::micros(380)));
-  sys.run_for(sim::millis(2));
-  EXPECT_FALSE(t->last_admit_ok);  // would overload with overheads
-}
-
 TEST(Admission, DisabledAdmissionAcceptsAnything) {
   System::Options o = quiet();
   o.sched.admission_enabled = false;
