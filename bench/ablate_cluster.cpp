@@ -73,7 +73,6 @@ Cell run_cell(bool failover, std::uint64_t seed, std::uint32_t nodes,
   o.nodes = nodes;
   o.node_options.spec = hw::MachineSpec::phi_small(2);
   o.node_options.seed = seed;
-  o.node_options.smi_enabled = false;
   o.node_options.spec.smi.enabled = false;
   o.node_options.audit.enabled = true;
   o.audit.enabled = true;

@@ -18,7 +18,7 @@ double run_case(std::uint32_t rt_cpu, bool steering, std::uint64_t seed) {
   o.spec = hw::MachineSpec::phi_small(4);
   o.seed = seed;
   o.tpr_steering = steering;
-  o.smi_enabled = false;  // isolate the device-interrupt effect
+  o.spec.smi.enabled = false;  // isolate the device-interrupt effect
   System sys(std::move(o));
 
   // A chatty device: ~50k interrupts/s, each with a 6000-cycle handler.

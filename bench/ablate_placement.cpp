@@ -184,7 +184,7 @@ ExecResult run_cell(const std::string& label,
   o.seed = seed;
   // The zero-miss claim is about placement, not SMI missing-time; the SMI
   // ablations cover that axis separately.
-  o.smi_enabled = false;
+  o.spec.smi.enabled = false;
   o.interrupt_laden_cpus = kLadenCpus;
   o.audit.enabled = true;  // accumulate-mode invariant audits every pass
   System sys(std::move(o));

@@ -136,7 +136,7 @@ AbResult run_ab(bool resilient, std::uint64_t seed) {
   System::Options o;
   o.spec = hw::MachineSpec::phi_small(4);
   o.seed = seed;
-  o.smi_enabled = false;  // storm injected deterministically below
+  o.spec.smi.enabled = false;  // storm injected deterministically below
   o.resilience.enabled = resilient;
   o.audit.enabled = true;
   // The spec says no SMIs, so the auto-derived budget tolerance carries no

@@ -29,22 +29,28 @@ using namespace hrt;
 
 constexpr unsigned kCpus = 2;  // deep per-CPU sets stress the slow analysis
 
-System::Options cell_options(bool fast) {
+/// Options for an `n`-spec cell.  Placement ranks CPUs by committed load,
+/// which a held reservation does not change, so the serial cells' per-spec
+/// placement may put every spec on one CPU: its queues must hold all `n`.
+System::Options cell_options(bool fast, int n) {
   System::Options o;
   o.spec = hw::MachineSpec::phi_small(kCpus);
-  o.smi_enabled = false;
   o.spec.smi.enabled = false;
   o.interrupt_laden_cpus = 0;
   o.sched.fast_admission = fast;
+  o.sched.max_threads =
+      std::max(o.sched.max_threads, static_cast<std::size_t>(n));
   return o;
 }
 
-/// Spec i of the workload: ~5e-4 utilization each, periods staggered so the
-/// sets are not degenerate.  The whole workload fits the machine, so the
+/// Spec i of an `n`-spec workload: periods staggered so the sets are not
+/// degenerate, slices scaled so the whole workload demands about 0.51 of
+/// one CPU (5e-4 each at 1024 specs).  So it fits even on one CPU, and the
 /// batch cell's all-or-nothing admission succeeds.
-rt::Constraints workload_spec(int i) {
+rt::Constraints workload_spec(int i, int n) {
   return rt::Constraints::periodic(
-      0, sim::millis(100) + (i % 7) * sim::micros(10), sim::micros(50));
+      0, sim::millis(100) + (i % 7) * sim::micros(10),
+      sim::micros(50) * 1024 / n);
 }
 
 std::unique_ptr<nk::Behavior> worker() {
@@ -60,12 +66,12 @@ struct CellResult {
 CellResult run_serial(int n, bool fast) {
   CellResult best;
   for (int rep = 0; rep < 3; ++rep) {
-    System sys(cell_options(fast));
+    System sys(cell_options(fast, n));
     sys.boot();
     std::uint64_t ok = 0;
     const auto t0 = Clock::now();
     for (int i = 0; i < n; ++i) {
-      const rt::Constraints c = workload_spec(i);
+      const rt::Constraints c = workload_spec(i, n);
       const std::uint32_t cpu = sys.placement().place(c);
       nk::Thread* t = sys.spawn("w" + std::to_string(i), worker(), cpu);
       if (sys.sched(cpu).reserve_constraints(*t, c)) ++ok;
@@ -80,7 +86,7 @@ CellResult run_serial(int n, bool fast) {
 CellResult run_batch(int n) {
   CellResult best;
   for (int rep = 0; rep < 3; ++rep) {
-    System sys(cell_options(true));
+    System sys(cell_options(true, n));
     sys.boot();
     std::vector<System::SpawnSpec> specs;
     specs.reserve(n);
@@ -88,7 +94,7 @@ CellResult run_batch(int n) {
       System::SpawnSpec sp;
       sp.name = "w" + std::to_string(i);
       sp.behavior = worker();
-      sp.constraints = workload_spec(i);
+      sp.constraints = workload_spec(i, n);
       specs.push_back(std::move(sp));
     }
     const auto t0 = Clock::now();
@@ -114,23 +120,24 @@ Percentiles percentiles(std::vector<double>& samples) {
 }
 
 /// Host-clock latency of one admission decision against a scheduler already
-/// holding `depth` periodic reservations.  `fast` samples the O(1) word
-/// probe; the slow samples run the full analysis (probe_admission).
-void decision_latency(int depth, int samples, Percentiles* fast,
+/// holding `depth` periodic reservations of an `n`-spec workload.  `fast`
+/// samples the O(1) word probe; the slow samples run the full analysis
+/// (probe_admission).
+void decision_latency(int n, int depth, int samples, Percentiles* fast,
                       Percentiles* slow) {
   // Two identically-loaded systems: probe_admission honors fast_admission,
   // so the slow samples must come from a system with the word probe off.
-  System fast_sys(cell_options(true));
-  System slow_sys(cell_options(false));
+  System fast_sys(cell_options(true, n));
+  System slow_sys(cell_options(false, n));
   fast_sys.boot();
   slow_sys.boot();
   for (int i = 0; i < depth; ++i) {
     nk::Thread* tf = fast_sys.spawn("h" + std::to_string(i), worker(), 0);
     nk::Thread* ts = slow_sys.spawn("h" + std::to_string(i), worker(), 0);
-    (void)fast_sys.sched(0).reserve_constraints(*tf, workload_spec(i));
-    (void)slow_sys.sched(0).reserve_constraints(*ts, workload_spec(i));
+    (void)fast_sys.sched(0).reserve_constraints(*tf, workload_spec(i, n));
+    (void)slow_sys.sched(0).reserve_constraints(*ts, workload_spec(i, n));
   }
-  const rt::Constraints probe = workload_spec(0);
+  const rt::Constraints probe = workload_spec(0, n);
   std::vector<double> fast_ns, slow_ns;
   fast_ns.reserve(samples);
   slow_ns.reserve(samples);
@@ -175,7 +182,7 @@ int main(int argc, char** argv) {
               speedup_batch, speedup_fast);
 
   Percentiles fp{}, sp{};
-  decision_latency(/*depth=*/n / static_cast<int>(kCpus),
+  decision_latency(n, /*depth=*/n / static_cast<int>(kCpus),
                    /*samples=*/args.full ? 100000 : 20000, &fp, &sp);
   std::printf("fast-path decision: p50 %.0f ns, p99 %.0f ns\n", fp.p50, fp.p99);
   std::printf("slow-path decision: p50 %.0f ns, p99 %.0f ns\n", sp.p50, sp.p99);

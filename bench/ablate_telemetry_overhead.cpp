@@ -66,7 +66,6 @@ RunResult run_cell(const CellSpec& c, std::uint64_t seed, bool telemetry_on,
   System::Options o;
   o.spec = hw::MachineSpec::phi_small(kCpus);
   o.seed = seed;
-  o.smi_enabled = false;
   o.spec.smi.enabled = false;
   o.sched.admission_enabled = false;  // let the infeasible cell through
   o.telemetry.enabled = telemetry_on;
@@ -139,7 +138,6 @@ ChromeResult run_chrome(std::uint64_t seed, sim::Nanos horizon) {
   System::Options o;
   o.spec = hw::MachineSpec::phi_small(2);
   o.seed = seed;
-  o.smi_enabled = false;
   o.spec.smi.enabled = false;
   o.telemetry.enabled = true;
   o.telemetry.recorder.ring_capacity = kRingCapacity;

@@ -51,12 +51,6 @@ double ClusterLedger::total_committed() const {
   return rt::fp::to_double(sum);
 }
 
-double ClusterLedger::total_capacity() const {
-  rt::fp::Raw sum = 0;
-  for (const Entry& e : entries_) sum += e.capacity;
-  return rt::fp::to_double(sum);
-}
-
 bool ClusterLedger::audit_node(audit::Auditor& auditor, sim::Nanos now,
                                std::uint32_t node,
                                const global::UtilizationLedger& src,

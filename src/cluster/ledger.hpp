@@ -89,7 +89,6 @@ class ClusterLedger {
   }
 
   [[nodiscard]] double total_committed() const;
-  [[nodiscard]] double total_capacity() const;
 
   /// kClusterLedger invariant: recompute node's sums from the live words and
   /// compare to the cache bit-exactly; check the down/drained zero-capacity

@@ -43,9 +43,6 @@ class UtilizationLedger {
   void on_admit(std::uint32_t cpu, double util) {
     on_admit_raw(cpu, rt::fp::from_double_ceil(util));
   }
-  void on_release(std::uint32_t cpu, double util) {
-    on_release_raw(cpu, rt::fp::from_double_ceil(util));
-  }
 
   [[nodiscard]] std::uint32_t num_cpus() const {
     return static_cast<std::uint32_t>(entries_.size());

@@ -89,7 +89,6 @@ class ThreadGroup {
   /// Group-scoped reduction helper: serialized add into an accumulator.
   [[nodiscard]] nk::Action reduce_add_action(std::int64_t value);
   [[nodiscard]] std::int64_t reduction_value() const { return reduction_; }
-  void reset_reduction() { reduction_ = 0; }
 
   /// Broadcast: leader publishes a value; members read it (no cost beyond
   /// the barrier that usually precedes the read).
@@ -110,10 +109,6 @@ class ThreadGroup {
   }
 
   /// Admission failure accumulator (reduction target of Algorithm 1).
-  void reset_admission_round() {
-    failures_ = 0;
-    leader_ = nullptr;
-  }
   void add_failure() { ++failures_; }
   [[nodiscard]] std::uint32_t failures() const { return failures_; }
 
@@ -121,8 +116,7 @@ class ThreadGroup {
   /// 4.4): one serialized cache-line transfer.
   [[nodiscard]] sim::Nanos departure_delta() const;
 
-  /// Group-internal shared lines (exposed for the election/lock actions).
-  nk::SeqResource& elect_line() { return elect_line_; }
+  /// Group-internal shared line (exposed for the lock actions).
   nk::SeqResource& lock_line() { return lock_line_; }
 
  private:
@@ -134,9 +128,7 @@ class ThreadGroup {
       barriers_;
 
   nk::SeqResource join_line_;
-  nk::SeqResource elect_line_;
   nk::SeqResource lock_line_;
-  nk::SeqResource reduce_line_;
 
   nk::Thread* leader_ = nullptr;
   nk::Thread* lock_owner_ = nullptr;

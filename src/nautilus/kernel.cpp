@@ -11,11 +11,6 @@ namespace {
 
 // Idle-thread pause between work-stealing probes that found nothing.
 constexpr sim::Nanos kStealPollInterval = sim::millis(1);
-// Per-zone buddy arena: 4 KiB blocks, 64 MiB per zone; each thread's stack
-// + TCB takes 16 KiB of it.
-constexpr std::uint32_t kZoneArenaMinOrder = 12;
-constexpr std::uint32_t kZoneArenaMaxOrder = 26;
-constexpr std::uint64_t kThreadStateBytes = 16384;
 
 /// The per-CPU idle thread: optionally runs the work stealer, otherwise
 /// halts until the next interrupt (section 3.4: "the work stealer ...
@@ -66,21 +61,11 @@ void WaitFlag::set() {
 }
 
 Kernel::Kernel(hw::Machine& machine, Options options)
-    : machine_(machine),
-      options_(std::move(options)),
-      topology_(machine.num_cpus(),
-                options_.numa_zones == 0 ? 1 : options_.numa_zones) {
+    : machine_(machine), options_(std::move(options)) {
   if (!options_.scheduler_factory) {
     throw std::invalid_argument("Kernel: scheduler_factory is required");
   }
   device_handlers_.resize(256);
-  // One buddy arena per NUMA zone, at disjoint simulated physical bases.
-  const std::uint64_t arena_span = 1ull << (kZoneArenaMaxOrder + 1);
-  for (std::uint32_t z = 0; z < topology_.num_zones(); ++z) {
-    zone_arenas_.push_back(std::make_unique<BuddyAllocator>(
-        0x1000'0000ull + z * arena_span, kZoneArenaMinOrder,
-        kZoneArenaMaxOrder));
-  }
 }
 
 Kernel::~Kernel() = default;
@@ -120,7 +105,6 @@ void Kernel::boot() {
     idle->is_idle = true;
     idle->bound = true;
     idle->cpu = c;
-    place_thread_state(idle);
     idle->constraints = rt::Constraints::aperiodic(rt::kIdlePriority);
     behaviors_.push_back(std::make_unique<IdleBehavior>(c, probe_ns));
     idle->behavior = behaviors_.back().get();
@@ -133,21 +117,6 @@ void Kernel::boot() {
   apply_interrupt_partition();
   machine_.smi().start();  // a no-op when the spec disables SMIs
   booted_ = true;
-}
-
-void Kernel::place_thread_state(Thread* t) {
-  const std::uint32_t zone = topology_.zone_of(t->cpu);
-  if (t->state_addr != 0 && t->state_zone == zone) return;  // already local
-  if (t->state_addr != 0) {
-    zone_arenas_[t->state_zone]->free(t->state_addr);
-    t->state_addr = 0;
-  }
-  auto addr = zone_arenas_[zone]->alloc(kThreadStateBytes);
-  if (!addr) {
-    throw std::runtime_error("Kernel: zone arena exhausted");
-  }
-  t->state_addr = *addr;
-  t->state_zone = zone;
 }
 
 Thread* Kernel::allocate_thread(std::string name) {
@@ -190,7 +159,6 @@ Thread* Kernel::create_thread_parked(std::string name,
   Thread* t = allocate_thread(std::move(name));
   t->cpu = cpu;
   t->bound = bound;
-  place_thread_state(t);
   t->constraints = rt::Constraints::aperiodic(priority);
   behaviors_.push_back(std::move(behavior));
   t->behavior = behaviors_.back().get();
@@ -300,7 +268,6 @@ bool Kernel::migrate_aperiodic(Thread* t, std::uint32_t to) {
   if (!schedulers_[t->cpu]->detach_for_migration(*t)) return false;
   const std::uint32_t from = t->cpu;
   t->cpu = to;
-  place_thread_state(t);  // stack/TCB follow the thread into the new zone
   if (sleeping) {
     // Still sleeping, just on the destination's sleep queue now; the
     // destination timer must cover the wake, hence the kick below.

@@ -18,12 +18,10 @@
 
 #include "hw/machine.hpp"
 #include "nautilus/behavior.hpp"
-#include "nautilus/buddy.hpp"
 #include "nautilus/executor.hpp"
 #include "nautilus/scheduler.hpp"
 #include "nautilus/sync.hpp"
 #include "nautilus/thread.hpp"
-#include "nautilus/topology.hpp"
 #include "timesync/calibration.hpp"
 
 namespace hrt::audit {
@@ -50,10 +48,6 @@ class Kernel {
     bool work_stealing = false;
     std::uint32_t interrupt_laden_cpus = 1;  // section 3.5 default partition
     bool tpr_steering = true;  // raise TPR while an RT thread runs (3.5)
-    /// One buddy arena per zone: thread stacks + scheduler state are
-    /// allocated from the owning CPU's zone (section 2: state "is
-    /// guaranteed to always be in the most desirable zone").
-    std::uint32_t numa_zones = 1;
     /// Invariant auditor shared by all schedulers and group collectives
     /// (owned by the caller, typically rt::System); null disables audits.
     audit::Auditor* auditor = nullptr;
@@ -98,10 +92,10 @@ class Kernel {
                         bool bound = true);
 
   /// Batch-spawn building blocks (rt::System::spawn_batch).  A parked
-  /// create fully materializes the thread — TCB from the zone arena pool,
-  /// state placed, behavior attached — but does NOT enqueue it or kick the
-  /// CPU, so a failed group admission can abort with nothing observable
-  /// having happened on any scheduler.
+  /// create fully materializes the thread — TCB from the pool, behavior
+  /// attached — but does NOT enqueue it or kick the CPU, so a failed group
+  /// admission can abort with nothing observable having happened on any
+  /// scheduler.
   Thread* create_thread_parked(
       std::string name, std::unique_ptr<Behavior> behavior, std::uint32_t cpu,
       rt::AperiodicPriority priority = rt::kDefaultPriority, bool bound = true);
@@ -129,7 +123,6 @@ class Kernel {
 
   [[nodiscard]] hw::Machine& machine() { return machine_; }
   [[nodiscard]] const Options& options() const { return options_; }
-  [[nodiscard]] const Topology& topology() const { return topology_; }
   [[nodiscard]] CpuExecutor& executor(std::uint32_t cpu) {
     return *executors_[cpu];
   }
@@ -170,11 +163,6 @@ class Kernel {
   /// (round-robin over its CPUs).
   void apply_interrupt_partition();
 
-  /// Is `cpu` in the interrupt-free partition?
-  [[nodiscard]] bool interrupt_free(std::uint32_t cpu) const {
-    return cpu >= options_.interrupt_laden_cpus;
-  }
-
   /// WaitFlag wake path.
   void notify_flag(Thread* t, WaitFlag* f);
 
@@ -185,9 +173,8 @@ class Kernel {
 
   /// Deliberately re-home a non-realtime thread onto `to` (global placement
   /// and rebalancing, src/global/).  Unlike opportunistic stealing, this
-  /// moves a named thread — bound or not — and re-places its stack/TCB into
-  /// the destination zone's arena.  The thread must be parked (ready in a
-  /// run queue, or sleeping); a running or real-time thread is refused
+  /// moves a named thread, bound or not.  The thread must be parked (ready
+  /// in a run queue, or sleeping); a running or real-time thread is refused
   /// (false).  RT threads migrate only at job boundaries, through
   /// rt::LocalScheduler::request_migration.
   bool migrate_aperiodic(Thread* t, std::uint32_t to);
@@ -204,24 +191,14 @@ class Kernel {
     return threads_.size();
   }
 
-  /// The buddy arena serving a NUMA zone's allocations.
-  [[nodiscard]] BuddyAllocator& zone_arena(std::uint32_t zone) {
-    return *zone_arenas_[zone];
-  }
-  [[nodiscard]] BuddyAllocator& zone_arena_of_cpu(std::uint32_t cpu) {
-    return *zone_arenas_[topology_.zone_of(cpu)];
-  }
-
   /// All live (non-pooled) threads, for diagnostics.
   [[nodiscard]] std::vector<Thread*> live_threads() const;
 
  private:
   Thread* allocate_thread(std::string name);
-  void place_thread_state(Thread* t);
 
   hw::Machine& machine_;
   Options options_;
-  Topology topology_;
   bool booted_ = false;
 
   std::vector<std::unique_ptr<CpuExecutor>> executors_;
@@ -231,7 +208,6 @@ class Kernel {
 
   std::vector<std::unique_ptr<Thread>> threads_;
   std::vector<std::unique_ptr<Behavior>> behaviors_;
-  std::vector<std::unique_ptr<BuddyAllocator>> zone_arenas_;
   std::vector<Thread*> pool_;
   std::uint64_t pool_reuses_ = 0;
   Thread::Id next_id_ = 1;

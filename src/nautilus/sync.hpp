@@ -44,7 +44,6 @@ class WaitFlag {
       }
     }
   }
-  [[nodiscard]] std::size_t spinner_count() const { return spinners_.size(); }
 
  private:
   Kernel& kernel_;

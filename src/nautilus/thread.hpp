@@ -1,11 +1,14 @@
 // Kernel thread object.
 //
-// A Nautilus thread bound to a CPU keeps its scheduler state in the most
-// desirable NUMA zone and is never migrated; only aperiodic threads may move
-// (work stealing, section 3.4).  RT bookkeeping (arrival, deadline, budget)
-// is owned by the local scheduler but stored inline here so scheduler passes
-// are O(1) per thread with no map lookups — the bounded-execution-time
-// property of section 3.3 depends on that.
+// A thread belongs to one CPU's local scheduler at a time.  Work stealing
+// (section 3.4) moves only unbound aperiodic threads; global placement
+// re-homes a parked aperiodic thread (Kernel::migrate_aperiodic) and moves
+// an admitted real-time thread only at a job boundary, with the target's
+// utilization held by a reservation meanwhile
+// (rt::LocalScheduler::request_migration, docs/GLOBAL.md).  RT bookkeeping
+// (arrival, deadline, budget) is owned by the local scheduler but stored
+// inline here so scheduler passes are O(1) per thread with no map lookups —
+// the bounded-execution-time property of section 3.3 depends on that.
 #pragma once
 
 #include <cstdint>
@@ -80,11 +83,6 @@ class Thread {
   sim::Nanos wake_time = 0;      // for sleepers
   rt::HeapIndex heap_index;      // which scheduler heap holds us, and where
   RtState rt;
-
-  // NUMA placement of the thread's essential state (stack, TCB): allocated
-  // from the buddy arena of the owning CPU's zone (section 2).
-  std::uint64_t state_addr = 0;
-  std::uint32_t state_zone = 0xFFFFFFFFu;
 
   // Lifetime statistics.
   sim::Nanos total_cpu_ns = 0;

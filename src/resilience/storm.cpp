@@ -35,22 +35,6 @@ bool thread_dead(const nk::Thread* t) {
 }
 }  // namespace
 
-const char* transition_name(Transition::Kind k) {
-  switch (k) {
-    case Transition::Kind::kStormEnter:
-      return "storm-enter";
-    case Transition::Kind::kStormExit:
-      return "storm-exit";
-    case Transition::Kind::kDrain:
-      return "drain";
-    case Transition::Kind::kShed:
-      return "shed";
-    case Transition::Kind::kRestore:
-      return "restore";
-  }
-  return "?";
-}
-
 void StormController::attach(nk::Kernel* kernel,
                              global::GlobalScheduler* global,
                              audit::Auditor* auditor) {
@@ -118,13 +102,6 @@ StormController::ShedRecord* StormController::find_record(const nk::Thread* t,
     if (r.thread == t && r.id == id) return &r;
   }
   return nullptr;
-}
-
-bool StormController::has_record(const nk::Thread* t) const {
-  for (const ShedRecord& r : sheds_) {
-    if (r.thread == t && r.id == t->id) return true;
-  }
-  return false;
 }
 
 void StormController::gc_records() {

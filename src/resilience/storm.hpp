@@ -79,8 +79,6 @@ struct Transition {
   double util;              // utilization moved/freed, or observed fraction
 };
 
-[[nodiscard]] const char* transition_name(Transition::Kind k);
-
 class StormController {
  public:
   struct Stats {
@@ -112,12 +110,8 @@ class StormController {
   [[nodiscard]] bool in_storm(std::uint32_t cpu) const {
     return cpu < cpus_.size() && cpus_[cpu].storm;
   }
-  [[nodiscard]] double published_capacity(std::uint32_t cpu) const {
-    return cpu < cpus_.size() ? cpus_[cpu].published : base_capacity_;
-  }
   /// Currently shed threads (applied and not yet restored).
   [[nodiscard]] std::size_t shed_count() const;
-  [[nodiscard]] double base_capacity() const { return base_capacity_; }
 
   /// Check the kShedState and kEffectiveCapacity invariants now (also runs
   /// automatically every sample).
@@ -151,7 +145,6 @@ class StormController {
            std::uint32_t thread_id, double util);
   [[nodiscard]] sim::Engine& engine() const;
   [[nodiscard]] ShedRecord* find_record(const nk::Thread* t, std::uint32_t id);
-  [[nodiscard]] bool has_record(const nk::Thread* t) const;
 
   Config cfg_;
   double base_capacity_;

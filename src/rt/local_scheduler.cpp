@@ -463,10 +463,9 @@ bool LocalScheduler::fast_words_fit(fp::Raw need) const {
   return total <= cap;
 }
 
-fp::Raw LocalScheduler::reserved_quantum(const nk::Thread& t,
-                                         ConstraintClass cls) const {
+fp::Raw LocalScheduler::reserved_periodic_quantum(const nk::Thread& t) const {
   for (const auto& [rthread, rc] : reservations_) {
-    if (rthread == &t && rc.cls == cls) {
+    if (rthread == &t && rc.cls == ConstraintClass::kPeriodic) {
       return fp::from_double_ceil(rc.utilization());
     }
   }
@@ -485,58 +484,92 @@ std::optional<bool> LocalScheduler::fast_path_decision(
 }
 
 bool LocalScheduler::probe_admission(const Constraints& c) {
-  return c.well_formed() && admit_check(nullptr, c);
+  const Spec spec{nullptr, c};
+  return admits({&spec, 1}, nullptr);
 }
 
-bool LocalScheduler::admit_check(const nk::Thread* t, const Constraints& c) {
+bool LocalScheduler::admits(std::span<const Spec> specs,
+                            const nk::Thread* exclude) {
+  for (const auto& [t, c] : specs) {
+    if (!c.well_formed()) return false;
+  }
   if (!cfg_.admission_enabled) return true;
-  // Degraded-capacity admission: with resilience on, the budget shrinks by
-  // the estimated missing-time fraction plus the reserve, so a storm-hit CPU
-  // stops accepting load it can no longer actually deliver.
-  switch (c.cls) {
-    case ConstraintClass::kAperiodic:
-      return true;  // aperiodic admission cannot fail (section 3.2)
-    case ConstraintClass::kPeriodic: {
+  // Aperiodic admission cannot fail (section 3.2).  Degraded-capacity
+  // admission: with resilience on, the budget shrinks by the estimated
+  // missing-time fraction plus the reserve, so a storm-hit CPU stops
+  // accepting load it can no longer actually deliver.
+  fp::Raw need = 0;
+  std::size_t periodic = 0;
+  std::size_t sporadic = 0;
+  for (const auto& [t, c] : specs) {
+    if (c.cls == ConstraintClass::kPeriodic) {
       if (c.period < cfg_.min_period || c.slice < cfg_.min_slice) {
         return false;
       }
-      // Lock-free fast path: one word probe instead of the O(n) set build.
-      // The ledger word already counts t's own old utilization and the
-      // reserved word its reservation, both of which the slow path would
-      // exclude — extra demand only, so a fast admit is still conservative.
-      // A matching-class reservation held by t covers (part of) the new
-      // demand: committing it releases the held quantum, so only the
-      // difference is genuinely new.
-      if (cfg_.fast_admission) {
-        fp::Raw need = fp::from_double_ceil(c.utilization());
-        if (t != nullptr) {
-          const fp::Raw held = reserved_quantum(*t, c.cls);
-          need = need > held ? need - held : 0;
-        }
-        if (fast_words_fit(need)) {
-          ++stats_.fast_admits;
-          return true;
-        }
-        ++stats_.fast_fallbacks;
-      }
-      return edf_admissible(periodic_tasks_with(t, &c),
-                            effective_rt_availability());
-    }
-    case ConstraintClass::kSporadic: {
+      need = fp::sat_add(need, fp::from_double_ceil(c.utilization()));
+      ++periodic;
+    } else if (c.cls == ConstraintClass::kSporadic) {
       if (c.size < cfg_.min_slice) return false;
-      // The exact density test against the sporadic reservation; a
-      // ceil-rounded word would refuse budgets that fill it exactly.
-      auto set = sporadic_tasks_without(t);
-      set.push_back(density_task(c));
-      return edf_admissible(set, cfg_.sporadic_reservation);
+      ++sporadic;
     }
   }
-  return false;
+  if (periodic > 0) {
+    // Lock-free fast path: one word probe instead of the O(n) set build.
+    // The ledger word already counts exclude's own old utilization and the
+    // reserved word its reservation, both of which the exact test leaves
+    // out — extra demand only, so a fast admit is still conservative.  A
+    // periodic reservation held by exclude covers (part of) the new demand:
+    // committing it releases the held quantum, so only the difference is
+    // genuinely new.
+    bool fit = false;
+    if (cfg_.fast_admission) {
+      if (exclude != nullptr) {
+        const fp::Raw held = reserved_periodic_quantum(*exclude);
+        need = need > held ? need - held : 0;
+      }
+      fit = fast_words_fit(need);
+      ++(fit ? stats_.fast_admits : stats_.fast_fallbacks);
+    }
+    if (!fit) {
+      auto set = periodic_tasks_without(exclude, periodic);
+      for (const auto& [t, c] : specs) {
+        if (c.cls == ConstraintClass::kPeriodic) {
+          set.push_back(PeriodicTask{c.period, c.slice, c.phase});
+        }
+      }
+      if (!edf_admissible(set, effective_rt_availability())) return false;
+    }
+  }
+  if (sporadic > 0) {
+    // The exact density test against the sporadic reservation; a
+    // ceil-rounded word would refuse budgets that fill it exactly.
+    auto set = sporadic_tasks_without(exclude, sporadic);
+    for (const auto& [t, c] : specs) {
+      if (c.cls == ConstraintClass::kSporadic) set.push_back(density_task(c));
+    }
+    if (!edf_admissible(set, cfg_.sporadic_reservation)) return false;
+  }
+  return true;
+}
+
+void LocalScheduler::hold(nk::Thread& t, const Constraints& c) {
+  reservations_.emplace_back(&t, c);
+  fast_reserved_.add(fp::from_double_ceil(c.utilization()));
+}
+
+void LocalScheduler::record_admit(const nk::Thread& t, const Constraints& c,
+                                  bool ok, sim::Nanos now) {
+  ++(ok ? stats_.admissions_ok : stats_.admissions_rejected);
+  if (telemetry_ != nullptr) {
+    telemetry_->on_admit(cpu_, now, static_cast<std::uint32_t>(t.id), ok,
+                         c.utilization());
+  }
 }
 
 std::vector<PeriodicTask> LocalScheduler::sporadic_tasks_without(
-    const nk::Thread* exclude) const {
+    const nk::Thread* exclude, std::size_t extra) const {
   std::vector<PeriodicTask> set;
+  set.reserve(sporadic_set_.size() + reservations_.size() + extra);
   for (const nk::Thread* s : sporadic_set_) {
     if (s != exclude) set.push_back(density_task(s->constraints));
   }
@@ -548,127 +581,50 @@ std::vector<PeriodicTask> LocalScheduler::sporadic_tasks_without(
   return set;
 }
 
-std::vector<PeriodicTask> LocalScheduler::periodic_tasks_with(
-    const nk::Thread* exclude, const Constraints* extra) const {
+std::vector<PeriodicTask> LocalScheduler::periodic_tasks_without(
+    const nk::Thread* exclude, std::size_t extra) const {
   std::vector<PeriodicTask> set;
+  set.reserve(periodic_set_.size() + reservations_.size() + extra);
   for (const nk::Thread* p : periodic_set_) {
     if (p == exclude) continue;
     set.push_back(PeriodicTask{p->constraints.period, p->constraints.slice,
                                p->constraints.phase});
   }
   for (const auto& [rt, rc] : reservations_) {
-    if (rt == exclude) continue;
-    if (rc.cls == ConstraintClass::kPeriodic) {
+    if (rt != exclude && rc.cls == ConstraintClass::kPeriodic) {
       set.push_back(PeriodicTask{rc.period, rc.slice, rc.phase});
     }
-  }
-  if (extra != nullptr && extra->cls == ConstraintClass::kPeriodic) {
-    set.push_back(PeriodicTask{extra->period, extra->slice, extra->phase});
   }
   return set;
 }
 
 bool LocalScheduler::reserve_constraints(nk::Thread& t, const Constraints& c) {
   cancel_reservation(t);
-  const bool ok = c.well_formed() && admit_check(&t, c);
-  if (telemetry_ != nullptr) {
-    telemetry_->on_admit(cpu_, kernel_.machine().cpu(cpu_).tsc().wall_ns(),
-                         static_cast<std::uint32_t>(t.id), ok,
-                         c.utilization());
-  }
-  if (!ok) {
-    ++stats_.admissions_rejected;
-    return false;
-  }
-  ++stats_.admissions_ok;
-  reservations_.emplace_back(&t, c);
-  fast_reserved_.add(fp::from_double_ceil(c.utilization()));
-  return true;
+  const Spec spec{&t, c};
+  const bool ok = admits({&spec, 1}, &t);
+  record_admit(t, c, ok, kernel_.machine().cpu(cpu_).tsc().wall_ns());
+  if (ok) hold(t, c);
+  return ok;
 }
 
-bool LocalScheduler::reserve_batch(
-    const std::vector<std::pair<nk::Thread*, Constraints>>& items) {
+bool LocalScheduler::reserve_batch(const std::vector<Spec>& items) {
   ++stats_.batch_reserves;
-  if (items.empty()) return true;
-  // Structural validation first: one malformed spec fails the whole batch
-  // (all-or-nothing), before any capacity math runs.
   for (const auto& [t, c] : items) {
-    if (t == nullptr || !c.well_formed()) return false;
-    if (c.cls == ConstraintClass::kPeriodic &&
-        (c.period < cfg_.min_period || c.slice < cfg_.min_slice)) {
-      return false;
-    }
-    if (c.cls == ConstraintClass::kSporadic && c.size < cfg_.min_slice) {
-      return false;
-    }
+    if (t == nullptr) return false;
   }
-  bool ok = true;
-  if (cfg_.admission_enabled) {
-    // ONE admission analysis for the whole group.  Periodic demand: either
-    // a single fast-path word probe over the summed quanta, or one slow
-    // analysis of (current set + every new spec) — never one pass per spec.
-    fp::Raw periodic_need = 0;
-    std::size_t periodic_count = 0;
-    for (const auto& [t, c] : items) {
-      if (c.cls != ConstraintClass::kPeriodic) continue;
-      periodic_need =
-          fp::sat_add(periodic_need, fp::from_double_ceil(c.utilization()));
-      ++periodic_count;
-    }
-    if (periodic_count > 0) {
-      bool periodic_ok = false;
-      if (cfg_.fast_admission && fast_words_fit(periodic_need)) {
-        ++stats_.fast_admits;
-        periodic_ok = true;
-      } else {
-        if (cfg_.fast_admission) ++stats_.fast_fallbacks;
-        auto set = periodic_tasks_with(nullptr, nullptr);
-        for (const auto& [t, c] : items) {
-          if (c.cls == ConstraintClass::kPeriodic) {
-            set.push_back(PeriodicTask{c.period, c.slice, c.phase});
-          }
-        }
-        periodic_ok = edf_admissible(set, effective_rt_availability());
-      }
-      ok = periodic_ok;
-    }
-    // Sporadic demand goes against its own reservation budget; one exact
-    // density test covers the subset.
-    auto sporadic = sporadic_tasks_without(nullptr);
-    const std::size_t held = sporadic.size();
-    for (const auto& [t, c] : items) {
-      if (c.cls == ConstraintClass::kSporadic) {
-        sporadic.push_back(density_task(c));
-      }
-    }
-    if (sporadic.size() > held) {
-      ok = ok && edf_admissible(sporadic, cfg_.sporadic_reservation);
-    }
-  }
+  // ONE admission test for the whole group: one word probe over the summed
+  // periodic quanta, or one exact analysis of (current set + every new
+  // spec) — never one pass per spec.
+  const bool ok = admits(items, nullptr);
   const sim::Nanos now = kernel_.machine().cpu(cpu_).tsc().wall_ns();
-  if (!ok) {
-    for (const auto& [t, c] : items) {
-      ++stats_.admissions_rejected;
-      if (telemetry_ != nullptr) {
-        telemetry_->on_admit(cpu_, now, static_cast<std::uint32_t>(t->id),
-                             false, c.utilization());
-      }
-    }
-    return false;
-  }
   for (const auto& [t, c] : items) {
-    ++stats_.admissions_ok;
-    if (telemetry_ != nullptr) {
-      telemetry_->on_admit(cpu_, now, static_cast<std::uint32_t>(t->id), true,
-                           c.utilization());
-    }
-    if (c.cls == ConstraintClass::kAperiodic) continue;  // nothing to hold
+    record_admit(*t, c, ok, now);
+    if (!ok || c.cls == ConstraintClass::kAperiodic) continue;  // no hold
     cancel_reservation(*t);
-    reservations_.emplace_back(t, c);
-    fast_reserved_.add(fp::from_double_ceil(c.utilization()));
+    hold(*t, c);
     ++stats_.batch_reserved_threads;
   }
-  return true;
+  return ok;
 }
 
 void LocalScheduler::cancel_reservation(nk::Thread& t) {
@@ -742,21 +698,14 @@ bool LocalScheduler::change_constraints(nk::Thread& t, const Constraints& req,
   // must leave the held utilization in place for the caller's retry or
   // rollback.  (The pre-fix code cancelled up front, silently losing the
   // hold on rejection — kept behind a test fault for the regression test.)
-  if (!c.well_formed() || !admit_check(&t, c)) {
+  const Spec spec{&t, c};
+  const bool ok = admits({&spec, 1}, &t);
+  record_admit(t, c, ok, gamma);
+  if (!ok) {
     if (cfg_.test_faults.consume_reservation_on_reject) cancel_reservation(t);
-    ++stats_.admissions_rejected;
-    if (telemetry_ != nullptr) {
-      telemetry_->on_admit(cpu_, gamma, static_cast<std::uint32_t>(t.id),
-                           false, c.utilization());
-    }
     return false;
   }
   cancel_reservation(t);
-  ++stats_.admissions_ok;
-  if (telemetry_ != nullptr) {
-    telemetry_->on_admit(cpu_, gamma, static_cast<std::uint32_t>(t.id), true,
-                         c.utilization());
-  }
   // A sleeping thread keeps sleeping across a class change: detaching pulls
   // it out of sleepers_, so it must be re-queued there (aperiodic) or left
   // to wake into its first arrival (RT classes pass through pending_, whose

@@ -30,6 +30,7 @@
 #include <deque>
 #include <functional>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -78,7 +79,8 @@ class LocalScheduler final : public nk::SchedulerBase {
     std::size_t max_threads = 1024;
     // Bounds on requestable constraints (section 3.3: "Bounds are also
     // placed on the granularity and minimum size of the timing
-    // constraints"), enforced only when admission is enabled.
+    // constraints"), enforced only when admission is enabled, on every
+    // admission path alike.
     sim::Nanos min_period = sim::micros(1);
     sim::Nanos min_slice = sim::micros(1);
 
@@ -201,21 +203,23 @@ class LocalScheduler final : public nk::SchedulerBase {
   [[nodiscard]] bool has_reservation(const nk::Thread& t) const;
 
   // --- batched admission (System::spawn_batch, docs/API.md) ---
-  // Admit a group of freshly created threads with ONE admission analysis
-  // (or one fast-path word probe) for the whole group, all-or-nothing: on
-  // success every thread holds a two-phase reservation to be consumed by
-  // its first change_constraints; on failure nothing is reserved.
+  // Admit a group of freshly created threads with ONE run of the admission
+  // test for the whole group (one word probe over the summed demand, then
+  // the exact tests), all-or-nothing: on success every thread holds a
+  // two-phase reservation to be consumed by its first change_constraints;
+  // on failure nothing is reserved.  A one-spec batch gets the verdict
+  // reserve_constraints gives.
   // Aperiodic entries are accepted without a reservation (aperiodic
   // admission cannot fail).
-  [[nodiscard]] bool reserve_batch(
-      const std::vector<std::pair<nk::Thread*, Constraints>>& items);
+  using Spec = std::pair<nk::Thread*, Constraints>;
+  [[nodiscard]] bool reserve_batch(const std::vector<Spec>& items);
 
   // --- lock-free admission fast path (docs/API.md) ---
   // O(1) wait-free probe of the Q32.32 ledger and reserved words.  Returns
   // nullopt when the fast path does not apply (disabled, non-periodic
   // class); otherwise the conservative decision: true implies
-  // the slow path would also admit, false may be spurious (slow path
-  // remains the authority inside admit_check).
+  // the slow path would also admit, false may be spurious (the exact test
+  // remains the authority inside the admission test).
   [[nodiscard]] std::optional<bool> fast_path_decision(
       const Constraints& c) const;
   /// Full admission answer for a hypothetical brand-new thread (no
@@ -277,19 +281,35 @@ class LocalScheduler final : public nk::SchedulerBase {
   /// Threads on this CPU, the per-thread term of the pass cost.
   [[nodiscard]] std::size_t thread_count() const;
   void detach_bookkeeping(nk::Thread* t);
-  [[nodiscard]] bool admit_check(const nk::Thread* t, const Constraints& c);
+  /// The admission test (section 3.2), the one every path calls: admit
+  /// `specs` as one all-or-nothing group on top of this CPU's admitted set
+  /// and reservations, leaving out `exclude`'s own admitted load and held
+  /// reservation (it is being re-admitted; may be null).  Rejects malformed
+  /// specs; with admission on, also specs below the granularity bounds.
+  /// Periodic demand first probes the ledger word once (the fast path),
+  /// then runs the exact EDF test; sporadic demand runs the exact density
+  /// test against the sporadic reservation.  Changes only the fast-path
+  /// stats.
+  [[nodiscard]] bool admits(std::span<const Spec> specs,
+                            const nk::Thread* exclude);
+  /// Hold `c`'s utilization for `t` until its first change_constraints.
+  void hold(nk::Thread& t, const Constraints& c);
+  /// Count one admission decision and record it in the flight recorder.
+  void record_admit(const nk::Thread& t, const Constraints& c, bool ok,
+                    sim::Nanos now);
   [[nodiscard]] bool fast_words_fit(fp::Raw need) const;
-  /// Fixed-point quantum already held by `t`'s reservation of class `cls`
-  /// (0 if none): a commit consuming it adds only the difference.
-  [[nodiscard]] fp::Raw reserved_quantum(const nk::Thread& t,
-                                         ConstraintClass cls) const;
-  [[nodiscard]] std::vector<PeriodicTask> periodic_tasks_with(
-      const nk::Thread* exclude, const Constraints* extra) const;
+  /// Fixed-point quantum already held by `t`'s periodic reservation (0 if
+  /// none): a commit consuming it adds only the difference.
+  [[nodiscard]] fp::Raw reserved_periodic_quantum(const nk::Thread& t) const;
+  /// Admitted periodic threads and periodic reservations other than
+  /// `exclude`'s, with room reserved for `extra` more.
+  [[nodiscard]] std::vector<PeriodicTask> periodic_tasks_without(
+      const nk::Thread* exclude, std::size_t extra) const;
   /// Admitted sporadic threads and sporadic reservations other than
   /// `exclude`'s, as (window, size) density tasks for the exact EDF test
-  /// against the sporadic reservation.
+  /// against the sporadic reservation, with room reserved for `extra` more.
   [[nodiscard]] std::vector<PeriodicTask> sporadic_tasks_without(
-      const nk::Thread* exclude) const;
+      const nk::Thread* exclude, std::size_t extra) const;
   void audit_queues(sim::Nanos now);
   void audit_utilization(sim::Nanos now);
   void audit_edf_order(const nk::Thread* next, sim::Nanos now);

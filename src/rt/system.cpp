@@ -47,9 +47,7 @@ class ReservedAdmitBehavior final : public nk::Behavior {
 System::System() : System(Options{}) {}
 
 System::System(Options options) : options_(std::move(options)) {
-  hw::MachineSpec spec = options_.spec;
-  if (!options_.smi_enabled) spec.smi.enabled = false;
-  machine_ = std::make_unique<hw::Machine>(spec, options_.seed);
+  machine_ = std::make_unique<hw::Machine>(options_.spec, options_.seed);
   auditor_ = std::make_unique<audit::Auditor>(options_.audit);
   telemetry_ = std::make_unique<telemetry::Telemetry>(machine_->num_cpus(),
                                                       options_.telemetry);

@@ -38,7 +38,6 @@ class System {
     bool work_stealing = false;
     std::uint32_t interrupt_laden_cpus = 1;
     bool tpr_steering = true;
-    bool smi_enabled = true;  // overrides spec.smi.enabled when false
     /// Scheduler invariant audits (audit/auditor.hpp).  Off by default;
     /// HRT_FORCE_AUDIT builds force them on and throwing regardless.
     audit::Config audit{};

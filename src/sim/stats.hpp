@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <vector>
 
 namespace hrt::sim {
 
@@ -40,65 +39,6 @@ class RunningStats {
   double m2_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Sample collector with percentile queries.  Keeps all samples.
-class Samples {
- public:
-  void add(double x) {
-    data_.push_back(x);
-    sorted_ = false;
-  }
-
-  [[nodiscard]] std::size_t count() const { return data_.size(); }
-
-  [[nodiscard]] double mean() const {
-    if (data_.empty()) return 0.0;
-    double s = 0.0;
-    for (double x : data_) s += x;
-    return s / static_cast<double>(data_.size());
-  }
-
-  [[nodiscard]] double stddev() const {
-    if (data_.size() < 2) return 0.0;
-    const double m = mean();
-    double s = 0.0;
-    for (double x : data_) s += (x - m) * (x - m);
-    return std::sqrt(s / static_cast<double>(data_.size() - 1));
-  }
-
-  /// p in [0, 100].  Nearest-rank on the sorted data.
-  [[nodiscard]] double percentile(double p) {
-    if (data_.empty()) return 0.0;
-    sort();
-    const double rank = p / 100.0 * static_cast<double>(data_.size() - 1);
-    const auto lo = static_cast<std::size_t>(rank);
-    const std::size_t hi = std::min(lo + 1, data_.size() - 1);
-    const double frac = rank - static_cast<double>(lo);
-    return data_[lo] * (1.0 - frac) + data_[hi] * frac;
-  }
-
-  [[nodiscard]] double min() {
-    sort();
-    return data_.empty() ? 0.0 : data_.front();
-  }
-  [[nodiscard]] double max() {
-    sort();
-    return data_.empty() ? 0.0 : data_.back();
-  }
-
-  [[nodiscard]] const std::vector<double>& values() const { return data_; }
-
- private:
-  void sort() {
-    if (!sorted_) {
-      std::sort(data_.begin(), data_.end());
-      sorted_ = true;
-    }
-  }
-
-  std::vector<double> data_;
-  bool sorted_ = true;
 };
 
 }  // namespace hrt::sim

@@ -22,7 +22,6 @@ namespace {
 System::Options audited(std::uint32_t cpus = 4) {
   System::Options o;
   o.spec = hw::MachineSpec::phi_small(cpus);
-  o.smi_enabled = false;
   o.spec.smi.enabled = false;  // keep replay tolerances tight
   o.audit.enabled = true;      // accumulate mode; FORCE builds throw instead
   return o;
@@ -269,7 +268,7 @@ TEST(ThreadCount, DoubleCountFaultInflatesPassCost) {
   auto opts = [](bool fault) {
     System::Options o;
     o.spec = hw::MachineSpec::phi_small(4);
-    o.smi_enabled = false;
+    o.spec.smi.enabled = false;
     o.spec.cost.jitter_rel_std = 0.0;
     o.sched.aperiodic_quantum = sim::micros(200);
     o.sched.test_faults.double_count_current = fault;

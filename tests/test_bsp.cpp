@@ -11,7 +11,7 @@ namespace {
 System::Options quiet(std::uint32_t cpus = 9) {
   System::Options o;
   o.spec = hw::MachineSpec::phi_small(cpus);
-  o.smi_enabled = false;
+  o.spec.smi.enabled = false;
   o.sched.sporadic_reservation = 0.04;
   o.sched.aperiodic_reservation = 0.05;
   return o;

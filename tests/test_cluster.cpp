@@ -21,7 +21,6 @@ ClusterController::Options clustered(std::uint32_t nodes = 2,
   ClusterController::Options o;
   o.nodes = nodes;
   o.node_options.spec = hw::MachineSpec::phi_small(cpus);
-  o.node_options.smi_enabled = false;
   o.node_options.spec.smi.enabled = false;
   o.node_options.audit.enabled = true;  // accumulate; FORCE builds throw
   o.audit.enabled = true;

@@ -58,7 +58,7 @@ TEST(Constraints, EqualityComparesRelevantFields) {
 TEST(Report, ContainsThreadsAndCpus) {
   System::Options o;
   o.spec = hw::MachineSpec::phi_small(4);
-  o.smi_enabled = false;
+  o.spec.smi.enabled = false;
   System sys(std::move(o));
   sys.boot();
   auto b = std::make_unique<nk::FnBehavior>(
@@ -85,7 +85,7 @@ TEST(Report, ContainsThreadsAndCpus) {
 TEST(Report, IdleThreadsHiddenByDefault) {
   System::Options o;
   o.spec = hw::MachineSpec::phi_small(4);
-  o.smi_enabled = false;
+  o.spec.smi.enabled = false;
   System sys(std::move(o));
   sys.boot();
   sys.run_for(sim::millis(1));

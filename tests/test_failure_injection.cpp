@@ -13,7 +13,7 @@ namespace {
 System::Options base(std::uint32_t cpus = 6) {
   System::Options o;
   o.spec = hw::MachineSpec::phi_small(cpus);
-  o.smi_enabled = false;  // injected explicitly per test
+  o.spec.smi.enabled = false;  // injected explicitly per test
   o.sched.sporadic_reservation = 0.04;
   o.sched.aperiodic_reservation = 0.05;
   return o;
@@ -59,7 +59,6 @@ TEST(FailureInjection, SmiStormDuringBspBarrierRuns) {
   o.spec.smi.min_duration_ns = sim::micros(10);
   o.spec.smi.mean_duration_ns = sim::micros(15);
   o.spec.smi.max_duration_ns = sim::micros(25);
-  o.smi_enabled = true;
   System sys(std::move(o));
   sys.boot();
   bsp::BspConfig cfg;
@@ -199,7 +198,6 @@ TEST(FailureInjection, ReplayOracleValidatesSmiStormTrace) {
   o.spec.smi.min_duration_ns = sim::micros(10);
   o.spec.smi.mean_duration_ns = sim::micros(20);
   o.spec.smi.max_duration_ns = sim::micros(40);
-  o.smi_enabled = true;
   System sys(std::move(o));
   sys.machine().trace().enable();
   sys.boot();
@@ -232,7 +230,6 @@ TEST(FailureInjection, ReplayOracleValidatesBurstSmiTrace) {
   o.spec.smi.storm_mean_interval_ns = sim::micros(120);
   o.spec.smi.mean_quiet_ns = sim::millis(4);
   o.spec.smi.mean_storm_ns = sim::millis(2);
-  o.smi_enabled = true;
   System sys(std::move(o));
   sys.machine().trace().enable();
   sys.boot();

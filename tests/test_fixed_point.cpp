@@ -186,18 +186,21 @@ TEST(LedgerConcurrency, ConcurrentFeedsAndSnapshotsStayCoherent) {
 // ---------- 10k-spec randomized fuzz: fast path vs slow path ----------
 //
 // Two identical systems differing only in Config::fast_admission run the
-// same 10k-operation reserve/cancel churn.  Invariants:
+// same 10k-operation reserve/cancel churn of periodic and sporadic specs.
+// Invariants:
 //   (1) zero spurious fast admits — whenever the fast word probe says
 //       "admit", the slow analysis on the identically-churned system
-//       agrees (the ISSUE acceptance criterion);
+//       agrees;
 //   (2) decision equivalence — because a fast-path reject falls back to
 //       the slow analysis, the *final* admit decision is identical with
-//       the fast path on and off, so ablating the flag only changes cost.
+//       the fast path on and off, so ablating the flag only changes cost;
+//   (3) one admission test — a one-spec reserve_batch on a parked thread
+//       (the spawn_batch path) reaches the same verdict as
+//       reserve_constraints, on both systems.
 
 System::Options fuzz_options(bool fast) {
   System::Options o;
   o.spec = hw::MachineSpec::phi_small(1);
-  o.smi_enabled = false;
   o.spec.smi.enabled = false;
   o.audit.enabled = true;
   o.sched.fast_admission = fast;
@@ -212,13 +215,22 @@ TEST(AdmissionFastPathFuzz, TenThousandSpecsZeroSpuriousAdmits) {
 
   constexpr int kThreads = 48;
   std::vector<nk::Thread*> ft, st;
+  auto mk = [] {
+    return std::make_unique<nk::BusyLoopBehavior>(sim::micros(100));
+  };
   for (int i = 0; i < kThreads; ++i) {
-    auto mk = [] {
-      return std::make_unique<nk::BusyLoopBehavior>(sim::micros(100));
-    };
     ft.push_back(fast_sys.spawn("f" + std::to_string(i), mk(), 0));
     st.push_back(slow_sys.spawn("s" + std::to_string(i), mk(), 0));
   }
+  // Never enqueued, as spawn_batch's threads are before their commit.
+  nk::Thread* fparked = fast_sys.kernel().create_thread_parked("fp", mk(), 0);
+  nk::Thread* sparked = slow_sys.kernel().create_thread_parked("sp", mk(), 0);
+  auto batch_verdict = [](System& sys, nk::Thread* parked,
+                          const rt::Constraints& c) {
+    const bool ok = sys.sched(0).reserve_batch({{parked, c}});
+    if (ok) sys.sched(0).cancel_reservation(*parked);
+    return ok;
+  };
 
   std::mt19937_64 rng(20260808);
   std::uniform_int_distribution<sim::Nanos> period_us(50, 5000);
@@ -226,17 +238,26 @@ TEST(AdmissionFastPathFuzz, TenThousandSpecsZeroSpuriousAdmits) {
   std::uniform_int_distribution<int> op(0, 9);
 
   std::uint64_t admits = 0, rejects = 0, fast_true = 0;
+  std::uint64_t sporadic_admits = 0, sporadic_rejects = 0;
   for (int iter = 0; iter < 10000; ++iter) {
     const int i = pick(rng);
-    if (op(rng) < 2) {
+    const int roll = op(rng);
+    if (roll < 2) {
       // Churn: drop a reservation (identically on both systems).
       fast_sys.sched(0).cancel_reservation(*ft[i]);
       slow_sys.sched(0).cancel_reservation(*st[i]);
       continue;
     }
     const sim::Nanos tau = sim::micros(period_us(rng));
-    std::uniform_int_distribution<sim::Nanos> slice_ns(1, tau);
-    const rt::Constraints c = rt::Constraints::periodic(0, tau, slice_ns(rng));
+    rt::Constraints c;
+    if (roll < 4) {
+      // Sporadic: density up to 1/4 against the 0.10 reservation.
+      std::uniform_int_distribution<sim::Nanos> size_ns(1, tau / 4);
+      c = rt::Constraints::sporadic(0, size_ns(rng), tau);
+    } else {
+      std::uniform_int_distribution<sim::Nanos> slice_ns(1, tau);
+      c = rt::Constraints::periodic(0, tau, slice_ns(rng));
+    }
 
     const auto fast_view = fast_sys.sched(0).fast_path_decision(c);
     if (fast_view.has_value() && *fast_view) {
@@ -246,16 +267,33 @@ TEST(AdmissionFastPathFuzz, TenThousandSpecsZeroSpuriousAdmits) {
           << "spurious fast admit at iter " << iter << " for u="
           << c.utilization();
     }
+    // reserve_constraints drops the thread's old hold before it tests, so
+    // the batch comparison below runs without it too.
+    fast_sys.sched(0).cancel_reservation(*ft[i]);
+    slow_sys.sched(0).cancel_reservation(*st[i]);
+    const bool fb = batch_verdict(fast_sys, fparked, c);
+    const bool sb = batch_verdict(slow_sys, sparked, c);
     const bool a = fast_sys.sched(0).reserve_constraints(*ft[i], c);
     const bool b = slow_sys.sched(0).reserve_constraints(*st[i], c);
     // Invariant (2): final decisions identical (fallback covers rejects).
     ASSERT_EQ(a, b) << "decision divergence at iter " << iter << " for u="
                     << c.utilization();
+    // Invariant (3): the batch path agrees with the single-spec path.
+    ASSERT_EQ(fb, a) << "batch verdict divergence (fast) at iter " << iter
+                     << " for u=" << c.utilization();
+    ASSERT_EQ(sb, b) << "batch verdict divergence (slow) at iter " << iter
+                     << " for u=" << c.utilization();
     (a ? admits : rejects) += 1;
+    if (c.cls == rt::ConstraintClass::kSporadic) {
+      (a ? sporadic_admits : sporadic_rejects) += 1;
+    }
   }
-  // The run must actually exercise both outcomes and the fast word.
+  // The run must actually exercise both outcomes, both classes and the
+  // fast word.
   EXPECT_GT(admits, 100u);
   EXPECT_GT(rejects, 100u);
+  EXPECT_GT(sporadic_admits, 100u);
+  EXPECT_GT(sporadic_rejects, 100u);
   EXPECT_GT(fast_true, 0u);
   EXPECT_GT(fast_sys.sched(0).stats().fast_admits, 0u);
   EXPECT_EQ(slow_sys.sched(0).stats().fast_admits, 0u);

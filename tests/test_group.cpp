@@ -13,7 +13,7 @@ namespace {
 System::Options quiet(std::uint32_t cpus = 6) {
   System::Options o;
   o.spec = hw::MachineSpec::phi_small(cpus);
-  o.smi_enabled = false;
+  o.spec.smi.enabled = false;
   return o;
 }
 

@@ -387,7 +387,6 @@ TEST_P(FeasibleSweep, AdmittedConstraintsNeverMissOnPhi) {
   const auto p = GetParam();
   System::Options o;
   o.spec = hw::MachineSpec::phi_small(4);
-  o.smi_enabled = true;  // storms included: eager EDF must absorb them
   System sys(std::move(o));
   sys.boot();
   const sim::Nanos slice = p.period * p.slice_pct / 100;
@@ -477,7 +476,7 @@ TEST(Isolation, RtTimingIndependentOfBackgroundLoad) {
 TEST(Isolation, AperiodicWorkFillsExactlyTheLeftover) {
   System::Options o;
   o.spec = hw::MachineSpec::phi_small(4);
-  o.smi_enabled = false;
+  o.spec.smi.enabled = false;
   System sys(std::move(o));
   sys.boot();
   spawn_periodic(sys, 1, sim::micros(200), sim::micros(120));  // 60%
@@ -524,7 +523,7 @@ TEST(GroupsUnderFire, LockstepSurvivesSmis) {
 TEST(GroupsUnderFire, SequentialGroupsOnSameSystem) {
   System::Options o;
   o.spec = hw::MachineSpec::phi_small(10);
-  o.smi_enabled = false;
+  o.spec.smi.enabled = false;
   o.sched.sporadic_reservation = 0.04;
   o.sched.aperiodic_reservation = 0.05;
   System sys(std::move(o));
@@ -575,7 +574,7 @@ TEST(FullMachine, Boot256AndRunMixedLoad) {
 TEST(FullMachine, IdleMachineIsQuiet) {
   // Tickless design: an idle 256-CPU machine executes almost no events.
   System::Options o;
-  o.smi_enabled = false;
+  o.spec.smi.enabled = false;
   System sys(std::move(o));
   sys.boot();
   const auto before = sys.engine().events_executed();
@@ -592,7 +591,7 @@ TEST(R415, FinerConstraintsFeasible) {
   // cannot be absorbed at that granularity on *any* scheduler (section 3.6
   // bounds the damage, it cannot erase it), so isolate quantization from
   // missing time here.
-  o.smi_enabled = false;
+  o.spec.smi.enabled = false;
   System sys(std::move(o));
   sys.boot();
   nk::Thread* t = spawn_periodic(sys, 1, sim::micros(10), sim::micros(3));

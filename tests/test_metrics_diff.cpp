@@ -15,7 +15,6 @@ namespace {
 System::Options telemetered(std::uint32_t cpus = 2) {
   System::Options o;
   o.spec = hw::MachineSpec::phi_small(cpus);
-  o.smi_enabled = false;
   o.spec.smi.enabled = false;
   o.telemetry.enabled = true;
   return o;

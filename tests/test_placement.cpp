@@ -24,7 +24,6 @@ namespace {
 System::Options placed(std::uint32_t cpus = 4, std::uint32_t laden = 1) {
   System::Options o;
   o.spec = hw::MachineSpec::phi_small(cpus);
-  o.smi_enabled = false;
   o.spec.smi.enabled = false;
   o.audit.enabled = true;  // accumulate mode; FORCE builds throw instead
   o.interrupt_laden_cpus = laden;

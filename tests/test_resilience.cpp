@@ -141,7 +141,7 @@ TEST(SmiSpec, InvalidSpecsRejectedAtMachineConstruction) {
     System::Options o;
     o.spec = hw::MachineSpec::phi_small(2);
     o.spec.smi.mean_duration_ns = -5;
-    o.smi_enabled = false;
+    o.spec.smi.enabled = false;
     System sys(std::move(o));
     sys.boot();
     EXPECT_EQ(sys.machine().smi().stats().count, 0u);
@@ -179,7 +179,7 @@ TEST(SmiBurst, MarkovModeTransitionsAndIsDeterministic) {
 TEST(SmiForce, BeforeStartCountsAndFreezes) {
   System::Options o;
   o.spec = hw::MachineSpec::phi_small(2);
-  o.smi_enabled = false;  // source never starts; force must still work
+  o.spec.smi.enabled = false;  // source never starts; force must still work
   System sys(std::move(o));
   sys.machine().smi().force(sim::micros(10));
   const hw::SmiStats st = sys.machine().smi().stats();
@@ -228,7 +228,7 @@ TEST(Resilience, DegradedAdmissionRejectsWhatAQuietCpuAccepts) {
   auto run = [](bool storm) {
     System::Options o;
     o.spec = hw::MachineSpec::phi_small(2);
-    o.smi_enabled = false;  // injected by hand below
+    o.spec.smi.enabled = false;  // injected by hand below
     o.resilience.enabled = true;
     System sys(std::move(o));
     sys.boot();
@@ -257,7 +257,7 @@ TEST(Resilience, DegradedAdmissionRejectsWhatAQuietCpuAccepts) {
 TEST(Resilience, StormDrainsOverCommittedCpuToQuietHeadroom) {
   System::Options o;
   o.spec = hw::MachineSpec::phi_small(4);
-  o.smi_enabled = false;
+  o.spec.smi.enabled = false;
   o.resilience.enabled = true;
   o.audit.enabled = true;
   // The spec says no SMIs, so the auto-derived budget tolerance has no
@@ -296,7 +296,7 @@ TEST(Resilience, StormDrainsOverCommittedCpuToQuietHeadroom) {
 TEST(Resilience, ShedsLeastCriticalFirstAndRestoresAfterStorm) {
   System::Options o;
   o.spec = hw::MachineSpec::phi_small(4);
-  o.smi_enabled = false;
+  o.spec.smi.enabled = false;
   o.resilience.enabled = true;
   o.audit.enabled = true;
   // Forced freezes charge budgets the spec-derived tolerance knows nothing
@@ -380,7 +380,7 @@ TEST(Resilience, ShedsLeastCriticalFirstAndRestoresAfterStorm) {
 TEST(Resilience, EffectiveCapacityTamperIsCaught) {
   System::Options o;
   o.spec = hw::MachineSpec::phi_small(2);
-  o.smi_enabled = false;
+  o.spec.smi.enabled = false;
   o.resilience.enabled = true;
   o.audit.enabled = true;
   System sys(std::move(o));
@@ -403,7 +403,7 @@ TEST(Resilience, EffectiveCapacityTamperIsCaught) {
 TEST(Resilience, DisabledByDefaultCostsNothing) {
   System::Options o;
   o.spec = hw::MachineSpec::phi_small(2);
-  o.smi_enabled = false;
+  o.spec.smi.enabled = false;
   System sys(std::move(o));
   sys.boot();
   const auto before = sys.engine().events_executed();

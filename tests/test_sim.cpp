@@ -493,28 +493,6 @@ TEST(RunningStats, EmptyIsZero) {
   EXPECT_EQ(s.max(), 0.0);
 }
 
-TEST(Samples, PercentilesOnKnownData) {
-  Samples s;
-  for (int i = 1; i <= 100; ++i) s.add(static_cast<double>(i));
-  EXPECT_NEAR(s.percentile(50), 50.5, 0.01);
-  EXPECT_NEAR(s.percentile(0), 1.0, 0.01);
-  EXPECT_NEAR(s.percentile(100), 100.0, 0.01);
-  EXPECT_NEAR(s.percentile(99), 99.01, 0.01);
-}
-
-TEST(Samples, MeanStdMatchRunningStats) {
-  Rng r(3);
-  Samples s;
-  RunningStats rs;
-  for (int i = 0; i < 1000; ++i) {
-    const double v = r.normal(5, 2);
-    s.add(v);
-    rs.add(v);
-  }
-  EXPECT_NEAR(s.mean(), rs.mean(), 1e-9);
-  EXPECT_NEAR(s.stddev(), rs.stddev(), 1e-9);
-}
-
 // ---------- Histogram ----------
 
 TEST(Histogram, BinsAndOverflow) {

@@ -10,7 +10,7 @@ namespace {
 System::Options small_opts(std::uint32_t cpus = 4, bool smi = false) {
   System::Options o;
   o.spec = hw::MachineSpec::phi_small(cpus);
-  o.smi_enabled = smi;
+  o.spec.smi.enabled = smi;
   return o;
 }
 

@@ -21,7 +21,6 @@ namespace {
 System::Options batch_options(std::uint32_t cpus, std::uint32_t laden = 0) {
   System::Options o;
   o.spec = hw::MachineSpec::phi_small(cpus);
-  o.smi_enabled = false;
   o.spec.smi.enabled = false;
   o.audit.enabled = true;  // accumulate mode; FORCE builds throw instead
   o.interrupt_laden_cpus = laden;
@@ -107,6 +106,30 @@ TEST(SpawnBatch, AdmitsAndRunsMixedBurst) {
   }
   sys.sync_accounting();
   EXPECT_GT(r.threads[6]->total_cpu_ns, 0);  // aperiodic member ran too
+}
+
+// A spec below min_period gets one verdict from every admission path: the
+// bounds apply only when admission is on, in the batch test as in the
+// single-spec one.
+TEST(SpawnBatch, BelowMinPeriodVerdictAgreesOnEveryPath) {
+  const auto tiny = rt::Constraints::periodic(0, sim::micros(5),
+                                              sim::micros(1));
+  for (const bool admission : {false, true}) {
+    System::Options o = batch_options(1);
+    o.sched.admission_enabled = admission;
+    o.sched.min_period = sim::micros(10);
+    System sys(std::move(o));
+    sys.boot();
+    nk::Thread* t = sys.spawn("single", batch_worker(), 0);
+    std::vector<System::SpawnSpec> specs;
+    specs.push_back(spec_of("batch", tiny));
+    EXPECT_EQ(sys.sched(0).reserve_constraints(*t, tiny), !admission)
+        << "admission " << admission;
+    EXPECT_EQ(sys.sched(0).probe_admission(tiny), !admission)
+        << "admission " << admission;
+    EXPECT_EQ(sys.spawn_batch(std::move(specs)).ok, !admission)
+        << "admission " << admission;
+  }
 }
 
 TEST(SpawnBatch, AllOrNothingRollbackLeavesNoTrace) {

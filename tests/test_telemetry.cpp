@@ -37,7 +37,6 @@ using telemetry::Record;
 System::Options observed(std::uint32_t cpus = 4) {
   System::Options o;
   o.spec = hw::MachineSpec::phi_small(cpus);
-  o.smi_enabled = false;
   o.spec.smi.enabled = false;
   o.telemetry.enabled = true;
   return o;
