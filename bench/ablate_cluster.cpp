@@ -78,7 +78,8 @@ Cell run_cell(bool failover, std::uint64_t seed, std::uint32_t nodes,
   o.audit.enabled = true;
   o.telemetry.enabled = true;
   o.failover = failover;
-  c.control_period_us = static_cast<double>(o.control_period) / 1000.0;
+  c.control_period_us =
+      static_cast<double>(cluster::ClusterController::kControlPeriod) / 1000.0;
   cluster::ClusterController ctl(std::move(o));
 
   ctl.add_tenant({"ctrl", 2.0, 10});
@@ -106,8 +107,8 @@ Cell run_cell(bool failover, std::uint64_t seed, std::uint32_t nodes,
   }
   // Mid-control-period crash: detection latency is then a real fraction of
   // the heartbeat, not the degenerate on-boundary zero.
-  ctl.fail_node(victim,
-                ctl.now() + sim::millis(1) + ctl.options().control_period / 2);
+  ctl.fail_node(victim, ctl.now() + sim::millis(1) +
+                            cluster::ClusterController::kControlPeriod / 2);
   ctl.run_for(horizon);
 
   c.availability = ctl.availability();
@@ -131,7 +132,11 @@ Cell run_cell(bool failover, std::uint64_t seed, std::uint32_t nodes,
   c.detect_max_us = st.detect_ns.max() / 1000.0;
   c.replace_mean_us = st.replace_ns.mean() / 1000.0;
   c.replace_max_us = st.replace_ns.max() / 1000.0;
+  // Every node's scheduler audits plus the controller's own auditor.
   c.audit_violations = ctl.auditor().total_violations();
+  for (std::uint32_t n = 0; n < ctl.num_nodes(); ++n) {
+    c.audit_violations += ctl.node(n).auditor().total_violations();
+  }
   return c;
 }
 

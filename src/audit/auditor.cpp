@@ -26,16 +26,15 @@ const char* invariant_name(Invariant inv) {
       return "effective-capacity";
     case Invariant::kSloBudget:
       return "slo-budget";
-    case Invariant::kClusterLedger:
-      return "cluster-ledger";
   }
   return "?";
 }
 
 Auditor::Auditor(Config cfg) : cfg_(cfg) {
 #ifdef HRT_FORCE_AUDIT
-  // CI sanitizer builds force every auditor hot: any invariant violation in
-  // the tier-1 suite fails the build even if the test did not opt in.
+  // Forced-audit builds (CI's audited and sanitizers jobs) make every
+  // auditor hot: any invariant violation in the tier-1 suite fails the
+  // build even if the test did not opt in.
   cfg_.enabled = true;
   cfg_.throw_on_violation = true;
 #endif

@@ -39,14 +39,11 @@
 //   * slo-budget: a declared telemetry SLO (telemetry/slo.hpp) burned its
 //     deadline-miss budget — the windowed miss fraction reached the budget
 //     while the monitor had enough samples to trust the estimate.
-//   * cluster-ledger: the cluster controller's cached per-node rollup
-//     (cluster/ledger.hpp) diverged from the sums recomputed live from the
-//     node's own lock-free UtilizationLedger words, or a down node still
-//     published non-zero capacity.
 //
 // Compile with -DHRT_FORCE_AUDIT=1 (CMake option HRT_FORCE_AUDIT) to force
 // every Auditor into enabled+throwing mode regardless of runtime config;
-// CI's sanitizer job runs the tier-1 suite this way.
+// CI's `audited` (Release) and `sanitizers` (ASan/UBSan) jobs run the
+// tier-1 suite this way.
 #pragma once
 
 #include <cstddef>
@@ -71,7 +68,6 @@ enum class Invariant : std::uint8_t {
   kShedState,
   kEffectiveCapacity,
   kSloBudget,
-  kClusterLedger,
 };
 
 [[nodiscard]] const char* invariant_name(Invariant inv);
@@ -139,7 +135,7 @@ class Auditor {
   std::vector<Violation> violations_;
   std::uint64_t total_violations_ = 0;
   std::uint64_t checks_run_ = 0;
-  std::uint64_t per_invariant_[12] = {};
+  std::uint64_t per_invariant_[11] = {};
 };
 
 }  // namespace hrt::audit

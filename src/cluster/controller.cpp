@@ -1,9 +1,11 @@
 #include "cluster/controller.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
+#include "global/ledger.hpp"
 #include "nautilus/behavior.hpp"
 #include "nautilus/thread.hpp"
 
@@ -54,6 +56,20 @@ bool thread_live(const nk::Thread* t, nk::Thread::Id id) {
 
 }  // namespace
 
+const char* node_state_name(NodeState s) {
+  switch (s) {
+    case NodeState::kUp:
+      return "up";
+    case NodeState::kDraining:
+      return "draining";
+    case NodeState::kDrained:
+      return "drained";
+    case NodeState::kDown:
+      return "down";
+  }
+  return "?";
+}
+
 const char* job_kind_name(JobKind k) {
   switch (k) {
     case JobKind::kGang:
@@ -86,12 +102,22 @@ const char* job_state_name(JobState s) {
   return "?";
 }
 
-ClusterController::ClusterController(Options opt)
-    : opt_(std::move(opt)), ledger_(opt_.nodes) {
+ClusterController::ClusterController(Options opt) : opt_(std::move(opt)) {
   if (opt_.nodes == 0) {
     throw std::invalid_argument("ClusterController: need at least one node");
   }
-  if (opt_.control_period <= 0) opt_.control_period = sim::micros(500);
+  // A slot under one ledger quantum is no slot, and node headroom divided
+  // by it could overflow the slot budget's integer.
+  if (!std::isfinite(opt_.best_effort_slot_util) ||
+      opt_.best_effort_slot_util < rt::fp::kUlp) {
+    throw std::invalid_argument(
+        "ClusterController: best_effort_slot_util must be finite and at "
+        "least one ledger quantum (2^-32)");
+  }
+  if (opt_.max_place_attempts == 0) {
+    throw std::invalid_argument(
+        "ClusterController: max_place_attempts must be at least 1");
+  }
   auditor_ = std::make_unique<audit::Auditor>(opt_.audit);
   // The cluster hub's "cpu" axis is the NODE id: one flight-recorder ring
   // and one counter row per node.
@@ -106,7 +132,6 @@ ClusterController::ClusterController(Options opt)
     nodes_[i].sys->boot();
     emit(i, telemetry::EventKind::kNodeUp, 0, 0);
   }
-  refresh_ledger();
 }
 
 ClusterController::~ClusterController() = default;
@@ -147,7 +172,7 @@ JobId ClusterController::submit(JobSpec spec) {
 void ClusterController::run_for(sim::Nanos d) {
   const sim::Nanos end = now_ + d;
   while (now_ < end) {
-    const sim::Nanos next = std::min(end, now_ + opt_.control_period);
+    const sim::Nanos next = std::min(end, now_ + kControlPeriod);
     const sim::Nanos dt = next - now_;
     for (Node& n : nodes_) {
       if (n.state == NodeState::kDown) continue;
@@ -193,7 +218,7 @@ void ClusterController::restore_node(std::uint32_t node) {
 void ClusterController::tick(sim::Nanos dt) {
   ++stats_.ticks;
   detect_failures();
-  refresh_ledger();
+  retire_evictions();
   progress_drains();
   update_job_states();
   coordinate_overload();
@@ -201,7 +226,6 @@ void ClusterController::tick(sim::Nanos dt) {
   enforce_best_effort_slots();
   backfill_best_effort();
   account_availability(dt);
-  audit_ledger();
 }
 
 void ClusterController::detect_failures() {
@@ -241,11 +265,10 @@ void ClusterController::detect_failures() {
   }
 }
 
-void ClusterController::refresh_ledger() {
-  for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
-    Node& n = nodes_[i];
-    // GC eviction records whose threads all exited: their utilization is in
-    // the rollup again, so they stop counting as prospective headroom.
+void ClusterController::retire_evictions() {
+  for (Node& n : nodes_) {
+    // GC eviction records whose threads all exited: their utilization has
+    // left the node's words, so they stop counting as prospective headroom.
     n.shed_credit = 0.0;
     auto& ev = n.evictions;
     ev.erase(std::remove_if(ev.begin(), ev.end(),
@@ -260,14 +283,6 @@ void ClusterController::refresh_ledger() {
                             }),
              ev.end());
     for (const auto& r : ev) n.shed_credit += r.demand;
-    ledger_.refresh(i, n.sys->placement().ledger(), &n.sys->resilience(),
-                    n.state);
-  }
-  if (opt_.test_faults.corrupt_rollup) {
-    // Seeded fault: one raw ulp of divergence between the cache and the
-    // live words; the tick's audit must catch it (refresh heals it next
-    // tick, so every violation traces back to this line).
-    ledger_.corrupt_committed(0, 1);
   }
 }
 
@@ -344,8 +359,7 @@ void ClusterController::coordinate_overload() {
   for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
     Node& n = nodes_[i];
     if (n.state != NodeState::kUp) continue;
-    const double over = ledger_.committed(i) - ledger_.capacity(i) -
-                        n.shed_credit;
+    const double over = node_committed(i) - node_capacity(i) - n.shed_credit;
     if (over <= 1e-9) continue;
     Job* victim = nullptr;
     for (Job& j : jobs_) {
@@ -412,9 +426,8 @@ void ClusterController::enforce_best_effort_slots() {
   for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
     Node& n = nodes_[i];
     if (n.state != NodeState::kUp) continue;
-    const double slot = std::max(1e-6, opt_.best_effort_slot_util);
-    const auto budget =
-        static_cast<std::int64_t>(node_headroom(i) / slot);
+    const auto budget = static_cast<std::int64_t>(
+        node_headroom(i) / opt_.best_effort_slot_util);
     std::int64_t over = static_cast<std::int64_t>(be_threads_on(i)) - budget;
     while (over > 0) {
       // RT demand arrived and ate the slack: preempt whole best-effort
@@ -470,14 +483,6 @@ void ClusterController::account_availability(sim::Nanos dt) {
   }
 }
 
-void ClusterController::audit_ledger() {
-  if (!auditor_->enabled()) return;
-  for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
-    ledger_.audit_node(*auditor_, now_, i, nodes_[i].sys->placement().ledger(),
-                       &nodes_[i].sys->resilience());
-  }
-}
-
 // --- placement mechanics ---------------------------------------------------
 
 double ClusterController::job_demand(const Job& j) const {
@@ -498,9 +503,33 @@ bool ClusterController::node_placeable(std::uint32_t node) const {
   return nodes_[node].state == NodeState::kUp;
 }
 
+double ClusterController::node_committed(std::uint32_t node) const {
+  const global::UtilizationLedger& l = nodes_[node].sys->placement().ledger();
+  rt::fp::Raw sum = 0;
+  for (std::uint32_t c = 0; c < l.num_cpus(); ++c) sum += l.committed_raw(c);
+  return rt::fp::to_double(sum);
+}
+
+double ClusterController::node_capacity(std::uint32_t node) const {
+  const NodeState st = nodes_[node].state;
+  if (st != NodeState::kUp && st != NodeState::kDraining) return 0.0;
+  const global::UtilizationLedger& l = nodes_[node].sys->placement().ledger();
+  rt::fp::Raw sum = 0;
+  for (std::uint32_t c = 0; c < l.num_cpus(); ++c) sum += l.capacity_raw(c);
+  return rt::fp::to_double(sum);
+}
+
+bool ClusterController::node_storm_hit(std::uint32_t node) const {
+  const global::UtilizationLedger& l = nodes_[node].sys->placement().ledger();
+  for (std::uint32_t c = 0; c < l.num_cpus(); ++c) {
+    if (l.storm_hit(c)) return true;
+  }
+  return false;
+}
+
 double ClusterController::node_headroom(std::uint32_t node) const {
-  const double h = ledger_.capacity(node) - ledger_.committed(node) -
-                   nodes_[node].inflight;
+  const double h =
+      node_capacity(node) - node_committed(node) - nodes_[node].inflight;
   return h > 0.0 ? h : 0.0;
 }
 
@@ -518,16 +547,16 @@ std::uint32_t ClusterController::be_threads_on(std::uint32_t node) const {
 bool ClusterController::node_fits(std::uint32_t node, const Job& j) const {
   if (!node_placeable(node)) return false;
   if (j.spec.kind == JobKind::kBestEffort) {
-    const double slot = std::max(1e-6, opt_.best_effort_slot_util);
-    const auto budget = static_cast<std::int64_t>(node_headroom(node) / slot);
+    const auto budget = static_cast<std::int64_t>(
+        node_headroom(node) / opt_.best_effort_slot_util);
     return budget - static_cast<std::int64_t>(be_threads_on(node)) >=
            static_cast<std::int64_t>(j.spec.threads);
   }
   const double demand = job_demand(j);
   if (node_headroom(node) < demand) return false;
   if (j.spec.kind == JobKind::kGang) {
-    // A gang needs n DISTINCT CPUs with per-thread headroom; read the live
-    // per-CPU words (the rollup can't answer this).
+    // A gang needs n DISTINCT CPUs with per-thread headroom; the node sums
+    // can't answer this.
     const auto& nl = nodes_[node].sys->placement().ledger();
     const double u = j.spec.constraints.utilization();
     std::uint32_t fit = 0;
@@ -549,21 +578,27 @@ bool ClusterController::node_fits(std::uint32_t node, const Job& j) const {
 
 std::vector<std::uint32_t> ClusterController::candidate_nodes(
     std::uint32_t exclude) const {
-  std::vector<std::uint32_t> out;
-  for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
-    if (i != exclude && node_placeable(i)) out.push_back(i);
-  }
   // Placement's CPU ranking (docs/GLOBAL.md) at node granularity:
   // storm-flagged nodes last (their published capacity is already degraded,
   // but quiet nodes are still the better first choice), then more headroom
-  // first, then node id.
-  std::stable_sort(out.begin(), out.end(),
-                   [this](std::uint32_t a, std::uint32_t b) {
-                     const bool sa = ledger_.storm_flagged(a);
-                     const bool sb = ledger_.storm_flagged(b);
-                     if (sa != sb) return !sa;
-                     return node_headroom(a) > node_headroom(b);
-                   });
+  // first, then node id.  Each node's sort inputs are read once.
+  struct Key {
+    bool storm;
+    double headroom;
+    std::uint32_t node;
+  };
+  std::vector<Key> keys;
+  for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
+    if (i != exclude && node_placeable(i)) {
+      keys.push_back(Key{node_storm_hit(i), node_headroom(i), i});
+    }
+  }
+  std::stable_sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
+    if (a.storm != b.storm) return !a.storm;
+    return a.headroom > b.headroom;
+  });
+  std::vector<std::uint32_t> out(keys.size());
+  for (std::size_t k = 0; k < keys.size(); ++k) out[k] = keys[k].node;
   return out;
 }
 
@@ -580,7 +615,7 @@ bool ClusterController::place_job(Job& j, std::uint32_t exclude) {
   if (!could_ever_fit) {
     const double demand = job_demand(j);
     for (std::uint32_t node : candidates) {
-      if (ledger_.capacity(node) >= demand) {
+      if (node_capacity(node) >= demand) {
         could_ever_fit = true;
         break;
       }
@@ -788,7 +823,7 @@ double ClusterController::fair_share(std::size_t tenant) const {
   if (weights <= 0.0) return 0.0;
   double cap = 0.0;
   for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
-    if (node_placeable(i)) cap += ledger_.capacity(i);
+    if (node_placeable(i)) cap += node_capacity(i);
   }
   return std::max(0.0, tenants_[tenant].weight) / weights * cap;
 }

@@ -9,13 +9,19 @@
 // the node tier's public spawn/evict surfaces, so every node's trace stays
 // replay-oracle-checkable on its own.
 //
+// The controller keeps no copy of node load: whenever it needs a node's
+// committed utilization, capacity or storm flag it sums that node's
+// per-CPU global::UtilizationLedger entries (exact raw Q32.32 sums), and
+// the node's state decides whether its capacity counts.  Nodes only move
+// between ticks, so every read inside one tick sees the same words.
+//
 // The control tick, in order:
 //   1. failure detection — a node whose engine stalled before the tick
 //      boundary missed its heartbeat; mark it down, fence its placements
 //      (zombie eviction flags, for a later restore), and re-queue its jobs.
-//   2. ledger refresh — roll each node's per-CPU committed/capacity words
-//      into the ClusterLedger (exact raw sums; storm-degraded capacities
-//      propagate cluster-wide here).
+//   2. eviction-record cleanup — records whose threads all exited stop
+//      counting as prospective headroom (their demand has left the node's
+//      words).
 //   3. drain progress — make-before-break: re-place each job still on a
 //      draining node, evict the original only after the replacement landed.
 //   4. job state tracking — in-flight admissions resolve to running (or
@@ -31,7 +37,7 @@
 //   7. best-effort preemption + backfill — BE jobs occupy slack-derived
 //      slots; RT demand shrinking a node's slack preempts BE jobs off it,
 //      and pending BE jobs backfill wherever slots remain.
-//   8. availability accounting + kClusterLedger audit.
+//   8. availability accounting.
 #pragma once
 
 #include <atomic>
@@ -41,7 +47,6 @@
 #include <vector>
 
 #include "audit/auditor.hpp"
-#include "cluster/ledger.hpp"
 #include "cluster/tenant.hpp"
 #include "rt/system.hpp"
 #include "sim/stats.hpp"
@@ -50,32 +55,37 @@
 
 namespace hrt::cluster {
 
+enum class NodeState : std::uint8_t {
+  kUp,        // advancing, placeable
+  kDraining,  // advancing, jobs being moved off, no new placements
+  kDrained,   // advancing, empty of cluster jobs, no new placements
+  kDown,      // frozen at its failure time
+};
+
+[[nodiscard]] const char* node_state_name(NodeState s);
+
 class ClusterController {
  public:
+  /// Cluster heartbeat/control tick.  Failure detection latency is bounded
+  /// by one period.
+  static constexpr sim::Nanos kControlPeriod = sim::micros(500);
+
   struct Options {
     std::uint32_t nodes = 3;
     /// Template for every node's rt::System; node i gets seed
     /// node_options.seed + i so nodes decorrelate but stay reproducible.
     hrt::System::Options node_options{};
-    /// Cluster heartbeat/control tick.  Failure detection latency is
-    /// bounded by one period.
-    sim::Nanos control_period = sim::micros(500);
     bool failover = true;  // off = the no-failover baseline for the bench
     /// Slack utilization one best-effort worker slot represents: a node
     /// offers floor(headroom / best_effort_slot_util) BE slots.
     double best_effort_slot_util = 0.25;
     /// Spawn/admission failures before a job is marked kFailed.
     std::uint32_t max_place_attempts = 8;
-    /// Controller-level audits (kClusterLedger) and telemetry.  The
-    /// telemetry hub's rings are indexed by NODE id, not CPU id.
+    /// Controller-level auditor (the telemetry hub's SLO alerts report
+    /// into it) and telemetry.  The telemetry hub's rings are indexed by
+    /// NODE id, not CPU id.
     audit::Config audit{};
     telemetry::Config telemetry{};
-    struct TestFaults {
-      /// Corrupt node 0's cached committed rollup by one raw ulp right
-      /// before the next tick's audit (seeded fault for the kClusterLedger
-      /// regression test).
-      bool corrupt_rollup = false;
-    } test_faults;
   };
 
   struct JobInfo {
@@ -120,6 +130,9 @@ class ClusterController {
     sim::Nanos rt_expected_ns = 0;
   };
 
+  /// Throws std::invalid_argument for zero nodes, a NaN, infinite,
+  /// non-positive or sub-quantum (< 2^-32) best_effort_slot_util, or zero
+  /// max_place_attempts.
   explicit ClusterController(Options opt);
   ~ClusterController();
 
@@ -155,7 +168,15 @@ class ClusterController {
   [[nodiscard]] NodeState node_state(std::uint32_t id) const {
     return nodes_[id].state;
   }
-  [[nodiscard]] const ClusterLedger& ledger() const { return ledger_; }
+  /// Node `id`'s committed RT utilization: the sum of its per-CPU ledger
+  /// words, read live.
+  [[nodiscard]] double node_committed(std::uint32_t id) const;
+  /// Capacity the cluster may place against: the sum of node `id`'s
+  /// published (storm-degraded) per-CPU capacities while it is up or
+  /// draining, zero once drained or down.  (A draining node keeps its
+  /// capacity on the books for what it still runs, but placement excludes
+  /// it separately.)
+  [[nodiscard]] double node_capacity(std::uint32_t id) const;
   [[nodiscard]] audit::Auditor& auditor() { return *auditor_; }
   [[nodiscard]] telemetry::Telemetry& telemetry() { return *telemetry_; }
   [[nodiscard]] const Options& options() const { return opt_; }
@@ -205,7 +226,7 @@ class ClusterController {
     NodeState state = NodeState::kUp;
     sim::Nanos fail_at = -1;
     sim::Nanos down_since = -1;
-    double inflight = 0.0;  // demand placed but not yet in the rollup
+    double inflight = 0.0;  // demand placed but not yet in the node's words
     /// Evictions whose threads have not exited yet: their demand is counted
     /// as prospective headroom so the shed loop does not over-shed while
     /// earlier evictions are still landing.
@@ -220,7 +241,7 @@ class ClusterController {
 
   void tick(sim::Nanos dt);
   void detect_failures();
-  void refresh_ledger();
+  void retire_evictions();
   void progress_drains();
   void update_job_states();
   void coordinate_overload();
@@ -228,10 +249,10 @@ class ClusterController {
   void enforce_best_effort_slots();
   void backfill_best_effort();
   void account_availability(sim::Nanos dt);
-  void audit_ledger();
 
   [[nodiscard]] double job_demand(const Job& j) const;
   [[nodiscard]] bool node_placeable(std::uint32_t node) const;
+  [[nodiscard]] bool node_storm_hit(std::uint32_t node) const;
   [[nodiscard]] double node_headroom(std::uint32_t node) const;
   [[nodiscard]] bool node_fits(std::uint32_t node, const Job& j) const;
   [[nodiscard]] std::vector<std::uint32_t> candidate_nodes(
@@ -254,7 +275,6 @@ class ClusterController {
   std::vector<Node> nodes_;
   std::unique_ptr<audit::Auditor> auditor_;
   std::unique_ptr<telemetry::Telemetry> telemetry_;
-  ClusterLedger ledger_;
   std::vector<TenantSpec> tenants_;
   std::vector<sim::Nanos> tenant_delivered_;
   std::vector<sim::Nanos> tenant_expected_;

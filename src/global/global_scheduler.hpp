@@ -57,9 +57,6 @@ class GlobalScheduler {
   [[nodiscard]] UtilizationLedger& ledger() { return ledger_; }
   [[nodiscard]] const UtilizationLedger& ledger() const { return ledger_; }
   [[nodiscard]] const PlacementEngine& engine() const { return engine_; }
-  /// Mutable engine access for late wiring (the resilience controller
-  /// registers its per-CPU storm flags here).
-  [[nodiscard]] PlacementEngine& engine_mut() { return engine_; }
   [[nodiscard]] Rebalancer& rebalancer() { return rebalancer_; }
   [[nodiscard]] const Config& config() const { return cfg_; }
   [[nodiscard]] const Stats& stats() const { return stats_; }

@@ -1,16 +1,22 @@
-// Per-CPU utilization ledger: the one record of how much real-time
-// utilization each CPU has committed.
+// Per-CPU utilization ledger: the one published record of each CPU that
+// every layer above the local scheduler reads.
 //
-// Each entry is a Q32.32 fixed-point rt::fp::AdmissionWord (cache-line
-// padded), updated by CAS with release-publication and read with acquire
-// loads.  The CPU's local scheduler is its only writer: it publishes the
-// ceil-rounded quantum of every admission commit, detach/exit and sporadic
-// tail release (LocalScheduler::ledger_admit / ledger_release), and reads
-// the word back for its admission fast path and admitted_utilization().
-// The placement engine, the rebalancer, the storm controller and the
-// cluster roll-up read headroom from here without locking, even when
-// admissions run on other host threads (batch spawn).  The kUtilization
-// audit invariant (docs/AUDIT.md) recomputes each word from the scheduler's
+// Each entry holds three fields, on its own cache line:
+//   * committed — a Q32.32 fixed-point rt::fp::AdmissionWord, updated by CAS
+//     with release-publication and read with acquire loads.  The CPU's local
+//     scheduler is its only writer: it publishes the ceil-rounded quantum of
+//     every admission commit, detach/exit and sporadic tail release
+//     (LocalScheduler::ledger_admit / ledger_release), and reads the word
+//     back for its admission fast path and admitted_utilization().
+//   * capacity — the utilization available to RT admission, rounded down;
+//     written at boot and by the resilience controller's degraded
+//     publication.
+//   * storm_hit — the resilience controller's storm classification,
+//     published in the same sample as the degraded capacity.
+// The placement engine, the rebalancer, the storm controller and the cluster
+// controller read these without locking, even when admissions run on other
+// host threads (batch spawn).  The kUtilization audit invariant
+// (docs/AUDIT.md) recomputes each committed word from the scheduler's
 // admitted threads after every scheduling pass and requires exact equality.
 //
 // Reservations (two-phase group admission, migration holds) are deliberately
@@ -20,7 +26,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "rt/fixed_point.hpp"
@@ -31,17 +36,18 @@ class UtilizationLedger {
  public:
   /// `capacity` is the per-CPU utilization available to RT admission
   /// (utilization_limit minus the sporadic and aperiodic reservations).
-  UtilizationLedger(std::uint32_t num_cpus, double capacity);
+  UtilizationLedger(std::uint32_t num_cpus, double capacity)
+      : entries_(num_cpus) {
+    for (std::uint32_t c = 0; c < num_cpus; ++c) set_capacity(c, capacity);
+  }
 
   /// Raw fixed-point feed: the scheduler converts its double delta once
   /// (demand rounds up) and publishes that quantum here.
-  void on_admit_raw(std::uint32_t cpu, rt::fp::Raw q);
-  void on_release_raw(std::uint32_t cpu, rt::fp::Raw q);
-
-  /// Double-delta convenience used by offline tests and tools; converts
-  /// with the demand rounding (up) and forwards to the raw feed.
-  void on_admit(std::uint32_t cpu, double util) {
-    on_admit_raw(cpu, rt::fp::from_double_ceil(util));
+  void on_admit_raw(std::uint32_t cpu, rt::fp::Raw q) {
+    entries_[cpu].committed.add(q);
+  }
+  void on_release_raw(std::uint32_t cpu, rt::fp::Raw q) {
+    entries_[cpu].committed.release(q);
   }
 
   [[nodiscard]] std::uint32_t num_cpus() const {
@@ -70,13 +76,14 @@ class UtilizationLedger {
     entries_[cpu].capacity.store(rt::fp::from_double_floor(cap),
                                  std::memory_order_release);
   }
-
-  [[nodiscard]] double total_committed() const;
-  [[nodiscard]] std::uint64_t admits() const {
-    return admits_.load(std::memory_order_relaxed);
+  /// Storm flag (docs/RESILIENCE.md): raised while the resilience controller
+  /// classifies `cpu` as storm-hit.  Placement ranks flagged CPUs last, and
+  /// the cluster tier ranks a node with any flagged CPU last.
+  [[nodiscard]] bool storm_hit(std::uint32_t cpu) const {
+    return entries_[cpu].storm_hit.load(std::memory_order_acquire);
   }
-  [[nodiscard]] std::uint64_t releases() const {
-    return releases_.load(std::memory_order_relaxed);
+  void set_storm_hit(std::uint32_t cpu, bool hit) {
+    entries_[cpu].storm_hit.store(hit, std::memory_order_release);
   }
 
  private:
@@ -86,11 +93,10 @@ class UtilizationLedger {
   struct alignas(64) Entry {
     rt::fp::AdmissionWord committed;
     std::atomic<rt::fp::Raw> capacity{0};
+    std::atomic<bool> storm_hit{false};
   };
 
   std::vector<Entry> entries_;
-  std::atomic<std::uint64_t> admits_{0};
-  std::atomic<std::uint64_t> releases_{0};
 };
 
 }  // namespace hrt::global

@@ -11,9 +11,10 @@ namespace hrt::global {
 namespace {
 
 // Fit slack of the ledger test.  Admission scales its slack with the terms
-// it sums (rt::LocalScheduler's utilization_fits), so this flat slack is
-// looser by up to 1e-9: placement can pick a CPU whose admission then
-// rejects, which costs a retry, never a deadline.  Tightening it would
+// it sums (rt::utilization_fits in rt/admission.hpp, called by
+// rt::edf_admissible), so this flat slack is looser by up to 1e-9:
+// placement can pick a CPU whose admission then rejects, which costs a
+// retry, never a deadline.  Tightening it would
 // change placement decisions: a fit test on the ceil-rounded word alone
 // refuses exactly-full specs (a 0.79 spec on an empty 0.79 CPU) that
 // admission's exact fallback admits (Placement.ExactlyFullSpecsStayPlaceable).
@@ -39,6 +40,10 @@ bool PlacementEngine::steers_rt() const {
 
 bool PlacementEngine::fits(std::uint32_t cpu, double util) const {
   return room_for(ledger_.headroom(cpu), util);
+}
+
+bool PlacementEngine::storm_hit(std::uint32_t cpu) const {
+  return ledger_.storm_hit(cpu);
 }
 
 std::vector<std::uint32_t> PlacementEngine::rt_cpu_order() const {

@@ -102,24 +102,17 @@ class PlacementEngine {
   /// every migration destination) and the storm drain walk it.
   [[nodiscard]] std::vector<std::uint32_t> rt_cpu_order() const;
 
-  /// Storm deprioritization (docs/RESILIENCE.md): the resilience controller
-  /// marks CPUs it has classified as storm-hit; the ranking then puts
-  /// quiet CPUs first, so stormy ones are used only when nothing else
-  /// fits.  SMIs freeze the whole machine, but per-CPU marks matter
-  /// because storm-hit CPUs are the ones whose *committed* load no longer
-  /// fits their degraded capacity.
-  void set_storm_flags(const std::vector<std::uint8_t>* flags) {
-    storm_flags_ = flags;
-  }
-  [[nodiscard]] bool storm_hit(std::uint32_t cpu) const {
-    return storm_flags_ != nullptr && cpu < storm_flags_->size() &&
-           (*storm_flags_)[cpu] != 0;
-  }
+  /// Storm deprioritization (docs/RESILIENCE.md): the ledger entry's storm
+  /// flag, raised by the resilience controller on CPUs it has classified
+  /// as storm-hit; the ranking puts quiet CPUs first, so stormy ones are
+  /// used only when nothing else fits.  SMIs freeze the whole machine, but
+  /// per-CPU flags matter because storm-hit CPUs are the ones whose
+  /// *committed* load no longer fits their degraded capacity.
+  [[nodiscard]] bool storm_hit(std::uint32_t cpu) const;
 
  private:
   const UtilizationLedger& ledger_;
   Config cfg_;
-  const std::vector<std::uint8_t>* storm_flags_ = nullptr;  // by CPU; unowned
 };
 
 // --- offline set packing (bench + overflow planning) ---

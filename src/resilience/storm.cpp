@@ -49,8 +49,6 @@ void StormController::start() {
   const std::uint32_t n = kernel_->num_cpus();
   cpus_.assign(n, CpuState{});
   for (auto& cs : cpus_) cs.published = base_capacity_;
-  storm_flags_.assign(n, 0);
-  global_->engine_mut().set_storm_flags(&storm_flags_);
   sample_event_ = engine().schedule_after(
       kSampleInterval, [this] { sample(); }, sim::EventBand::kObserver);
 }
@@ -130,10 +128,10 @@ void StormController::sample() {
     eff = std::clamp(eff, 0.0, base_capacity_);
     cpus_[c].published = eff;
     ledger.set_capacity(c, eff);
+    ledger.set_storm_hit(c, cpus_[c].storm);
     if (auto* tel = kernel_->telemetry()) {
       tel->set_effective_capacity(c, eff);
     }
-    storm_flags_[c] = cpus_[c].storm ? 1 : 0;
   }
   for (std::uint32_t c = 0; c < cpus_.size(); ++c) {
     if (cpus_[c].storm) respond(c, now);

@@ -9,12 +9,13 @@
 //
 // Every sample interval it reads each CPU's MissingTimeEstimator (fed by
 // the local scheduler's timer path; the ground-truth hw::SmiSource is never
-// consulted), publishes degraded effective capacities to the placement
-// ledger, and classifies sustained elevation as a *storm* with hysteresis
+// consulted), classifies sustained elevation as a *storm* with hysteresis
 // (enter after N consecutive hot windows, exit after M consecutive calm
-// ones).  On a storm CPU whose committed utilization exceeds its degraded
-// capacity it first *drains* — job-boundary migrations of movable periodic
-// threads to quiet CPUs with headroom — and only if the overload persists
+// ones), and publishes each CPU's degraded effective capacity and storm
+// flag to its placement-ledger entry in the same step.  On a storm CPU
+// whose committed utilization exceeds its degraded capacity it first
+// *drains* — job-boundary migrations of movable periodic threads to quiet
+// CPUs with headroom — and only if the overload persists
 // *sheds*: aperiodics drop to idle priority first, then the least-critical
 // periodic threads (highest Constraints::priority value) are demoted to
 // idle-priority aperiodic, freeing their reservation while letting them run
@@ -94,8 +95,7 @@ class StormController {
   StormController(Config cfg, double base_capacity)
       : cfg_(cfg), base_capacity_(base_capacity) {}
 
-  /// Late wiring; all three outlive the controller's uses.  Registers the
-  /// storm flags with the placement engine.
+  /// Late wiring; all three outlive the controller's uses.
   void attach(nk::Kernel* kernel, global::GlobalScheduler* global,
               audit::Auditor* auditor);
 
@@ -152,7 +152,6 @@ class StormController {
   global::GlobalScheduler* global_ = nullptr;
   audit::Auditor* auditor_ = nullptr;
   std::vector<CpuState> cpus_;
-  std::vector<std::uint8_t> storm_flags_;  // shared with PlacementEngine
   std::vector<ShedRecord> sheds_;
   std::vector<Transition> transitions_;
   sim::EventId sample_event_;

@@ -150,8 +150,10 @@ TEST(AdmissionWordConcurrency, AdmitReleaseChurnBalances) {
 TEST(LedgerConcurrency, ConcurrentFeedsAndSnapshotsStayCoherent) {
   global::UtilizationLedger ledger(4, 0.79);
   const Raw q = from_double_ceil(0.01);
+  const Raw calm = from_double_floor(0.79);
+  const Raw degraded = from_double_floor(0.5);
   std::vector<std::thread> writers;
-  writers.reserve(4);
+  writers.reserve(5);
   for (std::uint32_t c = 0; c < 4; ++c) {
     writers.emplace_back([&ledger, c, q] {
       for (int i = 0; i < 3000; ++i) {
@@ -160,6 +162,14 @@ TEST(LedgerConcurrency, ConcurrentFeedsAndSnapshotsStayCoherent) {
       }
     });
   }
+  // The resilience controller's publication: each CPU's capacity and storm
+  // flag, rewritten while the schedulers feed the committed words.
+  writers.emplace_back([&ledger] {
+    for (std::uint32_t i = 0; i < 3000; ++i) {
+      ledger.set_capacity(i % 4, i % 2 == 0 ? 0.5 : 0.79);
+      ledger.set_storm_hit(i % 4, i % 2 == 0);
+    }
+  });
   std::atomic<bool> stop{false};
   std::thread reader([&] {
     while (!stop.load(std::memory_order_acquire)) {
@@ -168,8 +178,10 @@ TEST(LedgerConcurrency, ConcurrentFeedsAndSnapshotsStayCoherent) {
         // range even while the owner CPU is CAS-hammering the word.
         EXPECT_GE(ledger.headroom(c), 0.0);
         EXPECT_LE(ledger.committed_raw(c), from_double_ceil(3000 * 0.01));
+        const Raw cap = ledger.capacity_raw(c);
+        EXPECT_TRUE(cap == calm || cap == degraded) << cap;
+        (void)ledger.storm_hit(c);
       }
-      (void)ledger.total_committed();
     }
   });
   for (auto& th : writers) th.join();
@@ -178,9 +190,10 @@ TEST(LedgerConcurrency, ConcurrentFeedsAndSnapshotsStayCoherent) {
   for (std::uint32_t c = 0; c < 4; ++c) {
     // 3000 admits, 1500 releases of the same quantum: exactly 1500 held.
     EXPECT_EQ(ledger.committed_raw(c), 1500 * q);
+    // The last publication to even CPUs was degraded and storm-hit.
+    EXPECT_EQ(ledger.capacity_raw(c), c % 2 == 0 ? degraded : calm);
+    EXPECT_EQ(ledger.storm_hit(c), c % 2 == 0);
   }
-  EXPECT_EQ(ledger.admits(), 4u * 3000u);
-  EXPECT_EQ(ledger.releases(), 4u * 1500u);
 }
 
 // ---------- 10k-spec randomized fuzz: fast path vs slow path ----------
