@@ -12,87 +12,135 @@
 
 namespace hrt::sim {
 
-/// Upper bound on |cos_fast(x) - std::cos(x)| over [0, 2*pi], absolute.
-/// Derived in docs/PERFORMANCE.md (reduction + kernel + rounding, plus
-/// libm's own error, total under 2^-51) and asserted on a dense grid by the
-/// tier-1 tests.
-inline constexpr double kCosFastMaxErr = 0x1p-50;
+/// Upper bound on |JitterTables::log(u) - std::log(u)| / |std::log(u)|
+/// over 1e-300 <= u < 1; log(1) = 0 exactly.  Derived in
+/// docs/PERFORMANCE.md (truncating log1p after r^3, under 1.005 * 2^-26 in
+/// the cell just below 1 and less elsewhere, plus libm's and the
+/// evaluation's roundings) and asserted by the tier-1 tests.
+inline constexpr double kJitterLogMaxRelErr = 0x1.1p-26;
 
-/// cos(x) for x in [0, 2*pi] without libm and without a data-dependent
-/// branch.  A Cody-Waite reduction by pi/2 (two-word constant, the quadrant
-/// rounded with the 1.5*2^52 shifter) feeds fdlibm's sin/cos kernel
-/// polynomials; the quadrant picks sin or cos and the sign by bit masks.
-inline double cos_fast(double x) {
-  constexpr double kShifter = 0x1.8p52;
-  constexpr double kTwoOverPi = 6.36619772367581382433e-01;
-  constexpr double kPio2Hi = 1.57079632673412561417e+00;  // 33 bits
-  constexpr double kPio2Lo = 6.07710050650619224932e-11;  // pi/2 - kPio2Hi
-  constexpr double S1 = -1.66666666666666324348e-01;
-  constexpr double S2 = 8.33333333332248946124e-03;
-  constexpr double S3 = -1.98412698298579493134e-04;
-  constexpr double S4 = 2.75573137070700676789e-06;
-  constexpr double S5 = -2.50507602534068634195e-08;
-  constexpr double S6 = 1.58969099521155010221e-10;
-  constexpr double C1 = 4.16666666666666019037e-02;
-  constexpr double C2 = -1.38888888888741095749e-03;
-  constexpr double C3 = 2.48015872894767294178e-05;
-  constexpr double C4 = -2.75573143513906633035e-07;
-  constexpr double C5 = 2.08757232129817482790e-09;
-  constexpr double C6 = -1.13596475577881948265e-11;
+/// Upper bound on |JitterTables::cos_2pi(u) - std::cos(6.283185307179586 *
+/// u)|, absolute, over 0 <= u <= 1.  Derived in docs/PERFORMANCE.md
+/// (truncating cos d after d^2 on |d| <= pi/256, under 1.015 * 2^-30, plus
+/// the table's, the argument's and the evaluation's roundings) and asserted
+/// by the tier-1 tests.
+inline constexpr double kJitterCosMaxErr = 0x1.1p-30;
 
-  // k = nearest integer to x*2/pi (0..4); its low bits sit in t's mantissa.
-  const double t = x * kTwoOverPi + kShifter;
-  const std::uint64_t q = std::bit_cast<std::uint64_t>(t);
-  const double k = t - kShifter;
-  // k*kPio2Hi is exact and so is the subtraction (Sterbenz); |r| <= pi/4.
-  const double r = (x - k * kPio2Hi) - k * kPio2Lo;
-  const double z = r * r;
-  const double s =
-      r + r * z * (S1 + z * (S2 + z * (S3 + z * (S4 + z * (S5 + z * S6)))));
-  const double c =
-      1.0 - (0.5 * z -
-             z * z * (C1 + z * (C2 + z * (C3 + z * (C4 + z * (C5 + z * C6))))));
-  // cos(r + k*pi/2) = cos r, -sin r, -cos r, sin r for k mod 4 = 0..3.
-  const std::uint64_t odd = std::uint64_t{0} - (q & 1);
-  const std::uint64_t sign = ((q + 1) & 2) << 62;
-  const std::uint64_t bits = (std::bit_cast<std::uint64_t>(c) & ~odd) |
-                             (std::bit_cast<std::uint64_t>(s) & odd);
-  return std::bit_cast<double>(bits ^ sign);
+/// The jitter fast path's log and cosine: two lookup tables (6 KB) and a
+/// short polynomial each, no libm.  Get the process's one instance from
+/// jitter_tables().
+class JitterTables {
+ public:
+  /// Fills both tables from libm (src/sim/rng.cpp).
+  JitterTables();
+
+  /// log(u) for normal u > 0 to kJitterLogMaxRelErr: one table cell and a
+  /// degree-3 log1p, as log u = k*ln 2 + log c + log1p(z/c - 1).
+  /// r = z * (1/c) - 1 rounds once (and is exact when c = 1); |r| <= 2^-8,
+  /// except in the cell above 1 (r < 2^-7), which only u = 1 (giving
+  /// exactly 0) and u < 0.51 reach.
+  [[nodiscard]] double log(double u) const {
+    const std::uint64_t bits = std::bit_cast<std::uint64_t>(u);
+    const std::uint64_t shifted = bits - kLogOffset;
+    const LogCell& cell = log_cells_[(shifted >> 45) & 127];
+    const auto k =
+        static_cast<double>(static_cast<std::int64_t>(shifted) >> 52);
+    const double z = std::bit_cast<double>(
+        bits - (shifted & (std::uint64_t{0xfff} << 52)));
+    const double r = z * cell.inv_c - 1.0;
+    const double log1p_r = r - r * r * (0.5 - r * (1.0 / 3.0));
+    return k * 0.6931471805599453 + cell.log_c + log1p_r;
+  }
+
+  /// cos(2*pi*u) for 0 <= u <= 1 to kJitterCosMaxErr: with 256*u = i + f,
+  /// i the nearest integer (the 1.5*2^52 shifter) and f exact,
+  /// cos(t_i + d) = cos t_i * cos d - sin t_i * sin d for d = 2*pi*f/256,
+  /// |d| <= pi/256, and cos d, sin d by two Taylor terms each.  The index
+  /// is masked, so no u reads outside the table; cell 256 (u near 1) is
+  /// cell 0.
+  [[nodiscard]] double cos_2pi(double u) const {
+    constexpr double kShifter = 0x1.8p52;
+    const double x = 256.0 * u;
+    const double s = x + kShifter;
+    const CosEdge& edge = cos_edges_[std::bit_cast<std::uint64_t>(s) & 255];
+    const double d = (x - (s - kShifter)) * (6.283185307179586 / 256);
+    const double d2 = d * d;
+    return edge.cos - (edge.cos * (0.5 * d2) +
+                       edge.sin * (d - d * d2 * (1.0 / 6.0)));
+  }
+
+  /// log's cells: u = 2^k * z with z in [0.6875, 1.375) split into 128 by
+  /// the top seven bits of (bits(u) - kLogOffset), the layout glibc's log
+  /// uses.
+  static constexpr std::uint64_t kLogOffset = 0x3fe6000000000000;
+
+ private:
+  /// 1/c for a c near the cell's middle, and log c.  The two cells around 1
+  /// use c = 1 exactly, so r = z - 1 is exact there and the result stays
+  /// relatively accurate as u -> 1.
+  struct LogCell {
+    double inv_c;
+    double log_c;
+  };
+  /// cos and sin of 2*pi*i/256.
+  struct CosEdge {
+    double cos;
+    double sin;
+  };
+  LogCell log_cells_[128];
+  CosEdge cos_edges_[256];
+};
+
+/// The process's one JitterTables, built on first use (a function-local
+/// static: no static-initialization-order hazard and no per-System cost).
+inline const JitterTables& jitter_tables() {
+  static const JitterTables tables;
+  return tables;
 }
+
+/// jitter_cost's definition and fallback, for 1e-300 <= u1: the formula
+/// with libm's log, sqrt and cos, in Rng::normal's order (src/sim/rng.cpp,
+/// out of line so that jitter_cost's fast path stays small).
+std::int64_t jitter_cost_libm(std::int64_t base, double rel_std,
+                              double min_fraction, double u1, double u2);
 
 /// The cost Rng::jittered returns for the uniform draws (u1, u2): base *
 /// (1 + N(0, rel_std)) by Box-Muller, clamped below at base * min_fraction
-/// and truncated.  Requires base > 0 and rel_std > 0.
+/// and truncated.  Requires base > 0, rel_std > 0 and u1, u2 in [0, 1].
 ///
-/// The result is bit-identical to evaluating the formula with libm's cos
-/// (Rng::normal's expression), which defines it.  With a = rel_std * mag
-/// and b = double(base), the value v computed with cos_fast differs from
-/// libm's by at most b*a*(kCosFastMaxErr + 2^-51) + 2^-52*(b + |v|) <
-/// 2^-49*(b*(1 + a) + |v|); the band is 2^10 times that.  Clamping and
+/// The result is bit-identical to evaluating the formula with libm's log
+/// and cos (Rng::normal's expression), which defines it.  With a = rel_std
+/// * mag and b = double(base), the value v computed with JitterTables'
+/// log and cos_2pi differs from libm's by at most (kJitterCosMaxErr +
+/// kJitterLogMaxRelErr / 2 + 2^-50) * (b*(1 + a) + |v|) < 2^-26*(b*(1 + a)
+/// + |v|); the band is 4 times that (docs/PERFORMANCE.md).  Clamping and
 /// truncating are both monotone, so when the band's two ends clamp and
 /// truncate to one integer, libm's value does too.  Otherwise the libm
-/// expression is evaluated: about one draw in 10^7 at the paper's path
-/// lengths, every draw the floor does not clamp at bases of 2^37 and up,
-/// and NaNs and infinities.
+/// expression is evaluated: for 3*10^-5 of draws at a 120-cycle base,
+/// 6*10^-4 at a phi() scheduler pass, 2 % at admission_control (80 000),
+/// every draw the floor does not clamp at bases of 2^22 and up, and NaNs
+/// and infinities.
 inline std::int64_t jitter_cost(std::int64_t base, double rel_std,
                                 double min_fraction, double u1, double u2) {
   if (u1 < 1e-300) u1 = 1e-300;
-  const double a = rel_std * std::sqrt(-2.0 * std::log(u1));
-  const double x = 6.283185307179586 * u2;
+  const JitterTables& tables = jitter_tables();
+  const double a = rel_std * std::sqrt(-2.0 * tables.log(u1));
   const double b = static_cast<double>(base);
   const double floor_v = b * min_fraction;
   const auto clamp = [floor_v](double v) { return v < floor_v ? floor_v : v; };
-  const double v = b * (1.0 + a * cos_fast(x));
-  static_assert(kCosFastMaxErr + 0x1p-51 <= 0x1p-49, "band assumes this");
-  const double band = 0x1p-39 * (b * (1.0 + a) + std::fabs(v));
+  const double v = b * (1.0 + a * tables.cos_2pi(u2));
+  static_assert(kJitterCosMaxErr + kJitterLogMaxRelErr / 2 + 0x1p-50 <=
+                    0x1p-26,
+                "band assumes this");
+  const double band = 0x1p-24 * (b * (1.0 + a) + std::fabs(v));
   const double lo = clamp(v - band);
   const double hi = clamp(v + band);
   if (lo > -0x1p62 && hi < 0x1p62 &&
-      static_cast<std::int64_t>(lo) == static_cast<std::int64_t>(hi)) {
+      static_cast<std::int64_t>(lo) == static_cast<std::int64_t>(hi))
+      [[likely]] {
     return static_cast<std::int64_t>(lo);
   }
-  return static_cast<std::int64_t>(
-      clamp(b * (1.0 + (0.0 + a * std::cos(x)))));
+  return jitter_cost_libm(base, rel_std, min_fraction, u1, u2);
 }
 
 class Rng {

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 
 namespace hrt::sim {
 
@@ -28,7 +29,8 @@ constexpr Nanos seconds(std::int64_t s) { return s * kNanosPerSecond; }
 /// A fixed clock frequency.  Supports round-trip conversion between cycle
 /// counts and nanoseconds.  Conversions round to nearest, except where a
 /// caller explicitly needs the paper's conservative ("never later") rounding,
-/// for which floor/ceil variants are provided.
+/// for which floor/ceil variants are provided; those are a true floor and
+/// ceiling for either sign.
 ///
 /// Each conversion is exact over the whole 64-bit range.  Operands up to a
 /// few seconds (every cost and timer delay) take a 64-bit multiply/divide;
@@ -36,10 +38,11 @@ constexpr Nanos seconds(std::int64_t s) { return s * kNanosPerSecond; }
 /// value.
 class Frequency {
  public:
+  /// Throws std::invalid_argument unless hz > 0.
   constexpr explicit Frequency(std::int64_t hz)
-      : hz_(hz),
-        max_exact64_cycles_((kInt64Max - hz) / kNanosPerSecond),
-        max_exact64_ns_((kInt64Max - kNanosPerSecond) / hz) {}
+      : hz_(checked_hz(hz)),
+        max_exact64_cycles_((kInt64Max - hz_) / kNanosPerSecond),
+        max_exact64_ns_((kInt64Max - kNanosPerSecond) / hz_) {}
 
   [[nodiscard]] constexpr std::int64_t hz() const { return hz_; }
   [[nodiscard]] constexpr double ghz() const {
@@ -78,31 +81,45 @@ class Frequency {
   /// Nanoseconds -> cycles, rounded down (conservative countdowns: a timer
   /// programmed with the floor fires earlier, never later).
   [[nodiscard]] constexpr Cycles ns_to_cycles_floor(Nanos ns) const {
-    if (fits(ns, max_exact64_ns_)) return ns * hz_ / kNanosPerSecond;
+    if (fits(ns, max_exact64_ns_)) return div_floor(ns * hz_, kNanosPerSecond);
     const __int128 num = static_cast<__int128>(ns) * hz_;
-    return static_cast<Cycles>(num / kNanosPerSecond);
+    return static_cast<Cycles>(div_floor(num, kNanosPerSecond));
   }
 
   /// Cycles -> nanoseconds, rounded up.
   [[nodiscard]] constexpr Nanos cycles_to_ns_ceil(Cycles c) const {
-    if (fits(c, max_exact64_cycles_)) {
-      return (c * kNanosPerSecond + hz_ - 1) / hz_;
-    }
+    if (fits(c, max_exact64_cycles_)) return div_ceil(c * kNanosPerSecond, hz_);
     const __int128 num = static_cast<__int128>(c) * kNanosPerSecond;
-    return static_cast<Nanos>((num + hz_ - 1) / hz_);
+    return static_cast<Nanos>(div_ceil(num, hz_));
   }
 
  private:
   static constexpr std::int64_t kInt64Max = INT64_MAX;
 
+  static constexpr std::int64_t checked_hz(std::int64_t hz) {
+    if (hz <= 0) throw std::invalid_argument("Frequency: hz must be > 0");
+    return hz;
+  }
+
   static constexpr bool fits(std::int64_t v, std::int64_t max) {
     return v <= max && v >= -max;
   }
 
+  // C++ division truncates toward zero; these round as named, for den > 0.
   template <typename T>
   static constexpr T div_nearest(T num, std::int64_t den) {
     if (num >= 0) return (num + den / 2) / den;
     return -((-num + den / 2) / den);
+  }
+  template <typename T>
+  static constexpr T div_floor(T num, std::int64_t den) {
+    if (num >= 0) return num / den;
+    return -((-num + den - 1) / den);
+  }
+  template <typename T>
+  static constexpr T div_ceil(T num, std::int64_t den) {
+    if (num >= 0) return (num + den - 1) / den;
+    return -(-num / den);
   }
 
   std::int64_t hz_;

@@ -66,7 +66,7 @@ const char* event_kind_name(EventKind k) {
 }
 
 FlightRecorder::FlightRecorder(std::uint32_t num_cpus, RecorderConfig cfg)
-    : cfg_(cfg) {
+    : cfg_(cfg), sample_countdown_(cfg.cost_sample_every) {
   const std::size_t cap = SpscRing::round_capacity(cfg_.ring_capacity);
   slab_ = SpscRing::zeroed_slots(num_cpus * cap);
   rings_.reserve(num_cpus);
@@ -85,8 +85,8 @@ void FlightRecorder::record(std::uint32_t cpu, EventKind kind, sim::Nanos time,
   r.cpu = static_cast<std::uint16_t>(cpu);
   r.kind = kind;
   ++kind_counts_[static_cast<std::size_t>(kind)];
-  if (cfg_.cost_sample_every != 0 &&
-      ++sample_tick_ % cfg_.cost_sample_every == 0) {
+  if (cfg_.cost_sample_every != 0 && --sample_countdown_ == 0) {
+    sample_countdown_ = cfg_.cost_sample_every;
     const auto t0 = std::chrono::steady_clock::now();
     rings_[cpu]->push(r);
     const auto t1 = std::chrono::steady_clock::now();

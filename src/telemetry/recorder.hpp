@@ -81,7 +81,8 @@ class FlightRecorder {
   SpscRing::Slab slab_;  // every ring's slots, one block
   std::vector<std::unique_ptr<SpscRing>> rings_;
   std::array<std::uint64_t, kEventKindCount> kind_counts_{};
-  std::uint64_t sample_tick_ = 0;
+  // Records left until the next timed one (every cost_sample_every-th).
+  std::uint32_t sample_countdown_;
   sim::RunningStats sampled_cost_ns_;
 };
 

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -68,12 +69,16 @@ class SpscRing {
       : own_(zeroed_slots(round_capacity(capacity))),
         slots_(own_.get()),
         capacity_(round_capacity(capacity)),
-        mask_(capacity_ - 1) {}
+        mask_(capacity_ - 1),
+        lap_shift_(std::countr_zero(capacity_)) {}
 
   /// A ring over `capacity` zeroed slots owned by the caller, who keeps
   /// them alive as long as the ring.  `capacity` must be a power of two.
   SpscRing(Slot* slots, std::size_t capacity)
-      : slots_(slots), capacity_(capacity), mask_(capacity - 1) {}
+      : slots_(slots),
+        capacity_(capacity),
+        mask_(capacity - 1),
+        lap_shift_(std::countr_zero(capacity)) {}
 
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
@@ -87,7 +92,7 @@ class SpscRing {
     std::atomic_thread_fence(std::memory_order_release);
     store_word(s.time, static_cast<std::uint64_t>(r.time));
     store_word(s.arg, static_cast<std::uint64_t>(r.arg));
-    const auto gen = static_cast<std::uint8_t>(h / capacity_);
+    const auto gen = static_cast<std::uint8_t>(h >> lap_shift_);
     store_word(s.tail, pack_tail(r, gen));
     // Even tag encodes the logical index, so a reader can verify the copy
     // belongs to the generation it expected (wraparound detection).
@@ -173,6 +178,7 @@ class SpscRing {
   Slot* slots_;
   std::size_t capacity_;
   std::uint64_t mask_;
+  int lap_shift_;  // log2(capacity_): h >> lap_shift_ is h's lap
   std::atomic<std::uint64_t> head_{0};
 };
 

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "hw/machine_spec.hpp"
@@ -52,9 +54,18 @@ TEST(Frequency, LargeValuesNoOverflow) {
 }
 
 // Reference conversions, always in 128-bit, written independently of the
-// class's 64-bit fast path.
+// class: nearest rounds half away from zero, floor and ceil fix up C++'s
+// truncating quotient by its remainder's sign.
 __int128 ref_div_nearest(__int128 num, __int128 den) {
   return num >= 0 ? (num + den / 2) / den : -((-num + den / 2) / den);
+}
+__int128 ref_div_floor(__int128 num, __int128 den) {
+  const __int128 q = num / den;
+  return num % den < 0 ? q - 1 : q;
+}
+__int128 ref_div_ceil(__int128 num, __int128 den) {
+  const __int128 q = num / den;
+  return num % den > 0 ? q + 1 : q;
 }
 
 void expect_matches_reference(const Frequency& f, std::int64_t v) {
@@ -64,28 +75,37 @@ void expect_matches_reference(const Frequency& f, std::int64_t v) {
   EXPECT_EQ(f.cycles_to_ns(v),
             static_cast<Nanos>(ref_div_nearest(v * ns_per_s, hz)));
   EXPECT_EQ(f.cycles_to_ns_ceil(v),
-            static_cast<Nanos>((v * ns_per_s + hz - 1) / hz));
+            static_cast<Nanos>(ref_div_ceil(v * ns_per_s, hz)));
   EXPECT_EQ(f.ns_to_cycles(v),
             static_cast<Cycles>(ref_div_nearest(v * hz, ns_per_s)));
-  EXPECT_EQ(f.ns_to_cycles_floor(v), static_cast<Cycles>(v * hz / ns_per_s));
+  EXPECT_EQ(f.ns_to_cycles_floor(v),
+            static_cast<Cycles>(ref_div_floor(v * hz, ns_per_s)));
 }
 
 TEST(Frequency, ExactAgainstInt128Reference) {
   for (const std::int64_t hz :
-       {std::int64_t{1'000'000'000}, std::int64_t{1'300'000'000},
-        std::int64_t{2'200'000'000}}) {
+       {std::int64_t{1}, std::int64_t{2}, std::int64_t{3}, std::int64_t{7},
+        std::int64_t{999'999'937}, std::int64_t{1'000'000'000},
+        std::int64_t{1'300'000'000}, std::int64_t{2'200'000'000},
+        std::int64_t{4'000'000'000}}) {
     const Frequency f(hz);
     // The 64-bit path's guards are derived from hz; probe both sides of
     // each, for both signs, plus the small values every cost model uses.
     std::vector<std::int64_t> probes = {0, 1, 2, 499, 500, 501, 769, 1300,
                                         999'999'999, 1'000'000'000};
+    Rng rng(static_cast<std::uint64_t>(hz));
     for (const std::int64_t g : {f.max_exact64_cycles(), f.max_exact64_ns()}) {
       ASSERT_GT(g, 1'000'000'000);  // every delay up to a second is 64-bit
       for (const std::int64_t d : {-1, 0, 1}) probes.push_back(g + d);
+      for (int i = 0; i < 500; ++i) {
+        const std::int64_t span = std::int64_t{1} << rng.uniform(0, 40);
+        const std::int64_t lo = g - span;
+        const std::int64_t hi = g > INT64_MAX - span ? INT64_MAX : g + span;
+        probes.push_back(rng.uniform(lo, hi));
+      }
     }
     probes.push_back(INT64_MAX / kNanosPerSecond);
     probes.push_back(INT64_MAX / hz);
-    Rng rng(static_cast<std::uint64_t>(hz));
     for (int i = 0; i < 2000; ++i) {
       // Log-uniform magnitudes: short costs through year-long spans.
       const std::int64_t top = std::int64_t{1} << rng.uniform(0, 62);
@@ -96,6 +116,22 @@ TEST(Frequency, ExactAgainstInt128Reference) {
       expect_matches_reference(f, -v);
     }
   }
+  // Floor and ceiling round toward -inf and +inf for either sign.
+  const Frequency phi(1'300'000'000);
+  EXPECT_EQ(phi.cycles_to_ns_ceil(-1300), -1000);
+  EXPECT_EQ(phi.cycles_to_ns_ceil(-2), -1);
+  EXPECT_EQ(phi.cycles_to_ns_ceil(2), 2);
+  EXPECT_EQ(phi.ns_to_cycles_floor(-1), -2);
+  EXPECT_EQ(phi.ns_to_cycles_floor(1), 1);
+}
+
+// hz divides every conversion; hz <= 0 has no meaning and hz = 0 would
+// trap on the divide.
+TEST(Frequency, RejectsNonPositiveHz) {
+  EXPECT_THROW(Frequency{0}, std::invalid_argument);
+  EXPECT_THROW(Frequency{-1}, std::invalid_argument);
+  EXPECT_THROW(Frequency{INT64_MIN}, std::invalid_argument);
+  EXPECT_EQ(Frequency{1}.hz(), 1);
 }
 
 class FrequencySweep : public ::testing::TestWithParam<std::int64_t> {};
@@ -364,8 +400,9 @@ TEST(Rng, JitteredMatchesLibmReference) {
 }
 
 // Uniforms picked where a wrong fast path would show: u1 = 0 (the 1e-300
-// clamp), u2 on and next to each quadrant boundary, and pairs whose libm
-// value lies within 1e-9 of an integer or of the floor.
+// clamp), u2 on and next to each quadrant boundary and each of cos_2pi's
+// table points and cell edges, and pairs whose libm value lies within 1e-9
+// of an integer or of the floor.
 TEST(Rng, JitterCostMatchesLibmAtHandPickedDraws) {
   const std::vector<double> u1s = {0.0, 1e-300, 1e-12, 0.1, 0.5,
                                    std::nextafter(1.0, 0.0)};
@@ -378,6 +415,12 @@ TEST(Rng, JitterCostMatchesLibmAtHandPickedDraws) {
       if (q < 1.0) u2s.push_back(hi);
       hi = std::nextafter(hi, 1.0);
     }
+  }
+  // cos_2pi's 256 table points and its cells' edges, each +-1 ulp.
+  for (int i = 1; i < 512; ++i) {
+    const double edge = i / 512.0;
+    u2s.insert(u2s.end(), {std::nextafter(edge, 0.0), edge,
+                           std::nextafter(edge, 1.0)});
   }
   for (const std::int64_t base : {1, 6, 1500, 2300, 80'000}) {
     for (const double rel_std : {0.08, 1.0}) {
@@ -435,35 +478,73 @@ TEST(Rng, JitterCostMatchesLibmAtHandPickedDraws) {
   EXPECT_GT(above_int, 100);
 }
 
-// The band in jitter_cost assumes |cos_fast(x) - std::cos(x)| <=
-// kCosFastMaxErr over [0, 2*pi].  Check it on a dense grid of the
-// arguments jittered() forms, and within 64 ulps of every multiple of pi/4,
-// where the quadrant rounding switches.
-TEST(CosFast, StaysWithinAssumedBoundOfLibm) {
+// The band in jitter_cost assumes |JitterTables::log(u) - std::log(u)| <=
+// kJitterLogMaxRelErr * |std::log(u)|.  Check it on a dense grid of (0, 1),
+// at u = 1 - k*2^-53 for k up to 10^6 (where log u -> 0 and only relative
+// accuracy keeps the band honest), down to the 1e-300 clamp, and within
+// 64 ulps of the table's cell edges in several binades.
+TEST(JitterTables, LogStaysWithinAssumedBoundOfLibm) {
   double worst = 0.0;
-  auto check = [&worst](double x) {
-    worst = std::max(worst, std::fabs(cos_fast(x) - std::cos(x)));
+  auto check = [&worst](double u) {
+    const double want = std::log(u);
+    ASSERT_NE(want, 0.0) << u;
+    const double err = std::fabs(jitter_tables().log(u) - want);
+    worst = std::max(worst, err / std::fabs(want));
   };
   constexpr int kGrid = 1 << 23;
-  for (int i = 0; i < kGrid; ++i) {
-    check(6.283185307179586 * (static_cast<double>(i) / kGrid));
+  for (int i = 1; i < kGrid; ++i) check(static_cast<double>(i) / kGrid);
+  for (int k = 1; k <= 1'000'000; ++k) check(1.0 - k * 0x1p-53);
+  for (double u = 1e-300; u < 1.0; u *= 1.001) check(u);
+  check(1e-300);
+  for (const int e : {0, -1, -2, -30, -500, -996}) {
+    for (std::uint64_t i = 0; i < 128; ++i) {
+      const double edge = std::ldexp(
+          std::bit_cast<double>(JitterTables::kLogOffset + (i << 45)), e);
+      double lo = edge;
+      double hi = edge;
+      for (int k = 0; k <= 64; ++k) {
+        if (lo < 1.0) check(lo);
+        if (hi < 1.0) check(hi);
+        lo = std::nextafter(lo, 0.0);
+        hi = std::nextafter(hi, 2.0);
+      }
+    }
   }
-  const double two_pi = 6.283185307179586;
-  for (int m = 0; m <= 8; ++m) {
-    const double center = m * (two_pi / 8.0);
+  EXPECT_LE(worst, kJitterLogMaxRelErr);
+  // The documented derivation puts the truncation error below 1.005*2^-26.
+  EXPECT_LT(worst, 0x1.02p-26);
+  EXPECT_EQ(jitter_tables().log(1.0), 0.0);
+}
+
+// The band in jitter_cost assumes |JitterTables::cos_2pi(u) -
+// std::cos(2*pi*u)| <= kJitterCosMaxErr over [0, 1].  Check it on a dense
+// grid, within 64 ulps of every table point i/256 and of every cell edge
+// (i + 1/2)/256, where the rounded index switches, and at the largest u2
+// draw and at 1.
+TEST(JitterTables, CosStaysWithinAssumedBoundOfLibm) {
+  double worst = 0.0;
+  auto check = [&worst](double u) {
+    worst = std::max(worst, std::fabs(jitter_tables().cos_2pi(u) -
+                                      std::cos(6.283185307179586 * u)));
+  };
+  constexpr int kGrid = 1 << 23;
+  for (int i = 0; i < kGrid; ++i) check(static_cast<double>(i) / kGrid);
+  for (int i = 0; i <= 512; ++i) {
+    const double center = i / 512.0;
     double lo = center;
     double hi = center;
     for (int k = 0; k <= 64; ++k) {
       if (lo >= 0.0) check(lo);
-      if (hi <= two_pi) check(hi);
+      if (hi <= 1.0) check(hi);
       lo = std::nextafter(lo, -1.0);
-      hi = std::nextafter(hi, 8.0);
+      hi = std::nextafter(hi, 2.0);
     }
   }
-  check(two_pi * std::nextafter(1.0, 0.0));  // the largest u2 draw
-  EXPECT_LE(worst, kCosFastMaxErr);
-  // The documented derivation puts the error below 2^-51.
-  EXPECT_LT(worst, 0x1p-51);
+  check(std::nextafter(1.0, 0.0));  // the largest u2 draw
+  check(1.0);
+  EXPECT_LE(worst, kJitterCosMaxErr);
+  // The documented derivation puts the truncation error below 1.015*2^-30.
+  EXPECT_LT(worst, 0x1.05p-30);
 }
 
 TEST(Rng, ForkProducesIndependentStreams) {

@@ -94,6 +94,18 @@ TEST(TelemetryRing, OrderAndWraparound) {
   // Capacity rounds up to a power of two with a floor of 8.
   EXPECT_EQ(telemetry::SpscRing(1).capacity(), 8u);
   EXPECT_EQ(telemetry::SpscRing(100).capacity(), 128u);
+
+  // gen is the lap modulo 256: past lap 255 it wraps to 0.
+  telemetry::SpscRing laps(16);
+  const std::int64_t n = 16 * 300 + 5;
+  for (std::int64_t i = 0; i < n; ++i) laps.push(rec_at(i, i));
+  const auto tail = laps.snapshot();
+  ASSERT_EQ(tail.size(), 16u);
+  for (const Record& r : tail) {
+    EXPECT_EQ(r.gen, static_cast<std::uint8_t>(r.time / 16)) << r.time;
+  }
+  EXPECT_EQ(tail.front().gen, 43);  // record 4789, lap 299
+  EXPECT_EQ(tail.back().gen, 44);   // record 4804, lap 300
 }
 
 /// Hammer one ring from a real writer thread while snapshotting it, and
@@ -179,6 +191,14 @@ TEST(TelemetryRecorder, KindCountsMergedSnapshotAndSelfCost) {
   // Self-measured cost: both the in-line probe and the batch calibration
   // must produce a sane host-ns figure (sub-microsecond on any host).
   EXPECT_EQ(rec.sampled_cost_ns().count(), 4u);
+  // The default probe times records 64, 128, ...: exactly written / 64.
+  telemetry::FlightRecorder every64(2, telemetry::RecorderConfig{});
+  ASSERT_EQ(every64.config().cost_sample_every, 64u);
+  for (std::uint64_t i = 1; i <= 64 * 5 + 63; ++i) {
+    every64.record(static_cast<std::uint32_t>(i % 2), EventKind::kPass,
+                   static_cast<sim::Nanos>(i), 0, 0);
+    ASSERT_EQ(every64.sampled_cost_ns().count(), every64.written() / 64) << i;
+  }
   const double cost = telemetry::FlightRecorder::measure_record_cost_ns(50000);
   EXPECT_GT(cost, 0.0);
   EXPECT_LT(cost, 1000.0);
