@@ -109,12 +109,16 @@ RunResult run_cell(const CellSpec& c, std::uint64_t seed, bool telemetry_on,
   r.slo_alerts = sys.telemetry().slo().alerts();
   for (std::uint32_t cpu = 0; cpu < kCpus; ++cpu) {
     const telemetry::CpuMetrics& m = sys.telemetry().metrics().cpu(cpu);
-    r.passes += m.passes;
+    r.passes += rec.count(cpu, telemetry::EventKind::kPass);
     r.span_sum_ns += m.pass_span_ns.mean() * m.pass_span_ns.count();
     r.span_samples += m.pass_span_ns.count();
-    if (m.admits_ok > 0) ++r.cpus_with_admit;
-    // Counter-based, so ring wraparound cannot hide a captured kind.
-    if (m.switches > 0) ++r.cpus_with_switch;
+    // Record counts, so ring wraparound cannot hide a captured kind.
+    if (rec.count(cpu, telemetry::EventKind::kAdmitOk) > 0) {
+      ++r.cpus_with_admit;
+    }
+    if (rec.count(cpu, telemetry::EventKind::kSwitch) > 0) {
+      ++r.cpus_with_switch;
+    }
     if (m.misses > 0) ++r.cpus_with_miss;
   }
   return r;

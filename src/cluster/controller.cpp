@@ -554,22 +554,20 @@ bool ClusterController::node_fits(std::uint32_t node, const Job& j) const {
   }
   const double demand = job_demand(j);
   if (node_headroom(node) < demand) return false;
+  // Per-CPU fit is the node's own placement engine's call, so the gate
+  // never refuses what the node would place.
+  const global::GlobalScheduler& placement = nodes_[node].sys->placement();
   if (j.spec.kind == JobKind::kGang) {
     // A gang needs n DISTINCT CPUs with per-thread headroom; the node sums
-    // can't answer this.
-    const auto& nl = nodes_[node].sys->placement().ledger();
-    const double u = j.spec.constraints.utilization();
-    std::uint32_t fit = 0;
-    for (std::uint32_t c = 0; c < nl.num_cpus(); ++c) {
-      if (nl.headroom(c) >= u) ++fit;
-    }
-    return fit >= j.spec.threads;
+    // can't answer this.  spawn_group_auto places with this same call.
+    return placement.engine()
+               .choose_group(j.spec.threads, j.spec.constraints)
+               .size() == j.spec.threads;
   }
   if (j.spec.kind == JobKind::kBatch) {
-    const auto& nl = nodes_[node].sys->placement().ledger();
     const double u = j.spec.constraints.utilization();
-    for (std::uint32_t c = 0; c < nl.num_cpus(); ++c) {
-      if (nl.headroom(c) >= u) return true;
+    for (std::uint32_t c = 0; c < placement.ledger().num_cpus(); ++c) {
+      if (placement.engine().fits(c, u)) return true;
     }
     return false;
   }
@@ -841,7 +839,7 @@ double ClusterController::tenant_placed_util(std::size_t tenant) const {
 
 void ClusterController::emit(std::uint32_t node, telemetry::EventKind kind,
                              std::uint32_t tid, std::int64_t arg) {
-  if (telemetry_->enabled()) telemetry_->on_event(node, now_, kind, tid, arg);
+  telemetry_->recorder().record(node, kind, now_, tid, arg);
 }
 
 // --- introspection ---------------------------------------------------------

@@ -158,10 +158,9 @@ SplitPlan GlobalScheduler::plan_split(const rt::Constraints& c,
     ++stats_.split_plans;
     stats_.split_chunks += plan.chunks.size();
     if (kernel_ != nullptr && kernel_->telemetry() != nullptr) {
-      kernel_->telemetry()->on_event(
-          plan.chunks.front().cpu,
-          kernel_->machine().cpu(0).tsc().wall_ns(),
-          telemetry::EventKind::kSplitPlan, 0,
+      kernel_->telemetry()->recorder().record(
+          plan.chunks.front().cpu, telemetry::EventKind::kSplitPlan,
+          kernel_->machine().cpu(0).tsc().wall_ns(), 0,
           static_cast<std::int64_t>(plan.chunks.size()));
     }
   }

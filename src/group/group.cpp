@@ -44,15 +44,14 @@ nk::Action GroupBarrier::arrive_action() {
       flag_.set();
     }
     if (auto* tel = kernel_.telemetry()) {
-      tel->on_event(ctx.self.cpu, ctx.wall_now,
-                    telemetry::EventKind::kBarrierArrive,
-                    static_cast<std::uint32_t>(ctx.self.id),
-                    static_cast<std::int64_t>(arrivals_));
+      const auto tid = static_cast<std::uint32_t>(ctx.self.id);
+      const auto n = static_cast<std::int64_t>(arrivals_);
+      tel->recorder().record(ctx.self.cpu, telemetry::EventKind::kBarrierArrive,
+                             ctx.wall_now, tid, n);
       if (released) {
-        tel->on_event(ctx.self.cpu, ctx.wall_now,
-                      telemetry::EventKind::kBarrierRelease,
-                      static_cast<std::uint32_t>(ctx.self.id),
-                      static_cast<std::int64_t>(arrivals_));
+        tel->recorder().record(ctx.self.cpu,
+                               telemetry::EventKind::kBarrierRelease,
+                               ctx.wall_now, tid, n);
       }
     }
     audit::Auditor* aud = kernel_.auditor();

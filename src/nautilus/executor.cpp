@@ -119,7 +119,9 @@ void CpuExecutor::deliver(hw::Vector v) {
   if (v == hw::kTimerVector) {
     begin_sched_handler(PassReason::kTimer);
   } else if (v == hw::kKickVector) {
-    if (auto* tel = kernel_.telemetry()) tel->on_kick(cpu_id_, now);
+    if (auto* tel = kernel_.telemetry()) {
+      tel->recorder().record(cpu_id_, telemetry::EventKind::kKick, now, 0, 0);
+    }
     begin_sched_handler(PassReason::kKick);
   } else {
     begin_device_handler(v);
@@ -282,7 +284,8 @@ void CpuExecutor::do_switch(Thread* next) {
   machine_.trace().record(now, cpu_id_, sim::TraceKind::kThreadActive,
                           next->id);
   if (auto* tel = kernel_.telemetry()) {
-    tel->on_switch(cpu_id_, now, static_cast<std::uint32_t>(next->id));
+    tel->recorder().record(cpu_id_, telemetry::EventKind::kSwitch, now,
+                           static_cast<std::uint32_t>(next->id), 0);
   }
   if (scope.enabled && scope.cpu == cpu_id_ && scope.watch_thread == next) {
     machine_.gpio().set_pin(now, cpu_id_, kPinThread, true);

@@ -1,6 +1,7 @@
 #include "nautilus/kernel.hpp"
 
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "telemetry/telemetry.hpp"
@@ -64,6 +65,12 @@ Kernel::Kernel(hw::Machine& machine, Options options)
     : machine_(machine), options_(std::move(options)) {
   if (!options_.scheduler_factory) {
     throw std::invalid_argument("Kernel: scheduler_factory is required");
+  }
+  if (options_.interrupt_laden_cpus > machine_.num_cpus()) {
+    throw std::invalid_argument(
+        "Kernel: interrupt_laden_cpus " +
+        std::to_string(options_.interrupt_laden_cpus) + " exceeds the " +
+        std::to_string(machine_.num_cpus()) + " CPUs of the machine");
   }
   device_handlers_.resize(256);
 }
@@ -277,9 +284,9 @@ bool Kernel::migrate_aperiodic(Thread* t, std::uint32_t to) {
   }
   ++aperiodic_migrations_;
   if (auto* tel = telemetry()) {
-    tel->on_migration(to, machine_.cpu(to).tsc().wall_ns(),
-                      static_cast<std::uint32_t>(t->id),
-                      telemetry::EventKind::kAperiodicMigrate, from);
+    tel->recorder().record(to, telemetry::EventKind::kAperiodicMigrate,
+                           machine_.cpu(to).tsc().wall_ns(),
+                           static_cast<std::uint32_t>(t->id), from);
   }
   machine_.send_ipi(t->cpu, to, hw::kKickVector);
   return true;

@@ -46,7 +46,12 @@ class Kernel {
   struct Options {
     SchedulerFactory scheduler_factory;  // required
     bool work_stealing = false;
-    std::uint32_t interrupt_laden_cpus = 1;  // section 3.5 default partition
+    /// Section 3.5's partition: device vectors route round-robin to CPUs
+    /// [0, n), and placement steers RT work off them.  At most the
+    /// machine's CPU count (the constructor throws std::invalid_argument
+    /// otherwise).  0 keeps device vectors on CPU 0, while placement then
+    /// treats every CPU as interrupt-free.
+    std::uint32_t interrupt_laden_cpus = 1;
     bool tpr_steering = true;  // raise TPR while an RT thread runs (3.5)
     /// Invariant auditor shared by all schedulers and group collectives
     /// (owned by the caller, typically rt::System); null disables audits.

@@ -89,8 +89,8 @@ void StormController::log(Transition::Kind k, std::uint32_t cpu, sim::Nanos t,
         ek = telemetry::EventKind::kRestore;
         break;
     }
-    tel->on_event(cpu, t, ek, thread_id,
-                  static_cast<std::int64_t>(util * 1e6));
+    tel->recorder().record(cpu, ek, t, thread_id,
+                           static_cast<std::int64_t>(util * 1e6));
   }
 }
 

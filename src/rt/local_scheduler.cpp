@@ -263,7 +263,8 @@ nk::PassResult LocalScheduler::pass(nk::PassReason reason, sim::Nanos now) {
   if (reason == nk::PassReason::kTimer) ++stats_.timer_passes;
   if (reason == nk::PassReason::kKick) ++stats_.kick_passes;
   if (telemetry_ != nullptr) {
-    telemetry_->on_pass(cpu_, now, static_cast<int>(reason));
+    telemetry_->recorder().record(cpu_, telemetry::EventKind::kPass, now, 0,
+                                  static_cast<int>(reason));
   }
 
   // Missing-time estimation (section 3.6, docs/RESILIENCE.md): a machine
@@ -443,7 +444,10 @@ void LocalScheduler::arm_timer(sim::Nanos now) {
   }
   expected_fire_ = now + delay;
   armed_delay_ = delay;
-  if (telemetry_ != nullptr) telemetry_->on_timer_arm(cpu_, now, delay);
+  if (telemetry_ != nullptr) {
+    telemetry_->recorder().record(cpu_, telemetry::EventKind::kTimerArm, now,
+                                  0, delay);
+  }
   apic.arm_oneshot(delay);
 }
 
@@ -561,8 +565,11 @@ void LocalScheduler::record_admit(const nk::Thread& t, const Constraints& c,
                                   bool ok, sim::Nanos now) {
   ++(ok ? stats_.admissions_ok : stats_.admissions_rejected);
   if (telemetry_ != nullptr) {
-    telemetry_->on_admit(cpu_, now, static_cast<std::uint32_t>(t.id), ok,
-                         c.utilization());
+    telemetry_->recorder().record(
+        cpu_,
+        ok ? telemetry::EventKind::kAdmitOk : telemetry::EventKind::kAdmitReject,
+        now, static_cast<std::uint32_t>(t.id),
+        telemetry::to_ppm(c.utilization()));
   }
 }
 
@@ -860,9 +867,10 @@ bool LocalScheduler::request_migration(nk::Thread& t, std::uint32_t to) {
   t.migrate_to = to;
   ++stats_.migrations_requested;
   if (telemetry_ != nullptr) {
-    telemetry_->on_migration(cpu_, kernel_.machine().cpu(cpu_).tsc().wall_ns(),
-                             static_cast<std::uint32_t>(t.id),
-                             telemetry::EventKind::kMigrateRequest, to);
+    telemetry_->recorder().record(
+        cpu_, telemetry::EventKind::kMigrateRequest,
+        kernel_.machine().cpu(cpu_).tsc().wall_ns(),
+        static_cast<std::uint32_t>(t.id), to);
   }
   // Parked between arrivals and not current: hand off immediately.  In every
   // other case pass() completes the migration at the next arrival close.
@@ -896,10 +904,10 @@ void LocalScheduler::complete_migration(nk::Thread& t, sim::Nanos now) {
     ++stats_.migrations_out;
     ++target->stats_.migrations_in;
     if (telemetry_ != nullptr) {
-      telemetry_->on_migration(cpu_, now, static_cast<std::uint32_t>(t.id),
-                               telemetry::EventKind::kMigrateOut, to);
-      telemetry_->on_migration(to, now, static_cast<std::uint32_t>(t.id),
-                               telemetry::EventKind::kMigrateIn, cpu_);
+      const auto tid = static_cast<std::uint32_t>(t.id);
+      telemetry::FlightRecorder& rec = telemetry_->recorder();
+      rec.record(cpu_, telemetry::EventKind::kMigrateOut, now, tid, to);
+      rec.record(to, telemetry::EventKind::kMigrateIn, now, tid, cpu_);
     }
     kernel_.machine().send_ipi(cpu_, to, hw::kKickVector);
   } else {

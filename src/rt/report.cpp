@@ -126,14 +126,18 @@ void print_telemetry_report(System& sys, std::ostream& os) {
   os << "\n";
   os << "cpu   passes switch   kick  tm-arm  compl  miss mig-in mig-out "
         "shed  span-ns eff-cap\n";
+  using telemetry::EventKind;
   for (std::uint32_t c = 0; c < tel.metrics().num_cpus(); ++c) {
     const telemetry::CpuMetrics& m = tel.metrics().cpu(c);
-    if (m.passes == 0 && m.completions == 0) continue;
-    os << std::setw(3) << c << std::setw(9) << m.passes << std::setw(7)
-       << m.switches << std::setw(7) << m.kicks << std::setw(8) << m.timer_arms
+    const auto n = [&](EventKind k) { return rec.count(c, k); };
+    if (n(EventKind::kPass) == 0 && m.completions == 0) continue;
+    os << std::setw(3) << c << std::setw(9) << n(EventKind::kPass)
+       << std::setw(7) << n(EventKind::kSwitch) << std::setw(7)
+       << n(EventKind::kKick) << std::setw(8) << n(EventKind::kTimerArm)
        << std::setw(7) << m.completions << std::setw(6) << m.misses
-       << std::setw(7) << m.migrations_in << std::setw(8) << m.migrations_out
-       << std::setw(5) << m.sheds << std::setw(9) << std::fixed
+       << std::setw(7) << rec.moved_in(c) << std::setw(8)
+       << n(EventKind::kMigrateOut) << std::setw(5) << n(EventKind::kShed)
+       << std::setw(9) << std::fixed
        << std::setprecision(0) << m.pass_span_ns.mean() << std::setw(8)
        << std::setprecision(2) << m.effective_capacity << "\n";
   }

@@ -36,6 +36,8 @@ class System {
     std::uint64_t seed = 42;
     rt::LocalScheduler::Config sched{};
     bool work_stealing = false;
+    /// nk::Kernel::Options::interrupt_laden_cpus (the constructor throws
+    /// std::invalid_argument past the machine's CPU count).
     std::uint32_t interrupt_laden_cpus = 1;
     bool tpr_steering = true;
     /// Scheduler invariant audits (audit/auditor.hpp).  Off by default;

@@ -32,10 +32,13 @@ constexpr Nanos seconds(std::int64_t s) { return s * kNanosPerSecond; }
 /// for which floor/ceil variants are provided; those are a true floor and
 /// ceiling for either sign.
 ///
-/// Each conversion is exact over the whole 64-bit range.  Operands up to a
-/// few seconds (every cost and timer delay) take a 64-bit multiply/divide;
-/// larger ones fall back to 128-bit arithmetic.  Both paths compute the same
-/// value.
+/// Each conversion is exact for every 64-bit operand whose result fits in
+/// 64 bits, and throws std::overflow_error for one whose result does not
+/// (cycles_to_ns(2^62) at 1 Hz, or ns_to_cycles(INT64_MAX) above 1 GHz).
+/// Operands up to a few seconds (every cost and timer delay) take a 64-bit
+/// multiply/divide, whose result always fits; larger ones fall back to
+/// 128-bit arithmetic, which checks the quotient.  Both paths compute the
+/// same value.
 class Frequency {
  public:
   /// Throws std::invalid_argument unless hz > 0.
@@ -66,7 +69,7 @@ class Frequency {
       return div_nearest(c * kNanosPerSecond, hz_);
     }
     const __int128 num = static_cast<__int128>(c) * kNanosPerSecond;
-    return static_cast<Nanos>(div_nearest(num, hz_));
+    return narrow(div_nearest(num, hz_));
   }
 
   /// Nanoseconds -> cycles, rounded to nearest.
@@ -75,7 +78,7 @@ class Frequency {
       return div_nearest(ns * hz_, kNanosPerSecond);
     }
     const __int128 num = static_cast<__int128>(ns) * hz_;
-    return static_cast<Cycles>(div_nearest(num, kNanosPerSecond));
+    return narrow(div_nearest(num, kNanosPerSecond));
   }
 
   /// Nanoseconds -> cycles, rounded down (conservative countdowns: a timer
@@ -83,14 +86,14 @@ class Frequency {
   [[nodiscard]] constexpr Cycles ns_to_cycles_floor(Nanos ns) const {
     if (fits(ns, max_exact64_ns_)) return div_floor(ns * hz_, kNanosPerSecond);
     const __int128 num = static_cast<__int128>(ns) * hz_;
-    return static_cast<Cycles>(div_floor(num, kNanosPerSecond));
+    return narrow(div_floor(num, kNanosPerSecond));
   }
 
   /// Cycles -> nanoseconds, rounded up.
   [[nodiscard]] constexpr Nanos cycles_to_ns_ceil(Cycles c) const {
     if (fits(c, max_exact64_cycles_)) return div_ceil(c * kNanosPerSecond, hz_);
     const __int128 num = static_cast<__int128>(c) * kNanosPerSecond;
-    return static_cast<Nanos>(div_ceil(num, hz_));
+    return narrow(div_ceil(num, hz_));
   }
 
  private:
@@ -103,6 +106,14 @@ class Frequency {
 
   static constexpr bool fits(std::int64_t v, std::int64_t max) {
     return v <= max && v >= -max;
+  }
+
+  // A 128-bit fallback's quotient as the 64-bit result it must fit.
+  static constexpr std::int64_t narrow(__int128 q) {
+    if (q > kInt64Max || q < INT64_MIN) {
+      throw std::overflow_error("Frequency: converted value overflows int64");
+    }
+    return static_cast<std::int64_t>(q);
   }
 
   // C++ division truncates toward zero; these round as named, for den > 0.

@@ -37,40 +37,37 @@ void write_instant(std::ostream& os, const Record& r, bool& first) {
 }  // namespace
 
 void write_chrome_trace(std::ostream& os, const std::vector<Record>& events,
-                        const ChromeTraceOptions& opts, const Telemetry* tel) {
+                        const Telemetry* tel) {
   os << "{\n  \"traceEvents\": [\n";
   bool first = true;
   for (const Record& r : events) write_instant(os, r, first);
 
-  if (opts.run_spans) {
-    // Derive "X" run spans per CPU from consecutive switch records: thread T
-    // runs from its dispatch until the next dispatch on that CPU.
-    const std::uint32_t max_cpu = [&] {
-      std::uint32_t m = 0;
-      for (const Record& r : events) m = std::max<std::uint32_t>(m, r.cpu);
-      return m;
-    }();
-    for (std::uint32_t cpu = 0; cpu <= max_cpu; ++cpu) {
-      const Record* open = nullptr;
-      for (const Record& r : events) {
-        if (r.cpu != cpu || r.kind != EventKind::kSwitch) continue;
-        if (open != nullptr && open->tid != 0) {
-          if (!first) os << ",\n";
-          first = false;
-          os << R"(    {"name":"run t)" << open->tid
-             << R"(","ph":"X","ts":)";
-          write_ts_us(os, open->time);
-          os << R"(,"dur":)";
-          write_ts_us(os, r.time - open->time);
-          os << R"(,"pid":)" << (cpu + 1) << R"(,"tid":)" << open->tid
-             << R"(,"args":{"t":)" << open->time << "}}";
-        }
-        open = &r;
+  // Derive "X" run spans per CPU from consecutive switch records: thread T
+  // runs from its dispatch until the next dispatch on that CPU.
+  const std::uint32_t max_cpu = [&] {
+    std::uint32_t m = 0;
+    for (const Record& r : events) m = std::max<std::uint32_t>(m, r.cpu);
+    return m;
+  }();
+  for (std::uint32_t cpu = 0; cpu <= max_cpu; ++cpu) {
+    const Record* open = nullptr;
+    for (const Record& r : events) {
+      if (r.cpu != cpu || r.kind != EventKind::kSwitch) continue;
+      if (open != nullptr && open->tid != 0) {
+        if (!first) os << ",\n";
+        first = false;
+        os << R"(    {"name":"run t)" << open->tid << R"(","ph":"X","ts":)";
+        write_ts_us(os, open->time);
+        os << R"(,"dur":)";
+        write_ts_us(os, r.time - open->time);
+        os << R"(,"pid":)" << (cpu + 1) << R"(,"tid":)" << open->tid
+           << R"(,"args":{"t":)" << open->time << "}}";
       }
+      open = &r;
     }
   }
 
-  if (opts.counters && tel != nullptr) {
+  if (tel != nullptr) {
     const MetricsRegistry& m = tel->metrics();
     sim::Nanos last = 0;
     for (const Record& r : events) last = std::max(last, r.time);
@@ -87,9 +84,8 @@ void write_chrome_trace(std::ostream& os, const std::vector<Record>& events,
   os << "\n  ],\n  \"displayTimeUnit\": \"ns\"\n}\n";
 }
 
-void write_chrome_trace(std::ostream& os, const Telemetry& tel,
-                        const ChromeTraceOptions& opts) {
-  write_chrome_trace(os, tel.recorder().snapshot_all(), opts, &tel);
+void write_chrome_trace(std::ostream& os, const Telemetry& tel) {
+  write_chrome_trace(os, tel.recorder().snapshot_all(), &tel);
 }
 
 namespace {
@@ -312,21 +308,25 @@ void write_metrics_json(std::ostream& out, const Telemetry& tel,
                         sim::Nanos now) {
   JsonText js;
   const MetricsRegistry& m = tel.metrics();
+  const FlightRecorder& rec = tel.recorder();
   js << "{\n  \"schema\": \"hrt-metrics-v1\",\n";
   js << "  \"now_ns\": " << now << ",\n";
   js << "  \"cpus\": [\n";
   for (std::uint32_t c = 0; c < m.num_cpus(); ++c) {
     const CpuMetrics& cm = m.cpu(c);
-    js << "    {\"cpu\": " << c << ", \"passes\": " << cm.passes
-       << ", \"switches\": " << cm.switches << ", \"kicks\": " << cm.kicks
-       << ", \"timer_arms\": " << cm.timer_arms
-       << ", \"admits_ok\": " << cm.admits_ok
-       << ", \"admits_rejected\": " << cm.admits_rejected
+    const auto n = [&](EventKind k) { return rec.count(c, k); };
+    js << "    {\"cpu\": " << c << ", \"passes\": " << n(EventKind::kPass)
+       << ", \"switches\": " << n(EventKind::kSwitch)
+       << ", \"kicks\": " << n(EventKind::kKick)
+       << ", \"timer_arms\": " << n(EventKind::kTimerArm)
+       << ", \"admits_ok\": " << n(EventKind::kAdmitOk)
+       << ", \"admits_rejected\": " << n(EventKind::kAdmitReject)
        << ", \"completions\": " << cm.completions
        << ", \"misses\": " << cm.misses
-       << ", \"migrations_in\": " << cm.migrations_in
-       << ", \"migrations_out\": " << cm.migrations_out
-       << ", \"sheds\": " << cm.sheds << ", \"restores\": " << cm.restores
+       << ", \"migrations_in\": " << rec.moved_in(c)
+       << ", \"migrations_out\": " << n(EventKind::kMigrateOut)
+       << ", \"sheds\": " << n(EventKind::kShed)
+       << ", \"restores\": " << n(EventKind::kRestore)
        << ", \"pass_span_ns\": {\"count\": " << cm.pass_span_ns.count()
        << ", \"mean\": " << cm.pass_span_ns.mean()
        << ", \"max\": " << cm.pass_span_ns.max() << "}"
@@ -368,7 +368,6 @@ void write_metrics_json(std::ostream& out, const Telemetry& tel,
   }
   js << "  ],\n";
 
-  const FlightRecorder& rec = tel.recorder();
   js << "  \"recorder\": {\"written\": " << rec.written()
      << ", \"dropped\": " << rec.dropped()
      << ", \"ring_capacity\": "

@@ -9,8 +9,8 @@
 //     pid 0 as "unknown"), tid = thread id, ts in microseconds with the
 //     exact nanosecond timestamp preserved in args.t.
 //   * Metrics JSON — the aggregate schema documented in docs/PERFORMANCE.md
-//     (per-CPU counters + pass spans, per-thread slack/lateness quantiles,
-//     SLO status, recorder accounting).
+//     (per-CPU record counts, completions and pass spans, per-thread
+//     slack/lateness quantiles, SLO status, recorder accounting).
 //
 // A minimal tolerant parser for the Chrome format rides along so tests and
 // the bench can round-trip an export without a JSON dependency.
@@ -32,22 +32,14 @@ namespace hrt::telemetry {
 
 class Telemetry;
 
-struct ChromeTraceOptions {
-  /// Emit "X" duration events between consecutive switch records per CPU.
-  bool run_spans = true;
-  /// Emit "C" counter events for effective capacity (needs a Telemetry
-  /// handle; ignored for bare record dumps).
-  bool counters = true;
-};
-
-/// Write a merged record stream as Chrome trace-event JSON.
+/// Write a merged record stream as Chrome trace-event JSON: one instant
+/// per record, one "X" run span between consecutive switch records of a
+/// CPU, and, given a hub, one effective-capacity "C" counter per CPU.
 void write_chrome_trace(std::ostream& os, const std::vector<Record>& events,
-                        const ChromeTraceOptions& opts = {},
                         const Telemetry* tel = nullptr);
 
 /// Convenience: snapshot all rings of `tel` and export them.
-void write_chrome_trace(std::ostream& os, const Telemetry& tel,
-                        const ChromeTraceOptions& opts = {});
+void write_chrome_trace(std::ostream& os, const Telemetry& tel);
 
 /// Adapt a sim::Trace (machine-level trace buffer) into flight-recorder
 /// records so the same exporter — and the same oracle cross-checks — apply:

@@ -3,8 +3,8 @@
 // Unlike the flight recorder — which keeps the *recent* event history — the
 // metrics registry keeps bounded-size aggregates over the whole run:
 // log-bucketed per-thread deadline-slack/lateness histograms, per-CPU
-// pass-span and effective-capacity gauges, and monotonic counters.  All
-// host-side state; nothing here charges simulated time.
+// completion and miss counters, and pass-span and effective-capacity
+// gauges.  All host-side state; nothing here charges simulated time.
 #pragma once
 
 #include <bit>
@@ -96,20 +96,13 @@ struct ThreadMetrics {
   LogHistogram lateness_ns;
 };
 
-/// Per-CPU gauges and monotonic counters.
+/// Per-CPU aggregates that are not a count of one record kind: arrival
+/// closes (a met deadline leaves no record, skipped windows leave one
+/// record for many misses) and gauges.  Event counts (passes, switches,
+/// migrations, ...) are the flight recorder's FlightRecorder::count.
 struct CpuMetrics {
-  std::uint64_t passes = 0;
-  std::uint64_t switches = 0;
-  std::uint64_t kicks = 0;
-  std::uint64_t timer_arms = 0;
-  std::uint64_t admits_ok = 0;
-  std::uint64_t admits_rejected = 0;
   std::uint64_t completions = 0;
   std::uint64_t misses = 0;
-  std::uint64_t migrations_in = 0;
-  std::uint64_t migrations_out = 0;
-  std::uint64_t sheds = 0;
-  std::uint64_t restores = 0;
   sim::RunningStats pass_span_ns;   // executor handler span (scheduler path)
   double effective_capacity = 0.0;  // gauge: RT capacity after degradation
 };

@@ -8,6 +8,7 @@
 // makes a telemetry-on run bit-identical to a telemetry-off run).
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 
@@ -23,7 +24,7 @@ namespace hrt::telemetry {
 ///   kAdmitOk/Rej   requested utilization in ppm
 ///   kDeadlineMiss  lateness in ns (tid = missing thread)
 ///   kMigrate*      peer CPU
-///   kAperiodicMigrate  source CPU
+///   kAperiodicMigrate  source CPU (recorded on the destination)
 ///   kSplitPlan     number of pipeline chunks
 ///   kStorm*/kDrain/kShed/kRestore  observed fraction / moved util in ppm
 ///   kBarrierArrive/Release  arrival count
@@ -84,5 +85,14 @@ struct Record {
 };
 
 static_assert(sizeof(Record) == 24, "flight-recorder records must stay compact");
+
+/// A utilization or fraction as a ppm payload, rounded to nearest and
+/// clamped to [0, INT64_MAX].
+[[nodiscard]] inline std::int64_t to_ppm(double x) {
+  if (!(x > 0.0)) return 0;
+  const double ppm = x * 1e6;
+  if (ppm >= 9.2e18) return INT64_MAX;
+  return static_cast<std::int64_t>(std::llround(ppm));
+}
 
 }  // namespace hrt::telemetry

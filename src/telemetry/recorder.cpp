@@ -66,7 +66,7 @@ const char* event_kind_name(EventKind k) {
 }
 
 FlightRecorder::FlightRecorder(std::uint32_t num_cpus, RecorderConfig cfg)
-    : cfg_(cfg), sample_countdown_(cfg.cost_sample_every) {
+    : cfg_(cfg), counts_(num_cpus), sample_countdown_(cfg.cost_sample_every) {
   const std::size_t cap = SpscRing::round_capacity(cfg_.ring_capacity);
   slab_ = SpscRing::zeroed_slots(num_cpus * cap);
   rings_.reserve(num_cpus);
@@ -84,7 +84,7 @@ void FlightRecorder::record(std::uint32_t cpu, EventKind kind, sim::Nanos time,
   r.tid = tid;
   r.cpu = static_cast<std::uint16_t>(cpu);
   r.kind = kind;
-  ++kind_counts_[static_cast<std::size_t>(kind)];
+  ++counts_[cpu][static_cast<std::size_t>(kind)];
   if (cfg_.cost_sample_every != 0 && --sample_countdown_ == 0) {
     sample_countdown_ = cfg_.cost_sample_every;
     const auto t0 = std::chrono::steady_clock::now();
@@ -121,6 +121,14 @@ std::uint64_t FlightRecorder::written() const {
 std::uint64_t FlightRecorder::dropped() const {
   std::uint64_t n = 0;
   for (const auto& ring : rings_) n += ring->dropped();
+  return n;
+}
+
+std::uint64_t FlightRecorder::kind_count(EventKind k) const {
+  std::uint64_t n = 0;
+  for (const auto& per_kind : counts_) {
+    n += per_kind[static_cast<std::size_t>(k)];
+  }
   return n;
 }
 

@@ -2,8 +2,10 @@
 //
 // Owns one SpscRing per CPU, all carved out of one zeroed slab (a fresh
 // 256-CPU recorder costs page faults only where records land, not 32 MB of
-// up-front stores), plus the bookkeeping the export layer needs:
-// per-kind event counters and a self-measured record cost.  The cost is
+// up-front stores), plus the bookkeeping the export layer needs: a count
+// of every record appended, per (CPU, kind), which is the only per-CPU
+// event counter the telemetry tier keeps (a drop-oldest ring forgets
+// records, the count does not), and a self-measured record cost.  The cost is
 // measured two ways — a sampled in-line probe (every Nth record is timed
 // with the host steady clock, including the clock overhead) and a batch
 // calibration (measure_record_cost_ns) that times a tight loop over the
@@ -58,8 +60,19 @@ class FlightRecorder {
 
   [[nodiscard]] std::uint64_t written() const;
   [[nodiscard]] std::uint64_t dropped() const;
-  [[nodiscard]] std::uint64_t kind_count(EventKind k) const {
-    return kind_counts_[static_cast<std::size_t>(k)];
+  /// Records of kind `k` ever appended on `cpu`, dropped ones included (0
+  /// for a CPU without a ring).
+  [[nodiscard]] std::uint64_t count(std::uint32_t cpu, EventKind k) const {
+    return cpu < counts_.size() ? counts_[cpu][static_cast<std::size_t>(k)]
+                                : 0;
+  }
+  /// count(cpu, k) summed over every CPU.
+  [[nodiscard]] std::uint64_t kind_count(EventKind k) const;
+  /// Threads moved onto `cpu`: job-boundary hand-offs in plus aperiodic
+  /// relocations, whose one record lives on the destination.
+  [[nodiscard]] std::uint64_t moved_in(std::uint32_t cpu) const {
+    return count(cpu, EventKind::kMigrateIn) +
+           count(cpu, EventKind::kAperiodicMigrate);
   }
   /// Count of one kind inside a single CPU's retained window (0 for a CPU
   /// without a ring).
@@ -80,7 +93,7 @@ class FlightRecorder {
   RecorderConfig cfg_;
   SpscRing::Slab slab_;  // every ring's slots, one block
   std::vector<std::unique_ptr<SpscRing>> rings_;
-  std::array<std::uint64_t, kEventKindCount> kind_counts_{};
+  std::vector<std::array<std::uint64_t, kEventKindCount>> counts_;  // [cpu]
   // Records left until the next timed one (every cost_sample_every-th).
   std::uint32_t sample_countdown_;
   sim::RunningStats sampled_cost_ns_;

@@ -1,7 +1,6 @@
 #include "telemetry/telemetry.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <string>
 
@@ -13,14 +12,6 @@ namespace {
 // Distinct threads tracked with full histograms; beyond this only the
 // per-CPU counters grow (overflow is counted, never silent).
 constexpr std::size_t kMaxThreadMetrics = 4096;
-
-// Clamp a double utilization/fraction into a ppm payload.
-std::int64_t to_ppm(double x) {
-  if (!(x > 0.0)) return 0;
-  const double ppm = x * 1e6;
-  if (ppm >= 9.2e18) return INT64_MAX;
-  return static_cast<std::int64_t>(std::llround(ppm));
-}
 }  // namespace
 
 Telemetry::Telemetry(std::uint32_t num_cpus, Config cfg)
@@ -44,48 +35,9 @@ Telemetry::Telemetry(std::uint32_t num_cpus, Config cfg)
   });
 }
 
-void Telemetry::on_pass(std::uint32_t cpu, sim::Nanos now, int reason) {
-  if (!cfg_.enabled) return;
-  ++metrics_->cpu(cpu).passes;
-  recorder_->record(cpu, EventKind::kPass, now, 0, reason);
-}
-
 void Telemetry::on_pass_span(std::uint32_t cpu, double span_ns) {
   if (!cfg_.enabled) return;
   metrics_->cpu(cpu).pass_span_ns.add(span_ns);
-}
-
-void Telemetry::on_switch(std::uint32_t cpu, sim::Nanos now,
-                          std::uint32_t tid) {
-  if (!cfg_.enabled) return;
-  ++metrics_->cpu(cpu).switches;
-  recorder_->record(cpu, EventKind::kSwitch, now, tid, 0);
-}
-
-void Telemetry::on_kick(std::uint32_t cpu, sim::Nanos now) {
-  if (!cfg_.enabled) return;
-  ++metrics_->cpu(cpu).kicks;
-  recorder_->record(cpu, EventKind::kKick, now, 0, 0);
-}
-
-void Telemetry::on_timer_arm(std::uint32_t cpu, sim::Nanos now,
-                             sim::Nanos delay) {
-  if (!cfg_.enabled) return;
-  ++metrics_->cpu(cpu).timer_arms;
-  recorder_->record(cpu, EventKind::kTimerArm, now, 0, delay);
-}
-
-void Telemetry::on_admit(std::uint32_t cpu, sim::Nanos now, std::uint32_t tid,
-                         bool ok, double util) {
-  if (!cfg_.enabled) return;
-  CpuMetrics& m = metrics_->cpu(cpu);
-  if (ok) {
-    ++m.admits_ok;
-  } else {
-    ++m.admits_rejected;
-  }
-  recorder_->record(cpu, ok ? EventKind::kAdmitOk : EventKind::kAdmitReject,
-                    now, tid, to_ppm(util));
 }
 
 void Telemetry::on_completion(std::uint32_t cpu, sim::Nanos now,
@@ -107,31 +59,6 @@ void Telemetry::on_skipped_windows(std::uint32_t cpu, sim::Nanos now,
   recorder_->record(cpu, EventKind::kDeadlineMiss, now, tid,
                     -static_cast<std::int64_t>(n));
   slo_->on_completion(name, true, now, n);
-}
-
-void Telemetry::on_migration(std::uint32_t cpu, sim::Nanos now,
-                             std::uint32_t tid, EventKind kind,
-                             std::uint32_t peer) {
-  if (!cfg_.enabled) return;
-  CpuMetrics& m = metrics_->cpu(cpu);
-  if (kind == EventKind::kMigrateIn) {
-    ++m.migrations_in;
-  } else if (kind == EventKind::kMigrateOut ||
-             kind == EventKind::kAperiodicMigrate) {
-    ++m.migrations_out;
-  }
-  recorder_->record(cpu, kind, now, tid, static_cast<std::int64_t>(peer));
-}
-
-void Telemetry::on_event(std::uint32_t cpu, sim::Nanos now, EventKind kind,
-                         std::uint32_t tid, std::int64_t arg) {
-  if (!cfg_.enabled) return;
-  if (kind == EventKind::kShed) {
-    ++metrics_->cpu(cpu).sheds;
-  } else if (kind == EventKind::kRestore) {
-    ++metrics_->cpu(cpu).restores;
-  }
-  recorder_->record(cpu, kind, now, tid, arg);
 }
 
 void Telemetry::set_effective_capacity(std::uint32_t cpu, double cap) {

@@ -4,9 +4,13 @@
 // The scheduler stack carries a single `telemetry::Telemetry*` (null when
 // the subsystem is disabled — the same convention as the auditor and the
 // placement ledger), so the hot-path cost of telemetry-off is one pointer
-// test.  Every hook is a pure host-side observer: it charges no simulated
-// time and mutates no scheduler state, which is what makes a telemetry-on
-// run bit-identical (same switches, same misses, same audit results) to a
+// test.  An event site appends its record with recorder().record(); the
+// recorder's per-(CPU, kind) counts are the per-CPU event counters.  The
+// hooks below are for what is more than one record: completions feed the
+// metrics and the SLO monitor, pass spans and capacity are gauges.  All of
+// it is a pure host-side observer: it charges no simulated time and
+// mutates no scheduler state, which is what makes a telemetry-on run
+// bit-identical (same switches, same misses, same audit results) to a
 // telemetry-off run by construction.
 #pragma once
 
@@ -57,15 +61,8 @@ class Telemetry {
 
   // --- hot-path hooks (all no-ops when disabled) -------------------------
 
-  /// End of a scheduling pass.  `reason` is the nk::PassReason ordinal.
-  void on_pass(std::uint32_t cpu, sim::Nanos now, int reason);
   /// Executor-measured scheduler handler span (irq + pass + switch), ns.
   void on_pass_span(std::uint32_t cpu, double span_ns);
-  void on_switch(std::uint32_t cpu, sim::Nanos now, std::uint32_t tid);
-  void on_kick(std::uint32_t cpu, sim::Nanos now);
-  void on_timer_arm(std::uint32_t cpu, sim::Nanos now, sim::Nanos delay);
-  void on_admit(std::uint32_t cpu, sim::Nanos now, std::uint32_t tid, bool ok,
-                double util);
   /// Arrival close.  `lateness` is signed: > 0 is a deadline miss by that
   /// much, <= 0 met the deadline with -lateness slack.
   void on_completion(std::uint32_t cpu, sim::Nanos now, std::uint32_t tid,
@@ -74,14 +71,6 @@ class Telemetry {
   /// misses; no slack/lateness sample of their own).
   void on_skipped_windows(std::uint32_t cpu, sim::Nanos now, std::uint32_t tid,
                           std::string_view name, std::uint64_t n);
-  /// kind must be one of kMigrateRequest / kMigrateOut / kMigrateIn /
-  /// kAperiodicMigrate; `peer` is the other CPU.
-  void on_migration(std::uint32_t cpu, sim::Nanos now, std::uint32_t tid,
-                    EventKind kind, std::uint32_t peer);
-  /// Generic escape hatch for subsystems with their own vocabularies
-  /// (storm controller, split planner, group barriers, benches).
-  void on_event(std::uint32_t cpu, sim::Nanos now, EventKind kind,
-                std::uint32_t tid, std::int64_t arg);
   /// Gauge: effective RT capacity published for a CPU.
   void set_effective_capacity(std::uint32_t cpu, double cap);
 
@@ -94,8 +83,10 @@ class Telemetry {
   void derive_group_slo(std::string_view group_name,
                         const rt::Constraints& admitted);
 
-  // --- cold-path access --------------------------------------------------
+  // --- components --------------------------------------------------------
 
+  /// Event sites append here; a disabled hub's recorder has no rings and
+  /// drops every record.
   [[nodiscard]] FlightRecorder& recorder() { return *recorder_; }
   [[nodiscard]] const FlightRecorder& recorder() const { return *recorder_; }
   [[nodiscard]] MetricsRegistry& metrics() { return *metrics_; }

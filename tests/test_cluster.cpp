@@ -125,6 +125,43 @@ TEST(ClusterNodes, SumsAreReadLiveFromNodeLedgers) {
   EXPECT_NEAR(ctl.node_capacity(0), 0.79 + 0.5, 1e-9);
 }
 
+
+TEST(ClusterNodes, FitGateAdmitsTheGangTheNodePlaces) {
+  // CPUs 1-3 each hold an admitted 0.39 thread; the ledger's Q32.32
+  // rounding leaves each 0.399999999674 of headroom, which the node's
+  // placement engine still fits a 0.4 member into (its 1e-9 slack).  The
+  // cluster's fit gate asks that engine, so the gang runs instead of
+  // waiting for room no CPU will ever report.
+  ClusterController ctl(clustered(1, 4));
+  hrt::System& node = ctl.node(0);
+  for (std::uint32_t c = 1; c <= 3; ++c) {
+    node.spawn("hold" + std::to_string(c),
+               std::make_unique<nk::FnBehavior>(
+                   [](nk::ThreadCtx&, std::uint64_t step) {
+                     if (step == 0) {
+                       return nk::Action::change_constraints(
+                           rt::Constraints::periodic(sim::millis(1),
+                                                     sim::millis(1),
+                                                     sim::micros(390)));
+                     }
+                     return nk::Action::compute(sim::millis(2));
+                   }),
+               c);
+  }
+  ctl.run_for(sim::millis(5));
+  const auto& ledger = node.placement().ledger();
+  for (std::uint32_t c = 1; c <= 3; ++c) {
+    ASSERT_LT(ledger.headroom(c), 0.4) << "cpu " << c;
+    ASSERT_TRUE(node.placement().engine().fits(c, 0.4)) << "cpu " << c;
+  }
+  JobSpec g = gang("acme", "g", 3, sim::micros(400));
+  g.constraints = rt::Constraints::periodic(sim::millis(2), sim::millis(1),
+                                            sim::micros(400));
+  const JobId id = ctl.submit(g);
+  ctl.run_for(sim::millis(20));  // 40 control ticks
+  EXPECT_EQ(ctl.job(id).state, JobState::kRunning);
+  EXPECT_EQ(ctl.job(id).threads_admitted, 3u);
+}
 // ---------- placement ----------
 
 TEST(ClusterPlacement, StormFlaggedNodesRankLast) {

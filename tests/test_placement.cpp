@@ -108,6 +108,29 @@ TEST(PlacementConfig, RejectsNegativeRebalanceTaskSize) {
   EXPECT_NO_THROW(System sys(o));
 }
 
+TEST(PlacementConfig, RejectsInterruptLadenCpusPastTheMachine) {
+  // Boot routes device vector k to CPU k % laden: a partition wider than
+  // the machine would send vectors to CPUs it does not have.
+  for (const std::uint32_t laden : {5u, 8u, 0xFFFFFFFFu}) {
+    EXPECT_THROW(System sys(placed(4, laden)), std::invalid_argument)
+        << laden;
+  }
+  // Up to the CPU count every vector lands inside the partition; 0 keeps
+  // them all on CPU 0.
+  for (const std::uint32_t laden : {0u, 1u, 3u, 4u}) {
+    System sys(placed(4, laden));
+    for (hw::Vector v = 0x40; v < 0x48; ++v) {
+      sys.kernel().register_device_handler(v, 1000);
+    }
+    sys.boot();
+    for (hw::Vector v = 0x40; v < 0x48; ++v) {
+      EXPECT_EQ(sys.machine().ioapic().destination(v),
+                (v - 0x40u) % std::max(laden, 1u))
+          << "laden " << laden << " vector " << int{v};
+    }
+  }
+}
+
 // ---------- utilization ledger ----------
 
 TEST(Ledger, TracksAdmitAndExit) {

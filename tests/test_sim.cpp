@@ -68,18 +68,29 @@ __int128 ref_div_ceil(__int128 num, __int128 den) {
   return num % den > 0 ? q + 1 : q;
 }
 
+/// `got()` equals the 128-bit reference `want` where it fits in 64 bits,
+/// and throws std::overflow_error where it does not.
+template <typename Fn>
+void expect_exact(Fn got, __int128 want, const char* what) {
+  if (want <= INT64_MAX && want >= INT64_MIN) {
+    EXPECT_EQ(got(), static_cast<std::int64_t>(want)) << what;
+  } else {
+    EXPECT_THROW((void)got(), std::overflow_error) << what;
+  }
+}
+
 void expect_matches_reference(const Frequency& f, std::int64_t v) {
   const __int128 hz = f.hz();
   const __int128 ns_per_s = kNanosPerSecond;
   SCOPED_TRACE(testing::Message() << "hz " << f.hz() << " v " << v);
-  EXPECT_EQ(f.cycles_to_ns(v),
-            static_cast<Nanos>(ref_div_nearest(v * ns_per_s, hz)));
-  EXPECT_EQ(f.cycles_to_ns_ceil(v),
-            static_cast<Nanos>(ref_div_ceil(v * ns_per_s, hz)));
-  EXPECT_EQ(f.ns_to_cycles(v),
-            static_cast<Cycles>(ref_div_nearest(v * hz, ns_per_s)));
-  EXPECT_EQ(f.ns_to_cycles_floor(v),
-            static_cast<Cycles>(ref_div_floor(v * hz, ns_per_s)));
+  expect_exact([&] { return f.cycles_to_ns(v); },
+               ref_div_nearest(v * ns_per_s, hz), "cycles_to_ns");
+  expect_exact([&] { return f.cycles_to_ns_ceil(v); },
+               ref_div_ceil(v * ns_per_s, hz), "cycles_to_ns_ceil");
+  expect_exact([&] { return f.ns_to_cycles(v); },
+               ref_div_nearest(v * hz, ns_per_s), "ns_to_cycles");
+  expect_exact([&] { return f.ns_to_cycles_floor(v); },
+               ref_div_floor(v * hz, ns_per_s), "ns_to_cycles_floor");
 }
 
 TEST(Frequency, ExactAgainstInt128Reference) {
@@ -123,6 +134,32 @@ TEST(Frequency, ExactAgainstInt128Reference) {
   EXPECT_EQ(phi.cycles_to_ns_ceil(2), 2);
   EXPECT_EQ(phi.ns_to_cycles_floor(-1), -2);
   EXPECT_EQ(phi.ns_to_cycles_floor(1), 1);
+}
+
+// A result past int64 throws instead of wrapping: the 128-bit fallback
+// checks its quotient, both ways across the boundary.
+TEST(Frequency, OutOfRangeResultThrows) {
+  const Frequency one_hz(1);
+  EXPECT_THROW((void)one_hz.cycles_to_ns(std::int64_t{1} << 62),
+               std::overflow_error);
+  EXPECT_THROW((void)one_hz.cycles_to_ns_ceil(-(std::int64_t{1} << 62)),
+               std::overflow_error);
+  const std::int64_t last = INT64_MAX / kNanosPerSecond;  // last exact second
+  EXPECT_EQ(one_hz.cycles_to_ns(last), last * kNanosPerSecond);
+  EXPECT_EQ(one_hz.cycles_to_ns(-last), -last * kNanosPerSecond);
+  EXPECT_THROW((void)one_hz.cycles_to_ns(last + 1), std::overflow_error);
+  EXPECT_THROW((void)one_hz.cycles_to_ns_ceil(last + 1), std::overflow_error);
+
+  const Frequency four_ghz(4'000'000'000);
+  EXPECT_THROW((void)four_ghz.ns_to_cycles(INT64_MAX), std::overflow_error);
+  EXPECT_THROW((void)four_ghz.ns_to_cycles_floor(INT64_MIN),
+               std::overflow_error);
+  const std::int64_t ns = INT64_MAX / 4;  // 4 cycles per ns: still fits
+  EXPECT_EQ(four_ghz.ns_to_cycles(ns), ns * 4);
+  EXPECT_EQ(four_ghz.ns_to_cycles_floor(-ns), -ns * 4);
+  EXPECT_THROW((void)four_ghz.ns_to_cycles(ns + 1), std::overflow_error);
+  // At or below 1 GHz every result fits.
+  EXPECT_EQ(Frequency(1'000'000'000).ns_to_cycles(INT64_MAX), INT64_MAX);
 }
 
 // hz divides every conversion; hz <= 0 has no meaning and hz = 0 would

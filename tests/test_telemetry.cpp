@@ -2,13 +2,15 @@
 // docs/OBSERVABILITY.md):
 //   * the per-CPU seqlock SPSC ring: ordering, drop-oldest wraparound,
 //     generation tags, and torn-read rejection under a real writer thread,
-//   * the recorder's kind counters and self-measured record cost,
+//   * the recorder's per-(CPU, kind) record counts and self-measured
+//     record cost,
 //   * log-bucketed histograms and their quantile extraction,
 //   * the streaming metrics registry and the declarative SLO monitor
 //     (burn-rate windows, alert transitions, the kSloBudget invariant),
 //   * end-to-end capture through rt::System: default-off null-pointer
 //     wiring, bit-identical scheduling on vs off, scheduler/migration
-//     events landing in the right rings,
+//     events landing in the right rings, and every exported per-CPU event
+//     counter equal to the count of its records,
 //   * the export layer: Chrome trace JSON round-trips through the bundled
 //     parser, and a sim::Trace adapted through the same exporter agrees
 //     with the EDF replay oracle.
@@ -27,6 +29,7 @@
 #include "rt/system.hpp"
 #include "sim/histogram.hpp"
 #include "telemetry/export.hpp"
+#include "telemetry/metrics_diff.hpp"
 
 namespace hrt {
 namespace {
@@ -176,6 +179,12 @@ TEST(TelemetryRecorder, KindCountsMergedSnapshotAndSelfCost) {
   EXPECT_EQ(rec.kind_count(EventKind::kPass), 1u);
   EXPECT_EQ(rec.kind_count(EventKind::kDeadlineMiss), 1u);
   EXPECT_EQ(rec.kind_count(EventKind::kKick), 0u);
+  EXPECT_EQ(rec.count(0, EventKind::kSwitch), 1u);
+  EXPECT_EQ(rec.count(1, EventKind::kSwitch), 1u);
+  EXPECT_EQ(rec.count(0, EventKind::kPass), 1u);
+  EXPECT_EQ(rec.count(1, EventKind::kPass), 0u);
+  EXPECT_EQ(rec.count(1, EventKind::kDeadlineMiss), 1u);
+  EXPECT_EQ(rec.count(2, EventKind::kPass), 0u);  // no ring: nothing counted
   EXPECT_EQ(rec.retained_kind_count(1, EventKind::kDeadlineMiss), 1u);
   EXPECT_EQ(rec.retained_kind_count(0, EventKind::kDeadlineMiss), 0u);
 
@@ -229,7 +238,11 @@ TEST(TelemetryRecorder, SlabRingsStayApartAndStartEmpty) {
   }
   for (const std::uint32_t cpu : {0u, 2u, 3u}) {
     EXPECT_TRUE(rec.snapshot(cpu).empty()) << cpu;
+    EXPECT_EQ(rec.count(cpu, EventKind::kCustom), 0u) << cpu;
   }
+  // The count keeps what the drop-oldest ring forgot.
+  EXPECT_EQ(rec.count(1, EventKind::kCustom), cap + 5);
+  EXPECT_EQ(rec.retained_kind_count(1, EventKind::kCustom), cap);
   auto check_cpu1 = [&] {
     const auto snap = rec.snapshot(1);
     ASSERT_EQ(snap.size(), cap);
@@ -425,7 +438,7 @@ TEST(TelemetrySystem, DisabledByDefaultIsNullPointerAndRecordsNothing) {
                      sim::millis(1), sim::micros(200), sim::micros(40))), 1);
   sys.run_for(sim::millis(10));
   EXPECT_EQ(sys.telemetry().recorder().written(), 0u);
-  EXPECT_EQ(sys.telemetry().metrics().cpu(1).passes, 0u);
+  EXPECT_EQ(sys.telemetry().recorder().count(1, EventKind::kPass), 0u);
   EXPECT_EQ(sys.telemetry().metrics().cpu(1).completions, 0u);
 }
 
@@ -438,6 +451,7 @@ TEST(TelemetrySystem, DisabledRecorderHoldsNoRings) {
   for (const std::uint32_t cpu : {0u, 1u, 255u, 256u}) {
     EXPECT_TRUE(rec.snapshot(cpu).empty()) << "cpu " << cpu;
     EXPECT_EQ(rec.retained_kind_count(cpu, EventKind::kPass), 0u);
+    EXPECT_EQ(rec.count(cpu, EventKind::kPass), 0u);
     EXPECT_THROW((void)rec.ring(cpu), std::out_of_range) << "cpu " << cpu;
     rec.record(cpu, EventKind::kCustom, 1, 0, 0);  // dropped, not indexed
   }
@@ -539,10 +553,10 @@ TEST(TelemetrySystem, CapturesSchedulerEventsOnAllCpus) {
   EXPECT_GT(rec.written(), 0u);
   for (std::uint32_t c = 0; c < 4; ++c) {
     const telemetry::CpuMetrics& m = sys.telemetry().metrics().cpu(c);
-    EXPECT_GT(m.passes, 100u) << "cpu " << c;
-    EXPECT_GT(m.switches, 100u) << "cpu " << c;
-    EXPECT_GT(m.timer_arms, 100u) << "cpu " << c;
-    EXPECT_EQ(m.admits_ok, 1u) << "cpu " << c;
+    EXPECT_GT(rec.count(c, EventKind::kPass), 100u) << "cpu " << c;
+    EXPECT_GT(rec.count(c, EventKind::kSwitch), 100u) << "cpu " << c;
+    EXPECT_GT(rec.count(c, EventKind::kTimerArm), 100u) << "cpu " << c;
+    EXPECT_EQ(rec.count(c, EventKind::kAdmitOk), 1u) << "cpu " << c;
     EXPECT_GT(m.completions, 100u) << "cpu " << c;
     EXPECT_GT(m.misses, 0u) << "cpu " << c;
     EXPECT_GT(m.pass_span_ns.count(), 0u) << "cpu " << c;
@@ -582,8 +596,9 @@ TEST(TelemetrySystem, MigrationEventsLandInBothRings) {
   EXPECT_EQ(rec.kind_count(EventKind::kMigrateRequest), 1u);
   EXPECT_EQ(rec.kind_count(EventKind::kMigrateOut), 1u);
   EXPECT_EQ(rec.kind_count(EventKind::kMigrateIn), 1u);
-  EXPECT_EQ(sys.telemetry().metrics().cpu(1).migrations_out, 1u);
-  EXPECT_EQ(sys.telemetry().metrics().cpu(2).migrations_in, 1u);
+  EXPECT_EQ(rec.count(1, EventKind::kMigrateOut), 1u);
+  EXPECT_EQ(rec.count(2, EventKind::kMigrateIn), 1u);
+  EXPECT_EQ(rec.count(1, EventKind::kMigrateRequest), 1u);
   // The out record names the destination, the in record the source.
   bool saw_out = false;
   for (const Record& r : rec.snapshot(1)) {
@@ -602,6 +617,125 @@ TEST(TelemetrySystem, MigrationEventsLandInBothRings) {
   }
   EXPECT_TRUE(saw_out);
   EXPECT_TRUE(saw_in);
+}
+
+/// An aperiodic thread that sleeps first, then computes forever.
+std::unique_ptr<nk::FnBehavior> napper() {
+  return std::make_unique<nk::FnBehavior>(
+      [](nk::ThreadCtx&, std::uint64_t step) {
+        if (step == 0) return nk::Action::sleep(sim::millis(5));
+        return nk::Action::compute(sim::micros(100));
+      });
+}
+
+telemetry::MetricsSnapshot exported(System& sys) {
+  std::ostringstream os;
+  telemetry::write_metrics_json(os, sys.telemetry(), sys.engine().now());
+  return telemetry::parse_metrics_snapshot(os.str());
+}
+
+TEST(TelemetrySystem, AperiodicRelocationCountsAsMigrationInOnDestination) {
+  // Kernel::migrate_aperiodic leaves one kAperiodicMigrate record, on the
+  // destination's ring (arg = the source): the thread moved in there, and
+  // the source CPU records nothing.
+  System sys(observed(4));
+  sys.boot();
+  nk::Thread* t = sys.spawn("nap", napper(), 1);
+  sys.run_for(sim::millis(1));
+  ASSERT_EQ(t->state, nk::Thread::State::kSleeping);
+  ASSERT_TRUE(sys.kernel().migrate_aperiodic(t, 2));
+  sys.run_for(sim::millis(10));
+  ASSERT_EQ(t->cpu, 2u);
+
+  const telemetry::FlightRecorder& rec = sys.telemetry().recorder();
+  ASSERT_EQ(rec.kind_count(EventKind::kAperiodicMigrate), 1u);
+  EXPECT_EQ(rec.count(2, EventKind::kAperiodicMigrate), 1u);
+  const telemetry::MetricsSnapshot snap = exported(sys);
+  ASSERT_TRUE(snap.ok) << snap.error;
+  EXPECT_EQ(snap.values.at("cpu.2.migrations_in"), 1.0);
+  EXPECT_EQ(snap.values.at("cpu.2.migrations_out"), 0.0);
+  EXPECT_EQ(snap.values.at("cpu.1.migrations_in"), 0.0);
+  EXPECT_EQ(snap.values.at("cpu.1.migrations_out"), 0.0);
+}
+
+TEST(TelemetrySystem, ExportedCpuCountersAreRecordCounts) {
+  // Each per-CPU event counter of the metrics export counts records: on
+  // rings that drop nothing it equals the number of its kinds in that
+  // CPU's ring, and written() is the sum of every count.  The run covers
+  // auto placement, a job-boundary migration, an aperiodic relocation and
+  // thread exits (whose exit rebalances may migrate more).
+  System::Options o = observed(4);
+  o.telemetry.recorder.ring_capacity = 1 << 16;
+  System sys(std::move(o));
+  sys.boot();
+  nk::Thread* mover = sys.spawn(
+      "mover", rt_worker(rt::Constraints::periodic(
+                   sim::millis(1), sim::millis(1), sim::micros(300))), 1);
+  nk::Thread* nap = sys.spawn("nap", napper(), 3);
+  sys.run_for(sim::millis(2));
+  ASSERT_TRUE(mover->is_realtime());
+  ASSERT_TRUE(sys.sched(1).request_migration(*mover, 2));
+  ASSERT_EQ(nap->state, nk::Thread::State::kSleeping);
+  ASSERT_TRUE(sys.kernel().migrate_aperiodic(nap, 0));
+  std::vector<nk::Thread*> finite;
+  for (int i = 0; i < 4; ++i) {
+    finite.push_back(sys.spawn_auto(
+        "auto" + std::to_string(i),
+        std::make_unique<nk::FnBehavior>(
+            [](nk::ThreadCtx&, std::uint64_t step) {
+              if (step < 20) return nk::Action::compute(sim::micros(100));
+              return nk::Action::exit();
+            }),
+        rt::Constraints::periodic(sim::millis(1), sim::millis(1),
+                                  sim::micros(100 + 50 * i))));
+  }
+  sys.run_for(sim::millis(30));
+
+  const telemetry::FlightRecorder& rec = sys.telemetry().recorder();
+  ASSERT_EQ(rec.dropped(), 0u);
+  ASSERT_EQ(mover->cpu, 2u);
+  ASSERT_GE(rec.kind_count(EventKind::kMigrateIn), 1u);
+  ASSERT_EQ(rec.kind_count(EventKind::kAperiodicMigrate), 1u);
+  ASSERT_GE(rec.kind_count(EventKind::kAdmitOk), 5u);
+  for (const nk::Thread* t : finite) {
+    EXPECT_TRUE(t->state == nk::Thread::State::kExited ||
+                t->state == nk::Thread::State::kPooled)
+        << t->name;
+  }
+
+  const telemetry::MetricsSnapshot snap = exported(sys);
+  ASSERT_TRUE(snap.ok) << snap.error;
+  const std::pair<const char*, std::vector<EventKind>> counters[] = {
+      {"passes", {EventKind::kPass}},
+      {"switches", {EventKind::kSwitch}},
+      {"kicks", {EventKind::kKick}},
+      {"timer_arms", {EventKind::kTimerArm}},
+      {"admits_ok", {EventKind::kAdmitOk}},
+      {"admits_rejected", {EventKind::kAdmitReject}},
+      {"migrations_in", {EventKind::kMigrateIn, EventKind::kAperiodicMigrate}},
+      {"migrations_out", {EventKind::kMigrateOut}},
+      {"sheds", {EventKind::kShed}},
+      {"restores", {EventKind::kRestore}},
+  };
+  std::uint64_t counted = 0;
+  for (std::uint32_t c = 0; c < 4; ++c) {
+    std::map<EventKind, std::uint64_t> in_ring;
+    for (const Record& r : rec.snapshot(c)) ++in_ring[r.kind];
+    for (const auto& [field, kinds] : counters) {
+      std::uint64_t n = 0;
+      for (const EventKind k : kinds) n += in_ring[k];
+      EXPECT_EQ(snap.values.at("cpu." + std::to_string(c) + "." + field),
+                static_cast<double>(n))
+          << "cpu " << c << " " << field;
+    }
+    for (std::size_t k = 0; k < telemetry::kEventKindCount; ++k) {
+      const auto kind = static_cast<EventKind>(k);
+      EXPECT_EQ(rec.count(c, kind), in_ring[kind])
+          << "cpu " << c << " " << telemetry::event_kind_name(kind);
+      counted += rec.count(c, kind);
+    }
+  }
+  EXPECT_EQ(rec.written(), counted);
 }
 
 TEST(TelemetrySloSystem, MissStormFiresAlertAndAuditInvariant) {
@@ -794,7 +928,9 @@ TEST(TelemetryExport, MetricsJsonIsWellFormed) {
 }
 
 /// The metrics document as the stream-formatted exporter printed it:
-/// every number through a default-formatted std::ostream.
+/// every number through a default-formatted std::ostream, each per-CPU
+/// event counter a count of the recorder's records (a relocation is a
+/// migration in, on the destination that holds its record).
 std::string ostream_metrics_json(const telemetry::Telemetry& tel,
                                  sim::Nanos now) {
   auto esc = [](std::ostream& os, std::string_view s) {
@@ -824,21 +960,25 @@ std::string ostream_metrics_json(const telemetry::Telemetry& tel,
        << "}";
   };
   const telemetry::MetricsRegistry& m = tel.metrics();
+  const telemetry::FlightRecorder& rec = tel.recorder();
   std::ostringstream os;
   os << "{\n  \"schema\": \"hrt-metrics-v1\",\n  \"now_ns\": " << now
      << ",\n  \"cpus\": [\n";
   for (std::uint32_t c = 0; c < m.num_cpus(); ++c) {
     const telemetry::CpuMetrics& cm = m.cpu(c);
-    os << "    {\"cpu\": " << c << ", \"passes\": " << cm.passes
-       << ", \"switches\": " << cm.switches << ", \"kicks\": " << cm.kicks
-       << ", \"timer_arms\": " << cm.timer_arms
-       << ", \"admits_ok\": " << cm.admits_ok
-       << ", \"admits_rejected\": " << cm.admits_rejected
+    auto n = [&](EventKind k) { return rec.count(c, k); };
+    os << "    {\"cpu\": " << c << ", \"passes\": " << n(EventKind::kPass)
+       << ", \"switches\": " << n(EventKind::kSwitch)
+       << ", \"kicks\": " << n(EventKind::kKick)
+       << ", \"timer_arms\": " << n(EventKind::kTimerArm)
+       << ", \"admits_ok\": " << n(EventKind::kAdmitOk)
+       << ", \"admits_rejected\": " << n(EventKind::kAdmitReject)
        << ", \"completions\": " << cm.completions
-       << ", \"misses\": " << cm.misses
-       << ", \"migrations_in\": " << cm.migrations_in
-       << ", \"migrations_out\": " << cm.migrations_out
-       << ", \"sheds\": " << cm.sheds << ", \"restores\": " << cm.restores
+       << ", \"misses\": " << cm.misses << ", \"migrations_in\": "
+       << n(EventKind::kMigrateIn) + n(EventKind::kAperiodicMigrate)
+       << ", \"migrations_out\": " << n(EventKind::kMigrateOut)
+       << ", \"sheds\": " << n(EventKind::kShed)
+       << ", \"restores\": " << n(EventKind::kRestore)
        << ", \"pass_span_ns\": {\"count\": " << cm.pass_span_ns.count()
        << ", \"mean\": " << cm.pass_span_ns.mean()
        << ", \"max\": " << cm.pass_span_ns.max() << "}"
@@ -875,7 +1015,6 @@ std::string ostream_metrics_json(const telemetry::Telemetry& tel,
        << ", \"alerts\": " << st.alerts << "}"
        << (i + 1 < slos.size() ? ",\n" : "\n");
   }
-  const telemetry::FlightRecorder& rec = tel.recorder();
   os << "  ],\n  \"recorder\": {\"written\": " << rec.written()
      << ", \"dropped\": " << rec.dropped() << ", \"ring_capacity\": "
      << (rec.num_cpus() > 0 ? rec.ring(0).capacity() : 0)
@@ -918,6 +1057,20 @@ TEST(TelemetryExport, MetricsJsonPrintsNumbersAsOstreamDoes) {
   tel.on_pass_span(1, 123456789.0);
   tel.on_pass_span(2, 1e21);
   tel.on_pass_span(2, 0.79);
+  // Records of every exported kind, more than CPU 1's 8-slot ring holds:
+  // the counters count records, dropped ones included.
+  telemetry::FlightRecorder& rec = tel.recorder();
+  for (int i = 0; i < 11; ++i) rec.record(1, EventKind::kPass, i, 0, 0);
+  for (const EventKind k :
+       {EventKind::kSwitch, EventKind::kKick, EventKind::kTimerArm,
+        EventKind::kAdmitOk, EventKind::kAdmitReject, EventKind::kMigrateIn,
+        EventKind::kMigrateOut, EventKind::kAperiodicMigrate,
+        EventKind::kShed, EventKind::kRestore}) {
+    rec.record(0, k, 20, 7, 1);
+    rec.record(2, k, 30, 9, 0);
+    rec.record(2, k, 40, 9, 0);
+  }
+  ASSERT_GT(rec.dropped(), 0u);
   tel.on_completion(1, 1000, 7, name, 0);             // slack 0
   tel.on_completion(1, 2000, 7, name, -123456789);    // slack 1.23457e+08
   tel.on_completion(2, 3000, 9, "w.late", 987654321);  // lateness
@@ -931,6 +1084,9 @@ TEST(TelemetryExport, MetricsJsonPrintsNumbersAsOstreamDoes) {
                            "\"effective_capacity\": 1e+21}",
                            "\"effective_capacity\": 1e-07}",
                            "\"mean\": 1.23457e+08", "\"miss_budget\": 1e-07",
+                           "{\"cpu\": 1, \"passes\": 11, \"switches\": 0,",
+                           "\"migrations_in\": 2, \"migrations_out\": 1,",
+                           "\"migrations_in\": 4, \"migrations_out\": 2,",
                            R"(w\"q\\\t\n\u001f)", R"(slo \"q\" \\ \u0001)"}) {
     EXPECT_NE(json.find(text), std::string::npos) << text;
   }
